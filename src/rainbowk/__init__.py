@@ -24,6 +24,7 @@ from .constructions import (
 )
 from .core import (
     Coloring,
+    InvariantError,
     PartitionSpec,
     SchemaError,
     VerificationReport,

@@ -14,7 +14,7 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass
 
-from .core import Coloring, PartitionSpec, ceil_div
+from .core import Coloring, InvariantError, PartitionSpec, ceil_div
 from .verifier import PairQuery, max_disjoint_rainbow
 
 
@@ -27,12 +27,12 @@ def f_formula(k: int, t: int) -> int:
 
 
 def _twins_in_part(coloring: Coloring, part: int) -> tuple[int, int] | None:
-    spec = coloring.spec
-    outside = [w for w in spec.vertices() if spec.part_of(w) != part]
+    # A whole row is a color profile: its entries toward the part itself
+    # are 0 for every member, so rows agree iff the profiles outside do.
+    rows = coloring.rows
     groups: dict[tuple[int, ...], list[int]] = {}
-    for a in spec.part_members(part):
-        profile = tuple(coloring.color(a, w) for w in outside)
-        groups.setdefault(profile, []).append(a)
+    for a in coloring.spec.part_members(part):
+        groups.setdefault(rows[a], []).append(a)
     candidates = [(ids[0], ids[1]) for ids in groups.values() if len(ids) >= 2]
     return min(candidates) if candidates else None
 
@@ -84,14 +84,12 @@ def _twin_certificate(
 ) -> LowerBoundCertificate:
     twins = find_color_twins(coloring, big_part)
     if twins is None:
-        raise AssertionError(
-            "pigeonhole guarantee violated: no color twins found"
-        )
+        raise InvariantError("pigeonhole guarantee violated: no color twins found")
     count, _ = max_disjoint_rainbow(
         coloring, PairQuery(twins[0], twins[1], mode="maximize")
     )
     if count >= k:
-        raise AssertionError(
+        raise InvariantError(
             f"certificate construction failed: twins {twins} admit {count} >= k paths"
         )
     return LowerBoundCertificate(scenario, params, twins, count, bound)

@@ -2,7 +2,8 @@
 rck-exact / export-dot.
 
 Exit codes: 0 = success or verified pass, 1 = verified fail, 2 = usage error
-(including malformed input files). Every run is fully determined by its
+(including malformed input files), 3 = a self-check of the program failed
+(a bug; see `InvariantError`). Every run is fully determined by its
 parsed flags; randomized subcommands require an explicit --seed.
 """
 
@@ -12,7 +13,6 @@ import argparse
 import json
 import os
 import sys
-from dataclasses import dataclass
 from pathlib import Path
 
 from .bounds import f_formula, sample_certificates
@@ -25,18 +25,12 @@ from .constructions import (
     color_mnn,
     witness_paths,
 )
-from .core import Coloring, PartitionSpec, SchemaError, family_is_valid
+from .core import Coloring, InvariantError, PartitionSpec, SchemaError, family_is_valid
 from .oracle import BudgetExceeded, SearchBudget, rc_k_exact
 from .verifier import PairQuery, max_disjoint_rainbow, verify_rainbow_k_connected
 
 DEFAULT_PALETTE = {1: "blue", 2: "red", 3: "green", 4: "orange"}
 MAX_EDGES_ENV = "RAINBOWK_MAX_EDGES"
-
-
-@dataclass(frozen=True)
-class RunConfig:
-    command: str
-    options: dict
 
 
 def export_dot(coloring: Coloring, palette: dict[int, str]) -> str:
@@ -294,19 +288,22 @@ _DISPATCH = {
 }
 
 
-def run(config: RunConfig) -> int:
+def run(command: str, options: dict) -> int:
     try:
-        return _DISPATCH[config.command](config.options)
+        return _DISPATCH[command](options)
     except (SchemaError, ValueError, BudgetExceeded) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
+    except InvariantError as exc:
+        print(f"internal error: {exc}", file=sys.stderr)
+        return 3
 
 
 def main(argv=None) -> None:
     args = build_parser().parse_args(argv)
     options = vars(args)
     command = options.pop("command")
-    sys.exit(run(RunConfig(command=command, options=options)))
+    sys.exit(run(command, options))
 
 
 if __name__ == "__main__":

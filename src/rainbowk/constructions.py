@@ -31,7 +31,15 @@ from __future__ import annotations
 from dataclasses import dataclass
 from itertools import product
 
-from .core import Coloring, PartitionSpec, VertexPath, WitnessFamily, ceil_div
+from .core import (
+    Coloring,
+    InvariantError,
+    PartitionSpec,
+    SchemaError,
+    VertexPath,
+    WitnessFamily,
+    ceil_div,
+)
 
 BIT_COLORS = {0: 1, 1: 2}
 
@@ -55,6 +63,12 @@ class ConstructionMeta:
 
     @classmethod
     def from_json_dict(cls, doc: dict) -> "ConstructionMeta":
+        if not isinstance(doc, dict):
+            raise SchemaError(f"bad meta: expected an object, got {type(doc).__name__}")
+        for key, kind, name in (("tag", str, "string"), ("params", dict, "object"),
+                                ("labeling", dict, "object")):
+            if not isinstance(doc.get(key), kind):
+                raise SchemaError(f"bad meta: {key!r} must be a JSON {name}")
         labeling = dict(doc["labeling"])
         if labeling.get("base_meta") is not None:
             labeling["base_meta"] = cls.from_json_dict(labeling["base_meta"])
@@ -475,7 +489,7 @@ def _ctk_witness(meta: ConstructionMeta, u: int, v: int, k: int) -> WitnessFamil
                 return ("A", i)
             if part == pb:
                 return ("B", i)
-        raise AssertionError("unlabeled part")
+        raise InvariantError("unlabeled part")
 
     rank = {"A": 0, "B": 1, "X": 2}
     cu, cv = classify(u), classify(v)

@@ -5,6 +5,15 @@ input order, so part i owns a contiguous id block. A coloring is a total
 symmetric map from cross-part vertex pairs to colors 1..num_colors; querying
 a same-part pair is a contract violation (raises), never "no color".
 
+A `Coloring` holds its colors in two forms. `assignment`, the dict from
+pairs (u, v), u < v, to colors, is what it is built from and serialised as.
+`rows` is a dense n x n table with rows[u][v] the color of edge uv and 0 on
+same-part pairs (the diagonal included); hot loops (path enumeration, twin
+scans) read it by index instead of calling `Coloring.color` per edge. One
+validator, `_color_table`, checks an assignment and fills `rows` in the same
+pass, whether the coloring comes from code or from a JSON document; it
+raises `SchemaError` naming the offending edge's position.
+
 All types here are immutable after construction and safe to share across
 threads; all operations are pure.
 """
@@ -12,7 +21,7 @@ threads; all operations are pure.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from functools import cached_property
 from itertools import combinations
 from typing import Callable, Iterator
@@ -23,6 +32,12 @@ VertexPath = tuple[int, ...]
 
 class SchemaError(ValueError):
     """A coloring document violates the JSON schema."""
+
+
+class InvariantError(RuntimeError):
+    """A self-check failed: a result contradicts a guarantee the program
+    relies on (a bug, not bad input). Raised explicitly, so `python -O`
+    cannot strip the check the way it strips `assert`."""
 
 
 def ceil_div(a: int, b: int) -> int:
@@ -46,7 +61,7 @@ class PartitionSpec:
     def t(self) -> int:
         return len(self.sizes)
 
-    @property
+    @cached_property
     def n(self) -> int:
         return sum(self.sizes)
 
@@ -96,41 +111,78 @@ def adjacent(spec: PartitionSpec, u: int, v: int) -> bool:
     return spec.part_of(u) != spec.part_of(v)
 
 
+def _color_table(
+    spec: PartitionSpec, num_colors: int, entries
+) -> tuple[dict[tuple[int, int], int], tuple[tuple[int, ...], ...]]:
+    """The one coloring validator: check [u, v, color] entries and build the
+    normalized assignment and the row table in the same pass.
+
+    Each entry needs integer ids in range on different parts, a pair not
+    seen before and a color in 1..num_colors; together the entries must
+    cover every cross-part pair. Raises SchemaError naming the first bad
+    entry's position."""
+    n = spec.n
+    part = spec._part_table
+    rows = [[0] * n for _ in range(n)]
+    assignment: dict[tuple[int, int], int] = {}
+    for pos, entry in enumerate(entries):
+        try:
+            u, v, col = entry
+        except (TypeError, ValueError):
+            raise SchemaError(f"edge {pos}: {entry!r} is not [u,v,color]") from None
+        # type() rather than isinstance(): bools are ints, and floats such
+        # as 1.7 must not be truncated.
+        if type(u) is not int or type(v) is not int or type(col) is not int:
+            raise SchemaError(f"edge {pos}: {entry!r} is not [u,v,color] of integers")
+        if not (0 <= u < n and 0 <= v < n) or u == v:
+            raise SchemaError(f"edge {pos}: invalid endpoints [{u},{v}]")
+        if part[u] == part[v]:
+            raise SchemaError(f"edge {pos}: [{u},{v}] endpoints share part {part[u]}")
+        row = rows[u]
+        if row[v]:
+            raise SchemaError(f"edge {pos}: duplicate pair {[min(u, v), max(u, v)]}")
+        if not 1 <= col <= num_colors:
+            raise SchemaError(f"edge {pos}: color {col} outside 1..{num_colors}")
+        row[v] = rows[v][u] = col
+        assignment[(u, v) if u < v else (v, u)] = col
+    missing = spec.edge_count() - len(assignment)
+    if missing:
+        raise SchemaError(f"coloring not total: {missing} cross-part pairs uncolored")
+    return assignment, tuple(map(tuple, rows))
+
+
 @dataclass(frozen=True)
 class Coloring:
     """Total symmetric edge coloring of a complete multipartite graph.
 
     `assignment` maps each cross-part pair (u, v), u < v, to a color in
-    1..num_colors. `tight` records whether every color of the palette is
-    actually used, as opposed to num_colors being a declared bound.
+    1..num_colors. It may also be given as a list of [u, v, color] triples
+    (the JSON `edges` form); either way it is stored as the normalized dict.
+    `tight` records whether every color of the palette is actually used, as
+    opposed to num_colors being a declared bound.
+
+    `rows` is derived: rows[u][v] is the color of edge uv and 0 on
+    same-part pairs. It is filled by `_color_table` while the assignment is
+    validated, and takes no part in equality or the serialised form.
     """
 
     spec: PartitionSpec
     num_colors: int
     assignment: dict[tuple[int, int], int]
     tight: bool = True
+    rows: tuple[tuple[int, ...], ...] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
-        if self.num_colors < 1:
-            raise ValueError("num_colors must be >= 1")
-        normalized: dict[tuple[int, int], int] = {}
-        for (u, v), col in self.assignment.items():
-            if u == v or not adjacent(self.spec, u, v):
-                raise ValueError(f"pair ({u}, {v}) lies within one part")
-            key = (u, v) if u < v else (v, u)
-            if key in normalized:
-                raise ValueError(f"duplicate assignment for pair {key}")
-            if not 1 <= col <= self.num_colors:
-                raise ValueError(
-                    f"color {col} on edge {key} outside 1..{self.num_colors}"
-                )
-            normalized[key] = col
-        if len(normalized) != self.spec.edge_count():
-            raise ValueError(
-                f"assignment covers {len(normalized)} of "
-                f"{self.spec.edge_count()} edges; colorings must be total"
-            )
-        object.__setattr__(self, "assignment", normalized)
+        if type(self.num_colors) is not int or self.num_colors < 1:
+            raise SchemaError(f"num_colors must be an integer >= 1, got {self.num_colors!r}")
+        if type(self.tight) is not bool:
+            raise SchemaError(f"tight must be true or false, got {self.tight!r}")
+        entries = self.assignment
+        if isinstance(entries, dict):
+            entries = ((u, v, col) for (u, v), col in entries.items())
+        assignment, rows = _color_table(self.spec, self.num_colors, entries)
+        object.__setattr__(self, "assignment", assignment)
+        object.__setattr__(self, "rows", rows)
 
     @classmethod
     def from_function(
@@ -143,9 +195,14 @@ class Coloring:
         return cls(spec, num_colors, {e: rule(*e) for e in spec.edges()}, tight)
 
     def color(self, u: int, v: int) -> int:
-        if not adjacent(self.spec, u, v):
+        n = self.spec.n
+        # Check the range before indexing: rows[-1] would answer silently.
+        if not (0 <= u < n and 0 <= v < n):
+            raise ValueError(f"pair ({u}, {v}) out of range 0..{n - 1}")
+        col = self.rows[u][v]
+        if not col:
             raise ValueError(f"pair ({u}, {v}) lies within one part; no edge")
-        return self.assignment[(u, v) if u < v else (v, u)]
+        return col
 
     def used_colors(self) -> set[int]:
         return set(self.assignment.values())
@@ -183,38 +240,19 @@ class Coloring:
         for key in ("parts", "num_colors", "edges"):
             if key not in doc:
                 raise SchemaError(f"missing key {key!r}")
+        parts = doc["parts"]
+        if not isinstance(parts, list) or any(type(s) is not int for s in parts):
+            raise SchemaError(f"bad parts {parts!r}: expected a list of integers")
         try:
-            spec = PartitionSpec(tuple(doc["parts"]))
-        except (TypeError, ValueError) as exc:
-            raise SchemaError(f"bad parts {doc['parts']!r}: {exc}") from exc
-        num_colors = doc["num_colors"]
-        if not isinstance(num_colors, int) or num_colors < 1:
-            raise SchemaError(f"bad num_colors {num_colors!r}")
-        tight = bool(doc.get("tight", True))
-        assignment: dict[tuple[int, int], int] = {}
-        for pos, entry in enumerate(doc["edges"]):
-            try:
-                u, v, col = (int(x) for x in entry)
-            except (TypeError, ValueError) as exc:
-                raise SchemaError(f"edge {pos}: {entry!r} is not [u,v,color]") from exc
-            if not (0 <= u < spec.n and 0 <= v < spec.n) or u == v:
-                raise SchemaError(f"edge {pos}: invalid endpoints [{u},{v}]")
-            if spec.part_of(u) == spec.part_of(v):
-                raise SchemaError(
-                    f"edge {pos}: [{u},{v}] endpoints share part {spec.part_of(u)}"
-                )
-            key = (u, v) if u < v else (v, u)
-            if key in assignment:
-                raise SchemaError(f"edge {pos}: duplicate pair {list(key)}")
-            if not 1 <= col <= num_colors:
-                raise SchemaError(
-                    f"edge {pos}: color {col} outside 1..{num_colors}"
-                )
-            assignment[key] = col
-        missing = spec.edge_count() - len(assignment)
-        if missing:
-            raise SchemaError(f"coloring not total: {missing} cross-part pairs uncolored")
-        return cls(spec, num_colors, assignment, tight)
+            spec = PartitionSpec(tuple(parts))
+        except ValueError as exc:
+            raise SchemaError(f"bad parts {parts!r}: {exc}") from exc
+        edges = doc["edges"]
+        if not isinstance(edges, list):
+            raise SchemaError(
+                f"bad edges: expected a list of [u,v,color], got {type(edges).__name__}"
+            )
+        return cls(spec, doc["num_colors"], edges, doc.get("tight", True))
 
     @classmethod
     def from_json_text(cls, text: str) -> "Coloring":
@@ -244,11 +282,10 @@ def is_rainbow_path(coloring: Coloring, vertices) -> bool:
         return False
     if any(not isinstance(w, int) or not 0 <= w < n for w in seq):
         return False
-    colors = []
-    for a, b in zip(seq, seq[1:]):
-        if not adjacent(coloring.spec, a, b):
-            return False
-        colors.append(coloring.color(a, b))
+    rows = coloring.rows
+    colors = [rows[a][b] for a, b in zip(seq, seq[1:])]
+    if 0 in colors:  # a same-part step
+        return False
     # More edges than colors can never be rainbow (pigeonhole), and that
     # falls out of the distinctness check below.
     return len(set(colors)) == len(colors)

@@ -14,7 +14,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Iterator
 
-from .core import Coloring, PartitionSpec, all_pairs
+from .core import Coloring, InvariantError, PartitionSpec, all_pairs
 from .verifier import (
     PairQuery,
     max_disjoint_rainbow,
@@ -136,11 +136,15 @@ def rc_k_exact(
                 )
                 ok_flipped, _ = _passes(flipped, k, None)
                 if ok_flipped != ok:
-                    raise AssertionError(
+                    raise InvariantError(
                         "verification is not color-relabeling invariant"
                     )
                 checked_symmetry = True
             if ok:
-                assert verify_rainbow_k_connected(coloring, k).ok
+                if not verify_rainbow_k_connected(coloring, k).ok:
+                    raise InvariantError(
+                        "the fail-first pair check passed a coloring that "
+                        "full verification rejects"
+                    )
                 return RckExactResult(spec, k, num_colors, coloring, budget.max_colors)
     return RckExactResult(spec, k, None, None, budget.max_colors)

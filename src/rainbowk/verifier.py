@@ -50,7 +50,10 @@ def enumerate_rainbow_paths(
     coloring: Coloring, u: int, v: int, max_len: int | None = None
 ) -> list[VertexPath]:
     """All rainbow u->v paths with at most max_len edges, in lexicographic
-    vertex order. Each path is reported once, oriented from u to v."""
+    vertex order. Each path is reported once, oriented from u to v.
+
+    Colors come from `coloring.rows` by index. A path one edge short of the
+    cap is only tried against v, since any other step could not end there."""
     spec = coloring.spec
     if u == v:
         raise ValueError("pair endpoints must differ")
@@ -58,25 +61,28 @@ def enumerate_rainbow_paths(
     cap = coloring.num_colors
     if max_len is not None:
         cap = min(max_len, cap)
-    table = spec._part_table
+    rows = coloring.rows
     out: list[VertexPath] = []
 
     def extend(path: tuple[int, ...], used_colors: frozenset[int]) -> None:
-        if len(path) - 1 >= cap:
-            return
         w = path[-1]
-        for x in range(spec.n):
-            if table[x] == table[w] or x in path:
-                continue
-            col = coloring.color(w, x)
-            if col in used_colors:
+        if len(path) == cap:
+            # The next edge is the last one allowed: only the step to v counts.
+            col = rows[w][v]
+            if col and col not in used_colors:
+                out.append(path + (v,))
+            return
+        # Color 0 marks same-part pairs, the step back to w included.
+        for x, col in enumerate(rows[w]):
+            if not col or col in used_colors or x in path:
                 continue
             if x == v:
                 out.append(path + (x,))
             else:
                 extend(path + (x,), used_colors | {col})
 
-    extend((u,), frozenset())
+    if cap >= 1:
+        extend((u,), frozenset())
     out.sort()
     return out
 
@@ -87,13 +93,28 @@ def _max_packing(
     """Indices of a maximum subset of paths with pairwise disjoint interiors.
 
     Exact branch and bound; with a target it stops as soon as `target`
-    pairwise disjoint paths are found.
+    pairwise disjoint paths are found. A greedy first-fit pass runs first,
+    and the conflict matrix, the per-vertex path sets and the pivot order
+    are built only when it falls short of the target (or there is none):
+    only `search` reads them, so a target the greedy pass reaches returns
+    the same paths without them.
     """
     m = len(paths)
     masks = [0] * m
     for i, p in enumerate(paths):
         for w in p[1:-1]:
             masks[i] |= 1 << w
+
+    # Greedy first-fit seed.
+    best: list[int] = []
+    used = 0
+    for i in range(m):
+        if masks[i] & used == 0:
+            best.append(i)
+            used |= masks[i]
+            if target is not None and len(best) >= target:
+                return best[:target]
+
     conflicts = [0] * m
     for i in range(m):
         for j in range(i + 1, m):
@@ -105,16 +126,6 @@ def _max_packing(
         for w in p[1:-1]:
             through[w] = through.get(w, 0) | 1 << i
     contended = sorted(through)
-
-    # Greedy first-fit seed.
-    best: list[int] = []
-    used = 0
-    for i in range(m):
-        if masks[i] & used == 0:
-            best.append(i)
-            used |= masks[i]
-            if target is not None and len(best) >= target:
-                return best[:target]
 
     def bits(mask: int):
         while mask:

@@ -10,6 +10,7 @@ def brute_force_rainbow_paths(coloring: Coloring, u: int, v: int, max_len: int):
     """All rainbow u->v paths with at most max_len edges, by filtering every
     injective vertex tuple."""
     spec = coloring.spec
+    assignment = coloring.assignment
     others = [w for w in range(spec.n) if w not in (u, v)]
     found = []
     for length in range(1, max_len + 1):
@@ -21,7 +22,7 @@ def brute_force_rainbow_paths(coloring: Coloring, u: int, v: int, max_len: int):
                 if spec.part_of(a) == spec.part_of(b):
                     ok = False
                     break
-                colors.append(coloring.color(a, b))
+                colors.append(assignment[(a, b) if a < b else (b, a)])
             if ok and len(set(colors)) == len(colors):
                 found.append(seq)
     return sorted(found)

@@ -11,7 +11,7 @@ from rainbowk.bounds import (
     sample_certificates,
 )
 from rainbowk.constructions import color_bipartite4
-from rainbowk.core import Coloring, PartitionSpec
+from rainbowk.core import Coloring, InvariantError, PartitionSpec
 from rainbowk.verifier import (
     PairQuery,
     enumerate_rainbow_paths,
@@ -51,6 +51,20 @@ def test_find_color_twins_none_when_profiles_distinct():
         assignment[(a, 5)] = profiles[a][1]
     coloring = Coloring(spec, 2, assignment, tight=False)
     assert find_color_twins(coloring, 0) is None
+
+
+def test_twin_certificate_failures_raise_invariant_error(monkeypatch):
+    import rainbowk.bounds
+
+    # bipartite4 on K_{4,4} is rainbow 2-connected, so its twins (0, 1)
+    # admit k = 2 paths and no certificate exists.
+    coloring, _ = color_bipartite4(4, 4, 2)
+    with pytest.raises(InvariantError, match="certificate construction failed"):
+        rainbowk.bounds._twin_certificate(coloring, 0, 2, "bipartite5", {}, 1)
+    coloring = random_coloring(PartitionSpec((2, 17)), 4, seed=0)
+    monkeypatch.setattr(rainbowk.bounds, "find_color_twins", lambda c, part: None)
+    with pytest.raises(InvariantError, match="no color twins"):
+        certify_bipartite_lower(2, 2, 17, coloring)
 
 
 def test_find_color_twins_forced_by_pigeonhole():

@@ -4,7 +4,7 @@ import sys
 
 import pytest
 
-from rainbowk.cli import RunConfig, build_parser, export_dot, run
+from rainbowk.cli import build_parser, export_dot, run
 from rainbowk.constructions import color_bipartite4, color_ctk
 from rainbowk.core import Coloring, PartitionSpec
 
@@ -13,7 +13,7 @@ def invoke(argv):
     args = build_parser().parse_args(argv)
     options = vars(args)
     command = options.pop("command")
-    return run(RunConfig(command=command, options=options))
+    return run(command, options)
 
 
 def test_construct_then_verify_round_trip(tmp_path, capsys):
@@ -68,6 +68,22 @@ def test_malformed_file_is_usage_error(tmp_path, capsys):
     assert "share part" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize(
+    "overrides",
+    [{"edges": 5}, {"num_colors": True}, {"edges": [[0, 2, 1.7], [0, 3, 2],
+                                                    [1, 2, 2], [1, 3, 1]]},
+     {"tight": "false"}],
+)
+def test_mistyped_document_is_one_line_usage_error(tmp_path, capsys, overrides):
+    doc = {"parts": [2, 2], "num_colors": 2, "tight": True,
+           "edges": [[0, 2, 1], [0, 3, 2], [1, 2, 2], [1, 3, 1]], **overrides}
+    path = tmp_path / "doc.json"
+    path.write_text(json.dumps(doc))
+    assert invoke(["verify", "--coloring", str(path), "--k", "1"]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.count("\n") == 1
+
+
 def test_construct_usage_errors(capsys):
     assert invoke(["construct", "--family", "bipartite4", "--a", "4"]) == 2
     assert invoke(["construct", "--family", "bipartite4", "--a", "3", "--b", "4",
@@ -99,6 +115,35 @@ def test_witness_needs_meta(tmp_path, capsys):
     assert invoke(["witness", "--coloring", str(path), "--u", "0", "--v", "1",
                    "--k", "2"]) == 2
     assert "meta" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("missing", ["labeling", "tag", "params"])
+def test_witness_rejects_incomplete_meta(tmp_path, capsys, missing):
+    coloring, meta = color_ctk(PartitionSpec((2, 2, 2)), 2)
+    doc = coloring.to_json_dict()
+    doc["meta"] = meta.to_json_dict()
+    del doc["meta"][missing]
+    path = tmp_path / "c.json"
+    path.write_text(json.dumps(doc))
+    assert invoke(["witness", "--coloring", str(path), "--u", "0", "--v", "1",
+                   "--k", "2"]) == 2
+    err = capsys.readouterr().err
+    assert missing in err and err.count("\n") == 1
+
+
+def test_failed_self_check_is_reported_not_asserted(capsys, monkeypatch):
+    from types import SimpleNamespace
+
+    import rainbowk.oracle
+
+    # Full verification disagreeing with the oracle's pair loop is a bug;
+    # it must surface as exit 3 with one line even under `python -O`.
+    monkeypatch.setattr(rainbowk.oracle, "verify_rainbow_k_connected",
+                        lambda coloring, k: SimpleNamespace(ok=False))
+    assert invoke(["rck-exact", "--sizes", "2,2", "--k", "1",
+                   "--max-colors", "2"]) == 3
+    err = capsys.readouterr().err
+    assert err.startswith("internal error: ") and err.count("\n") == 1
 
 
 def test_extension_subcommand_chain(tmp_path, capsys):

@@ -55,6 +55,25 @@ def test_same_part_color_query_is_error():
         ONE_COLOR_K22.color(0, 0)
 
 
+@pytest.mark.parametrize("u, v", [(-1, 2), (2, -1), (4, 0), (0, 4)])
+def test_out_of_range_color_query_is_error(u, v):
+    # rows[-1] would silently answer for the last vertex.
+    with pytest.raises(ValueError, match="out of range"):
+        ONE_COLOR_K22.color(u, v)
+
+
+@given(small_colorings())
+def test_row_table_matches_assignment(coloring):
+    spec, rows = coloring.spec, coloring.rows
+    assert len(rows) == spec.n and all(len(row) == spec.n for row in rows)
+    for u in range(spec.n):
+        for v in range(spec.n):
+            assert rows[u][v] == rows[v][u]
+            assert (rows[u][v] == 0) == (spec.part_of(u) == spec.part_of(v))
+    for (u, v), col in coloring.assignment.items():
+        assert rows[u][v] == col == coloring.color(v, u)
+
+
 def test_coloring_must_be_total():
     with pytest.raises(ValueError, match="total"):
         Coloring(PartitionSpec((2, 2)), 1, {(0, 2): 1})
@@ -171,6 +190,25 @@ def test_loader_rejects_partial_colorings():
     doc = _k22_doc(edges=[[0, 2, 1], [0, 3, 2], [1, 2, 2]])
     with pytest.raises(SchemaError, match="not total"):
         Coloring.from_json_dict(doc)
+
+
+@pytest.mark.parametrize(
+    "overrides, message",
+    [
+        ({"edges": 5}, "bad edges"),
+        ({"edges": [5, [0, 3, 2], [1, 2, 2], [1, 3, 1]]}, "edge 0"),
+        ({"num_colors": True}, "num_colors"),
+        ({"edges": [[0, 2, 1.7], [0, 3, 2], [1, 2, 2], [1, 3, 1]]}, "edge 0"),
+        ({"edges": [[0, 2, 1], [0, 3, True], [1, 2, 2], [1, 3, 1]]}, "edge 1"),
+        ({"edges": [[0, 2, 1], [0, 3, 2], [-1, 2, 2], [1, 3, 1]]}, "edge 2"),
+        ({"tight": "false"}, "tight"),
+        ({"parts": "22"}, "bad parts"),
+        ({"parts": [2, 2.5]}, "bad parts"),
+    ],
+)
+def test_loader_rejects_mistyped_fields(overrides, message):
+    with pytest.raises(SchemaError, match=message):
+        Coloring.from_json_dict(_k22_doc(**overrides))
 
 
 def test_loader_rejects_missing_keys_and_bad_json():

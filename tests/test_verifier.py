@@ -54,9 +54,14 @@ def test_enumerate_rejects_equal_endpoints():
 def test_enumeration_matches_brute_force(coloring):
     n = coloring.spec.n
     u, v = 0, n - 1
-    got = enumerate_rainbow_paths(coloring, u, v)
-    expected = brute_force_rainbow_paths(coloring, u, v, coloring.num_colors)
-    assert got == expected
+    assert enumerate_rainbow_paths(coloring, u, v) == brute_force_rainbow_paths(
+        coloring, u, v, coloring.num_colors
+    )
+    # Every smaller cap too: the last edge below the cap is tried only
+    # against v, and that shortcut must hold at each depth.
+    for max_len in range(coloring.num_colors):
+        got = enumerate_rainbow_paths(coloring, u, v, max_len)
+        assert got == brute_force_rainbow_paths(coloring, u, v, max_len)
 
 
 @given(small_colorings())
@@ -211,3 +216,9 @@ def test_packing_matches_subset_oracle_on_random_instances():
         )
         assert count == naive_max_disjoint(paths)
         assert family_is_valid(coloring, family, count)
+        # Decision mode builds the conflict matrix only when greedy falls
+        # short of k; either way it must agree with the subset oracle.
+        for k in range(1, count + 2):
+            got, family = max_disjoint_rainbow(coloring, PairQuery(u, v, k=k))
+            assert got == min(k, count)
+            assert family_is_valid(coloring, family, got)

@@ -13,9 +13,10 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass
+from functools import partial
 
 from .core import Coloring, InvariantError, PartitionSpec, ceil_div
-from .verifier import PairQuery, max_disjoint_rainbow
+from .verifier import PairQuery, fan_out, max_disjoint_rainbow
 
 
 def f_formula(k: int, t: int) -> int:
@@ -26,36 +27,20 @@ def f_formula(k: int, t: int) -> int:
     return ceil_div(2 * k, t - 1)
 
 
-def _twins_in_part(coloring: Coloring, part: int) -> tuple[int, int] | None:
-    # A whole row is a color profile: its entries toward the part itself
-    # are 0 for every member, so rows agree iff the profiles outside do.
-    rows = coloring.rows
-    groups: dict[tuple[int, ...], list[int]] = {}
-    for a in coloring.spec.part_members(part):
-        groups.setdefault(rows[a], []).append(a)
-    candidates = [(ids[0], ids[1]) for ids in groups.values() if len(ids) >= 2]
-    return min(candidates) if candidates else None
-
-
-def find_color_twins(
-    coloring: Coloring, big_part: int, scan_all_parts: bool = False
-) -> tuple[int, int] | None:
+def find_color_twins(coloring: Coloring, big_part: int) -> tuple[int, int] | None:
     """First (lexicographic) pair of vertices in big_part with identical
     color profiles toward every vertex outside big_part, if any.
 
-    With scan_all_parts the remaining parts are tried in index order after
-    big_part, returning the first twin pair found anywhere."""
+    A whole row is a color profile: its entries toward the part itself are
+    0 for every member, so rows agree iff the profiles outside do."""
     spec = coloring.spec
     if not 0 <= big_part < spec.t:
         raise ValueError(f"part index {big_part} out of range")
-    parts = [big_part]
-    if scan_all_parts:
-        parts += [i for i in range(spec.t) if i != big_part]
-    for part in parts:
-        twins = _twins_in_part(coloring, part)
-        if twins is not None:
-            return twins
-    return None
+    rows = coloring.rows
+    groups: dict[tuple[int, ...], list[int]] = {}
+    for a in spec.part_members(big_part):
+        groups.setdefault(rows[a], []).append(a)
+    return min(((ids[0], ids[1]) for ids in groups.values() if len(ids) >= 2), default=None)
 
 
 @dataclass(frozen=True)
@@ -196,19 +181,7 @@ def sample_certificates(
 
     Per-seed determinism makes the loop embarrassingly parallel; the result
     list is identical for any jobs count."""
-    seeds = range(seed, seed + samples)
-    if jobs > 1 and samples > 1:
-        from concurrent.futures import ProcessPoolExecutor
-
-        with ProcessPoolExecutor(max_workers=jobs) as pool:
-            return list(
-                pool.map(
-                    _certify_seed,
-                    [scenario] * samples,
-                    [k] * samples,
-                    [tuple(sizes)] * samples,
-                    seeds,
-                    chunksize=max(1, samples // jobs),
-                )
-            )
-    return [_certify_seed(scenario, k, sizes, s) for s in seeds]
+    if samples < 1:
+        raise ValueError(f"samples must be >= 1, got {samples}")
+    work = partial(_certify_seed, scenario, k, tuple(sizes))
+    return fan_out(work, range(seed, seed + samples), jobs)

@@ -11,7 +11,6 @@ from __future__ import annotations
 
 import argparse
 import json
-import os
 import sys
 from pathlib import Path
 
@@ -30,7 +29,6 @@ from .oracle import BudgetExceeded, SearchBudget, rc_k_exact
 from .verifier import PairQuery, max_disjoint_rainbow, verify_rainbow_k_connected
 
 DEFAULT_PALETTE = {1: "blue", 2: "red", 3: "green", 4: "orange"}
-MAX_EDGES_ENV = "RAINBOWK_MAX_EDGES"
 
 
 def export_dot(coloring: Coloring, palette: dict[int, str]) -> str:
@@ -152,7 +150,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--sizes", required=True)
     p.add_argument("--k", type=int, required=True)
     p.add_argument("--max-colors", type=int, required=True)
-    p.add_argument("--max-edges", type=int, default=None)
+    p.add_argument("--max-edges", type=int, default=16)
     p.add_argument("-o", "--out", help="write the witness coloring here")
 
     p = sub.add_parser("export-dot", help="render a coloring as DOT")
@@ -259,10 +257,7 @@ def _run_lower_bound(opt: dict) -> int:
 
 
 def _run_rck_exact(opt: dict) -> int:
-    max_edges = opt["max_edges"]
-    if max_edges is None:
-        max_edges = int(os.environ.get(MAX_EDGES_ENV, 16))
-    budget = SearchBudget(max_colors=opt["max_colors"], max_edges=max_edges)
+    budget = SearchBudget(max_colors=opt["max_colors"], max_edges=opt["max_edges"])
     result = rc_k_exact(PartitionSpec(_parse_sizes(opt["sizes"])), opt["k"], budget)
     print(f"rc_{opt['k']}({','.join(map(str, result.spec.sizes))}) = {result}")
     if result.witness is not None and opt["out"]:

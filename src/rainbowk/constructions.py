@@ -43,6 +43,18 @@ from .core import (
 
 BIT_COLORS = {0: 1, 1: 2}
 
+# tag -> (params keys, labeling keys) that the tag's witness builder reads.
+WITNESS_KEYS = {
+    "bipartite4": ((), ("sizes", "blocks")),
+    "ctk": (("t",), ("sizes", "pairs", "x_part")),
+    "mnn": (("m", "n", "s"), ("sizes", "strings")),
+    "k2416": ((), ("sizes", "strings")),
+    "extension": (
+        (),
+        ("sizes", "new_vertices", "anchors", "anchors_old", "id_map", "base_meta"),
+    ),
+}
+
 
 @dataclass(frozen=True)
 class ConstructionMeta:
@@ -69,6 +81,13 @@ class ConstructionMeta:
                                 ("labeling", dict, "object")):
             if not isinstance(doc.get(key), kind):
                 raise SchemaError(f"bad meta: {key!r} must be a JSON {name}")
+        if doc["tag"] not in WITNESS_KEYS:
+            raise SchemaError(f"bad meta: unknown construction tag {doc['tag']!r}")
+        for block, keys in zip(("params", "labeling"), WITNESS_KEYS[doc["tag"]]):
+            missing = [key for key in keys if key not in doc[block]]
+            if missing:
+                raise SchemaError(f"bad meta: {block} lacks {missing[0]!r} "
+                                  f"(needed by {doc['tag']} witnesses)")
         labeling = dict(doc["labeling"])
         if labeling.get("base_meta") is not None:
             labeling["base_meta"] = cls.from_json_dict(labeling["base_meta"])

@@ -7,20 +7,20 @@ the maximum color used on earlier edges, so exactly one representative per
 relabeling orbit is generated. Graph-automorphism symmetry is deliberately
 not removed; at <= 16 edges the guard keeps runtime bounded and the simpler
 enumeration is easier to trust.
+
+Candidates are rejected fail-first: `first_failing_pair` maps the
+verifier's `pair_count` over the pairs, starting with the pair that sank
+the previous candidate.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import chain
 from typing import Iterator
 
 from .core import Coloring, InvariantError, PartitionSpec, all_pairs
-from .verifier import (
-    PairQuery,
-    max_disjoint_rainbow,
-    structural_connectivity,
-    verify_rainbow_k_connected,
-)
+from .verifier import pair_count, structural_connectivity, verify_rainbow_k_connected
 
 
 class BudgetExceeded(RuntimeError):
@@ -31,16 +31,11 @@ class BudgetExceeded(RuntimeError):
 class SearchBudget:
     max_colors: int
     max_edges: int = 16
-    max_vertices: int | None = None
 
     def check(self, spec: PartitionSpec) -> None:
         if spec.edge_count() > self.max_edges:
             raise BudgetExceeded(
                 f"{spec.edge_count()} edges exceed the budget of {self.max_edges}"
-            )
-        if self.max_vertices is not None and spec.n > self.max_vertices:
-            raise BudgetExceeded(
-                f"{spec.n} vertices exceed the budget of {self.max_vertices}"
             )
 
 
@@ -93,20 +88,17 @@ class RckExactResult:
         return str(self.value) if self.value is not None else f"> {self.max_colors}"
 
 
-def _passes(
-    coloring: Coloring, k: int, hint: tuple[int, int] | None
-) -> tuple[bool, tuple[int, int] | None]:
-    """Full rainbow-k check with a fail-first hint: colorings that share a
-    long prefix with the previous candidate tend to fail at the same pair."""
-    pairs = list(all_pairs(coloring.spec))
+def first_failing_pair(
+    coloring: Coloring, k: int, hint: tuple[int, int] | None = None
+) -> tuple[int, int] | None:
+    """First pair with fewer than k internally disjoint rainbow paths, or
+    None when the coloring is rainbow k-connected. The hint is tried before
+    the lex order: colorings that share a long prefix with the previous
+    candidate tend to fail at the same pair."""
+    pairs = all_pairs(coloring.spec)
     if hint is not None:
-        pairs.remove(hint)
-        pairs.insert(0, hint)
-    for u, v in pairs:
-        count, _ = max_disjoint_rainbow(coloring, PairQuery(u, v, k=k))
-        if count < k:
-            return False, (u, v)
-    return True, hint
+        pairs = chain([hint], (p for p in pairs if p != hint))
+    return next((p for p in pairs if pair_count(coloring, k, "decision", p) < k), None)
 
 
 def rc_k_exact(
@@ -128,13 +120,15 @@ def rc_k_exact(
         for coloring in enumerate_colorings_canonical(spec, num_colors, budget):
             if coloring.num_colors != num_colors:
                 continue  # uses fewer colors; already covered at a lower level
-            ok, hint = _passes(coloring, k, hint)
+            failing = first_failing_pair(coloring, k, hint)
+            ok = failing is None
+            hint = failing or hint
             if not checked_symmetry and num_colors > 1:
                 # Spot check: verdicts must be invariant under color bijections.
                 flipped = coloring.permuted(
                     {c: num_colors + 1 - c for c in range(1, num_colors + 1)}
                 )
-                ok_flipped, _ = _passes(flipped, k, None)
+                ok_flipped = first_failing_pair(flipped, k) is None
                 if ok_flipped != ok:
                     raise InvariantError(
                         "verification is not color-relabeling invariant"

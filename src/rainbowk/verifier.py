@@ -6,12 +6,18 @@ with pairwise disjoint interiors. Packing is a small set-packing instance
 solved exactly by branch and bound over the enumerated path list, branching
 on the lowest-id internal vertex still in contention. A greedy first-fit
 pass seeds the bound, so the explicit constructions verify without search.
+
+`pair_count` is the one per-pair query (the oracle maps it over its own
+pair order) and `fan_out` the one process fan-out (the lower-bound sampler
+maps its seeds through it).
 """
 
 from __future__ import annotations
 
+import os
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
+from functools import partial
 
 from .core import (
     Coloring,
@@ -20,22 +26,18 @@ from .core import (
     VertexPath,
     WitnessFamily,
     all_pairs,
+    ceil_div,
 )
 
 
 @dataclass(frozen=True)
 class PairQuery:
-    """One pair to check: decide `count >= k` or maximize the packing size.
-
-    `max_len` caps path length in edges and defaults to the palette size;
-    larger caps are useless (pigeonhole) and are clamped.
-    """
+    """One pair to check: decide `count >= k` or maximize the packing size."""
 
     u: int
     v: int
     mode: str = "decision"
     k: int | None = None
-    max_len: int | None = None
 
     def __post_init__(self) -> None:
         if self.u == self.v:
@@ -168,7 +170,7 @@ def max_disjoint_rainbow(
 ) -> tuple[int, WitnessFamily]:
     """Size of a maximum packing of internally disjoint rainbow u,v-paths,
     plus a family attaining it. Decision mode caps the count at k."""
-    paths = enumerate_rainbow_paths(coloring, query.u, query.v, query.max_len)
+    paths = enumerate_rainbow_paths(coloring, query.u, query.v)
     target = query.k if query.mode == "decision" else None
     picked = _max_packing(paths, target)
     family = WitnessFamily(
@@ -180,15 +182,30 @@ def max_disjoint_rainbow(
     return len(picked), family
 
 
-def _count_pairs(
-    coloring: Coloring, pairs: list[tuple[int, int]], k: int, mode: str
-) -> list[int]:
-    return [
-        max_disjoint_rainbow(
-            coloring, PairQuery(u, v, mode=mode, k=k if mode == "decision" else None)
-        )[0]
-        for u, v in pairs
-    ]
+def pair_count(
+    coloring: Coloring, k: int, mode: str, pair: tuple[int, int]
+) -> int:
+    """Disjoint rainbow path count of one pair: capped at k in decision
+    mode, the maximum in maximize mode."""
+    query = PairQuery(pair[0], pair[1], mode=mode, k=k if mode == "decision" else None)
+    return max_disjoint_rainbow(coloring, query)[0]
+
+
+def fan_out(work, items, jobs: int) -> list:
+    """`list(map(work, items))`, spread over a process pool when jobs > 1.
+
+    `work` must be picklable (a module-level function or a partial of one).
+    Workers are capped at the item count and the CPU count: every item is
+    computed the same way wherever it runs and results come back in item
+    order, so the list is identical for any jobs count."""
+    if jobs < 1:
+        raise ValueError(f"jobs must be >= 1, got {jobs}")
+    items = list(items)
+    workers = min(jobs, len(items), os.cpu_count() or 1)
+    if workers <= 1:
+        return list(map(work, items))
+    with ProcessPoolExecutor(max_workers=workers) as pool:
+        return list(pool.map(work, items, chunksize=ceil_div(len(items), 4 * workers)))
 
 
 def verify_rainbow_k_connected(
@@ -199,38 +216,21 @@ def verify_rainbow_k_connected(
     if k < 1:
         raise ValueError("k must be >= 1")
     pairs = list(all_pairs(coloring.spec))
-    if jobs > 1 and len(pairs) > 1:
-        chunks = [pairs[i::jobs] for i in range(jobs)]
-        with ProcessPoolExecutor(max_workers=jobs) as pool:
-            results = list(
-                pool.map(_count_pairs, [coloring] * jobs, chunks, [k] * jobs, [mode] * jobs)
-            )
-        counts = {}
-        for chunk, chunk_counts in zip(chunks, results):
-            counts.update(zip(chunk, chunk_counts))
-        counts = {p: counts[p] for p in pairs}
-    else:
-        counts = dict(zip(pairs, _count_pairs(coloring, pairs, k, mode)))
+    counts = dict(zip(pairs, fan_out(partial(pair_count, coloring, k, mode), pairs, jobs)))
     failing = next((p for p in pairs if counts[p] < k), None)
-    report = VerificationReport(
-        k=k,
-        ok=failing is None,
-        counts=counts,
-        capped=(mode == "decision"),
-    )
+    best = None
     if failing is not None:
         _, best = max_disjoint_rainbow(
             coloring, PairQuery(failing[0], failing[1], mode="maximize")
         )
-        report = VerificationReport(
-            k=k,
-            ok=False,
-            counts=counts,
-            capped=(mode == "decision"),
-            failing_pair=failing,
-            failing_family=best,
-        )
-    return report
+    return VerificationReport(
+        k=k,
+        ok=failing is None,
+        counts=counts,
+        capped=(mode == "decision"),
+        failing_pair=failing,
+        failing_family=best,
+    )
 
 
 def structural_connectivity(spec: PartitionSpec) -> int:

@@ -183,7 +183,7 @@ def test_twin_search_respects_declared_part():
         find_color_twins(coloring, 5)
 
 
-def test_twin_search_all_parts_flag():
+def test_twin_search_is_per_part():
     spec = PartitionSpec((4, 2))
     # Distinct rows and distinct columns: no twins anywhere.
     profiles = [(1, 1), (1, 2), (2, 1), (2, 2)]
@@ -193,14 +193,14 @@ def test_twin_search_all_parts_flag():
         assignment[(a, 5)] = profiles[a][1]
     coloring = Coloring(spec, 2, assignment, tight=False)
     assert find_color_twins(coloring, 0) is None
-    assert find_color_twins(coloring, 0, scan_all_parts=True) is None
+    assert find_color_twins(coloring, 1) is None
     # Distinct rows but equal columns: only the 2-part has twins, and the
-    # all-parts scan finds them even when the declared part has none.
+    # search reports them only when asked for that part.
     paired = Coloring(
         spec, 4, {(a, b): a + 1 for a in range(4) for b in (4, 5)}, tight=False
     )
     assert find_color_twins(paired, 0) is None
-    assert find_color_twins(paired, 0, scan_all_parts=True) == (4, 5)
+    assert find_color_twins(paired, 1) == (4, 5)
 
 
 def test_sample_certificates_parallel_matches_sequential():

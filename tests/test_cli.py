@@ -5,7 +5,14 @@ import sys
 import pytest
 
 from rainbowk.cli import build_parser, export_dot, run
-from rainbowk.constructions import color_bipartite4, color_ctk
+from rainbowk.constructions import (
+    WITNESS_KEYS,
+    color_2_4_16,
+    color_bipartite4,
+    color_ctk,
+    color_extension,
+    color_mnn,
+)
 from rainbowk.core import Coloring, PartitionSpec
 
 
@@ -131,6 +138,44 @@ def test_witness_rejects_incomplete_meta(tmp_path, capsys, missing):
     assert missing in err and err.count("\n") == 1
 
 
+@pytest.mark.parametrize("tag, block, key", [
+    (tag, block, key)
+    for tag, keys in WITNESS_KEYS.items()
+    for block, names in zip(("params", "labeling"), keys)
+    for key in names
+])
+def test_witness_rejects_meta_missing_a_builder_key(tmp_path, capsys, tag, block, key):
+    base, base_meta = color_mnn(2, 2)
+    coloring, meta = {
+        "bipartite4": lambda: color_bipartite4(4, 4, 2),
+        "ctk": lambda: color_ctk(PartitionSpec((2, 2, 2)), 2),
+        "mnn": lambda: (base, base_meta),
+        "k2416": color_2_4_16,
+        "extension": lambda: color_extension(base, 0, 1, base_meta=base_meta),
+    }[tag]()
+    doc = coloring.to_json_dict()
+    doc["meta"] = meta.to_json_dict()
+    del doc["meta"][block][key]
+    path = tmp_path / "c.json"
+    path.write_text(json.dumps(doc))
+    assert invoke(["witness", "--coloring", str(path), "--u", "0", "--v", "1",
+                   "--k", "2"]) == 2
+    err = capsys.readouterr().err
+    assert repr(key) in err and err.count("\n") == 1
+
+
+def test_witness_rejects_unknown_tag(tmp_path, capsys):
+    coloring, meta = color_bipartite4(4, 4, 2)
+    doc = coloring.to_json_dict()
+    doc["meta"] = dict(meta.to_json_dict(), tag="bipartite5")
+    path = tmp_path / "c.json"
+    path.write_text(json.dumps(doc))
+    assert invoke(["witness", "--coloring", str(path), "--u", "0", "--v", "1",
+                   "--k", "2"]) == 2
+    err = capsys.readouterr().err
+    assert "bipartite5" in err and err.count("\n") == 1
+
+
 def test_failed_self_check_is_reported_not_asserted(capsys, monkeypatch):
     from types import SimpleNamespace
 
@@ -183,15 +228,37 @@ def test_rck_exact_budget_error(capsys):
     assert "budget" in capsys.readouterr().err
 
 
-def test_rck_exact_env_budget_override(capsys, monkeypatch):
-    monkeypatch.setenv("RAINBOWK_MAX_EDGES", "3")
+def test_rck_exact_max_edges_flag(capsys):
+    # K_{2,2} has 4 edges: a guard of 3 refuses it, a guard of 4 runs it.
     assert invoke(["rck-exact", "--sizes", "2,2", "--k", "1",
-                   "--max-colors", "2"]) == 2
+                   "--max-colors", "2", "--max-edges", "3"]) == 2
     assert "exceed" in capsys.readouterr().err
-    monkeypatch.setenv("RAINBOWK_MAX_EDGES", "4")
     assert invoke(["rck-exact", "--sizes", "2,2", "--k", "1",
-                   "--max-colors", "2"]) == 0
+                   "--max-colors", "2", "--max-edges", "4"]) == 0
     capsys.readouterr()
+
+
+@pytest.mark.parametrize("argv", [
+    ["verify", "--k", "2", "--jobs", "0"],
+    ["verify", "--k", "2", "--jobs", "-3"],
+    ["lower-bound", "--scenario", "bipartite5", "--k", "2", "--sizes", "2,17",
+     "--seed", "0", "--samples", "-5"],
+    ["lower-bound", "--scenario", "bipartite5", "--k", "2", "--sizes", "2,17",
+     "--seed", "0", "--jobs", "0"],
+])
+def test_counts_below_one_are_usage_errors(tmp_path, capsys, argv):
+    coloring, _ = color_bipartite4(4, 4, 2)
+    path = tmp_path / "c.json"
+    path.write_text(coloring.to_json_text())
+    out = tmp_path / "out.json"
+    if argv[0] == "verify":
+        argv = argv + ["--coloring", str(path), "--report", str(out)]
+    else:
+        argv = argv + ["-o", str(out)]
+    assert invoke(argv) == 2
+    captured = capsys.readouterr()
+    assert captured.out == "" and not out.exists()
+    assert captured.err.startswith("error: ") and captured.err.count("\n") == 1
 
 
 def test_export_dot(tmp_path):

@@ -1,4 +1,6 @@
+import ast
 import json
+from pathlib import Path
 
 import pytest
 from hypothesis import given
@@ -226,3 +228,18 @@ def test_permuted_requires_bijection():
     flipped = TRIANGLE.permuted({1: 3, 2: 2, 3: 1})
     assert flipped.color(0, 2) == 3
     assert flipped.permuted({1: 3, 2: 2, 3: 1}) == TRIANGLE
+
+
+def test_package_has_no_assert_statements():
+    # `python -O` strips asserts, so a check written as one silently stops
+    # running; real checks raise instead.
+    import rainbowk
+
+    package = Path(rainbowk.__file__).parent
+    found = [
+        f"{path.name}:{node.lineno}"
+        for path in sorted(package.glob("*.py"))
+        for node in ast.walk(ast.parse(path.read_text(), filename=str(path)))
+        if isinstance(node, ast.Assert)
+    ]
+    assert found == []

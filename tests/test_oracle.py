@@ -47,12 +47,6 @@ def test_budget_guard():
         list(enumerate_colorings_canonical(PartitionSpec((5, 5)), 2))
     with pytest.raises(BudgetExceeded):
         rc_k_exact(PartitionSpec((5, 5)), 1, SearchBudget(max_colors=2))
-    with pytest.raises(BudgetExceeded):
-        rc_k_exact(
-            PartitionSpec((2, 2)),
-            1,
-            SearchBudget(max_colors=2, max_vertices=3),
-        )
 
 
 def test_rc_k_rejects_underconnected_graphs():

@@ -1,3 +1,5 @@
+import os
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -9,12 +11,15 @@ from helpers import (
     brute_force_rainbow_paths,
     naive_max_disjoint,
 )
+from rainbowk import verifier
 from rainbowk.bounds import random_coloring
 from rainbowk.constructions import color_2_4_16, color_bipartite4, color_ctk
 from rainbowk.core import Coloring, PartitionSpec, all_pairs, family_is_valid
+from rainbowk.oracle import first_failing_pair
 from rainbowk.verifier import (
     PairQuery,
     enumerate_rainbow_paths,
+    fan_out,
     max_disjoint_rainbow,
     structural_connectivity,
     verify_rainbow_k_connected,
@@ -180,6 +185,62 @@ def test_parallel_matches_sequential():
     assert seq.ok == par.ok
     assert seq.counts == par.counts
     assert seq.failing_pair == par.failing_pair
+    # A failing report (k=3) is the same document for any jobs count, more
+    # workers than pairs included.
+    docs = [
+        verify_rainbow_k_connected(coloring, 3, jobs=jobs).to_json_dict()
+        for jobs in (1, 2, len(seq.counts) + 5)
+    ]
+    assert docs[0]["verdict"] == "fail"
+    assert docs[0] == docs[1] == docs[2]
+
+
+class _SerialPool:
+    """Stands in for ProcessPoolExecutor: records max_workers, maps in-process."""
+
+    workers: list[int] = []
+
+    def __init__(self, max_workers):
+        self.workers.append(max_workers)
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, *exc):
+        return False
+
+    def map(self, fn, items, chunksize=1):
+        assert chunksize >= 1
+        return map(fn, items)
+
+
+def test_fan_out_caps_workers(monkeypatch):
+    monkeypatch.setattr(verifier, "ProcessPoolExecutor", _SerialPool)
+    monkeypatch.setattr(_SerialPool, "workers", [])
+    items = range(-5, 5)
+    assert fan_out(abs, items, jobs=10_000) == list(map(abs, items))
+    assert all(w <= (os.cpu_count() or 1) for w in _SerialPool.workers)
+    # With more CPUs than items, the item count is the cap.
+    monkeypatch.setattr(os, "cpu_count", lambda: 64)
+    assert fan_out(abs, items, jobs=10_000) == list(map(abs, items))
+    assert _SerialPool.workers[-1] == len(items)
+    # One worker's worth of work never starts a pool.
+    monkeypatch.setattr(_SerialPool, "workers", [])
+    assert fan_out(abs, [-1], jobs=8) == [1]
+    assert fan_out(abs, items, jobs=1) == list(map(abs, items))
+    assert _SerialPool.workers == []
+
+
+@given(small_colorings(), st.integers(1, 3), st.data())
+@settings(max_examples=60)
+def test_hint_first_search_agrees_with_full_verification(coloring, k, data):
+    pairs = list(all_pairs(coloring.spec))
+    hint = data.draw(st.one_of(st.none(), st.sampled_from(pairs)))
+    failing = first_failing_pair(coloring, k, hint)
+    assert (failing is None) == verify_rainbow_k_connected(coloring, k).ok
+    if failing is not None:
+        count, _ = max_disjoint_rainbow(coloring, PairQuery(*failing, mode="maximize"))
+        assert count < k
 
 
 def test_structural_connectivity_values():

@@ -61,6 +61,8 @@ def _parse_palette(text: str | None) -> dict[int, str]:
     palette = {}
     for item in text.split(","):
         color, _, name = item.partition("=")
+        if not name:
+            raise SchemaError(f"bad palette entry {item!r}: expected color=name")
         palette[int(color)] = name
     return palette
 
@@ -193,6 +195,8 @@ def _run_construct(opt: dict) -> int:
 def _run_verify(opt: dict) -> int:
     coloring = _load_coloring(opt["coloring"])
     if opt["pairs"] != "all":
+        if opt["k"] < 1:
+            raise ValueError("k must be >= 1")
         u, v = _parse_sizes(opt["pairs"])
         query = PairQuery(
             u, v, mode=opt["mode"], k=opt["k"] if opt["mode"] == "decision" else None

@@ -22,6 +22,12 @@ tagged with the case that produced it. Positions equivalent to a canonical
 one are reduced either through a genuine color automorphism (recorded in the
 meta) or through the mirror-symmetric case body; both preserve rainbowness.
 
+Each labeling is a pure function of the part sizes, so a witness builder
+recomputes it with the helper its constructor calls. Builders read only the
+meta's ``tag``, ``labeling.sizes`` (checked against the coloring) and, for
+``extension``, ``params.p``/``params.q`` and ``labeling.base_meta``; every
+other meta field is descriptive.
+
 Bit-valued palettes {0,1} are stored as {1,2} (0 -> 1, 1 -> 2), recorded in
 the meta as ``bit_colors``.
 """
@@ -43,24 +49,11 @@ from .core import (
 
 BIT_COLORS = {0: 1, 1: 2}
 
-# tag -> (params keys, labeling keys) that the tag's witness builder reads.
-WITNESS_KEYS = {
-    "bipartite4": ((), ("sizes", "blocks")),
-    "ctk": (("t",), ("sizes", "pairs", "x_part")),
-    "mnn": (("m", "n", "s"), ("sizes", "strings")),
-    "k2416": ((), ("sizes", "strings")),
-    "extension": (
-        (),
-        ("sizes", "new_vertices", "anchors", "anchors_old", "id_map", "base_meta"),
-    ),
-}
-
-
 @dataclass(frozen=True)
 class ConstructionMeta:
-    """Which construction produced a coloring, with the labeling needed to
-    regenerate its witness families (block splits, designated vertices, bit
-    strings, anchors)."""
+    """Which construction produced a coloring, with its parameters and
+    labeling (block splits, designated vertices, bit strings, anchors); see
+    the module docstring for the fields the witness builders read."""
 
     tag: str
     params: dict
@@ -81,13 +74,8 @@ class ConstructionMeta:
                                 ("labeling", dict, "object")):
             if not isinstance(doc.get(key), kind):
                 raise SchemaError(f"bad meta: {key!r} must be a JSON {name}")
-        if doc["tag"] not in WITNESS_KEYS:
+        if doc["tag"] not in _BUILDERS:
             raise SchemaError(f"bad meta: unknown construction tag {doc['tag']!r}")
-        for block, keys in zip(("params", "labeling"), WITNESS_KEYS[doc["tag"]]):
-            missing = [key for key in keys if key not in doc[block]]
-            if missing:
-                raise SchemaError(f"bad meta: {block} lacks {missing[0]!r} "
-                                  f"(needed by {doc['tag']} witnesses)")
         labeling = dict(doc["labeling"])
         if labeling.get("base_meta") is not None:
             labeling["base_meta"] = cls.from_json_dict(labeling["base_meta"])
@@ -99,6 +87,18 @@ class ConstructionMeta:
 # ---------------------------------------------------------------------------
 
 
+def _bipartite4_blocks(spec: PartitionSpec) -> dict[str, list[int]]:
+    """Balanced halves A1/A2 of part 0 and B1/B2 of part 1, larger half first."""
+    if spec.t != 2:
+        raise ValueError(f"bipartite4 needs two parts, got {spec.t}")
+    blocks = {}
+    for side, part in (("A", 0), ("B", 1)):
+        ids = list(spec.part_members(part))
+        half = ceil_div(len(ids), 2)
+        blocks[side + "1"], blocks[side + "2"] = ids[:half], ids[half:]
+    return blocks
+
+
 def color_bipartite4(a: int, b: int, k: int) -> tuple[Coloring, ConstructionMeta]:
     """4-coloring of K_{a,b} (a, b >= 2k): split each side into balanced
     halves A1/A2 and B1/B2 and color A_i-B_j edges with four distinct colors."""
@@ -107,14 +107,7 @@ def color_bipartite4(a: int, b: int, k: int) -> tuple[Coloring, ConstructionMeta
     if a < 2 * k or b < 2 * k:
         raise ValueError(f"need a, b >= 2k = {2 * k}, got a={a}, b={b}")
     spec = PartitionSpec((a, b))
-    a_ids = list(spec.part_members(0))
-    b_ids = list(spec.part_members(1))
-    blocks = {
-        "A1": a_ids[: ceil_div(a, 2)],
-        "A2": a_ids[ceil_div(a, 2) :],
-        "B1": b_ids[: ceil_div(b, 2)],
-        "B2": b_ids[ceil_div(b, 2) :],
-    }
+    blocks = _bipartite4_blocks(spec)
     block_of = {w: name for name, ids in blocks.items() for w in ids}
     color_table = {("A1", "B1"): 1, ("A1", "B2"): 2, ("A2", "B1"): 3, ("A2", "B2"): 4}
 
@@ -198,9 +191,14 @@ def color_ctk(spec: PartitionSpec, k: int) -> tuple[Coloring, ConstructionMeta]:
 # ---------------------------------------------------------------------------
 
 
-def _mnn_strings(m: int, s: int) -> list[str]:
-    """The m designated bit strings: 1^s 0^s first, then the remaining
-    length-2s strings in lexicographic order."""
+def _mnn_strings(m: int, n: int) -> list[str]:
+    """The m designated bit strings of length 2s, s = floor(n/2): 1^s 0^s
+    first, then the remaining ones in lexicographic order."""
+    if n < 2:
+        raise ValueError("n must be >= 2")
+    s = n // 2
+    if not 1 <= m <= 4**s:
+        raise ValueError(f"need 1 <= m <= 4^floor(n/2) = {4 ** s}, got m={m}")
     lead = "1" * s + "0" * s
     rest = (
         "".join(bits)
@@ -233,13 +231,9 @@ def color_mnn(m: int, n: int) -> tuple[Coloring, ConstructionMeta]:
 
     B-C edges: bit 0 on matched indices, bit 1 otherwise. A-B and A-C edges
     read one bit of the vertex's string per index-pair group."""
-    if n < 2:
-        raise ValueError("n must be >= 2")
+    strings = _mnn_strings(m, n)
     s = n // 2
-    if not 1 <= m <= 4**s:
-        raise ValueError(f"need 1 <= m <= 4^floor(n/2) = {4 ** s}, got m={m}")
     spec = PartitionSpec((m, n, n))
-    strings = _mnn_strings(m, s)
     b0, c0 = m, m + n
 
     def rule(u: int, v: int) -> int:
@@ -319,6 +313,29 @@ def color_2_4_16() -> tuple[Coloring, ConstructionMeta]:
 # ---------------------------------------------------------------------------
 
 
+def _extension_ids(
+    bspec: PartitionSpec, p: int, q: int
+) -> tuple[PartitionSpec, list[int], list[int], list[int], list[int]]:
+    """Grow parts p and q of bspec by one vertex each: the grown spec, the
+    old -> new id map, the two new vertices, and the anchors (the lowest id of
+    each grown part) as new and as old ids. Old vertices keep their
+    within-part index; each new vertex lands at the end of its part's block."""
+    if (type(p) is not int or type(q) is not int or p == q
+            or not (0 <= p < bspec.t and 0 <= q < bspec.t)):
+        raise ValueError(f"grown parts must be two distinct part indices, got {p!r}, {q!r}")
+    sizes = list(bspec.sizes)
+    sizes[p] += 1
+    sizes[q] += 1
+    spec = PartitionSpec(tuple(sizes))
+    id_map = [
+        spec.offsets[bspec.part_of(w)] + (w - bspec.offsets[bspec.part_of(w)])
+        for w in bspec.vertices()
+    ]
+    news = [spec.offsets[p] + bspec.sizes[p], spec.offsets[q] + bspec.sizes[q]]
+    anchors_old = [bspec.offsets[p], bspec.offsets[q]]
+    return spec, id_map, news, [id_map[w] for w in anchors_old], anchors_old
+
+
 def color_extension(
     base: Coloring,
     p: int,
@@ -340,28 +357,11 @@ def color_extension(
         raise ValueError("extension needs a base with t >= 3 parts")
     if base.num_colors != 2:
         raise ValueError("extension needs a 2-colored base")
-    if p == q or not (0 <= p < bspec.t and 0 <= q < bspec.t):
-        raise ValueError(f"grown parts must be two distinct part indices, got {p}, {q}")
-
-    anchor1_old = bspec.offsets[p]
-    anchor2_old = bspec.offsets[q]
+    spec, id_map, (new_a1, new_a2), (anchor1, anchor2), (anchor1_old, anchor2_old) = (
+        _extension_ids(bspec, p, q))
     transposed = base.color(anchor1_old, anchor2_old) == 2
     base_colors = base.permuted({1: 2, 2: 1}) if transposed else base
-
-    sizes = list(bspec.sizes)
-    sizes[p] += 1
-    sizes[q] += 1
-    spec = PartitionSpec(tuple(sizes))
-    # Old vertices keep their within-part index; each new vertex lands at the
-    # end of its part's id block.
-    id_map = [
-        spec.offsets[bspec.part_of(w)] + (w - bspec.offsets[bspec.part_of(w)])
-        for w in bspec.vertices()
-    ]
-    new_a1 = spec.offsets[p] + bspec.sizes[p]
-    new_a2 = spec.offsets[q] + bspec.sizes[q]
     inverse = {new: old for old, new in enumerate(id_map)}
-    anchor1, anchor2 = id_map[anchor1_old], id_map[anchor2_old]
 
     def rule(u: int, v: int) -> int:
         pair = {u, v}
@@ -407,25 +407,15 @@ def witness_paths(
     from the construction's own argument for the pair's position class."""
     if u == v:
         raise ValueError("pair endpoints must differ")
-    sizes = tuple(meta.labeling["sizes"])
-    if coloring.spec.sizes != sizes:
+    return _witness(meta, coloring.spec, u, v, k)
+
+
+def _witness(meta: ConstructionMeta, spec: PartitionSpec,
+             u: int, v: int, k: int) -> WitnessFamily:
+    if meta.labeling.get("sizes") != list(spec.sizes):
         raise ValueError("coloring does not match the construction meta")
-    coloring.spec.part_of(u), coloring.spec.part_of(v)  # id validation
-    return _dispatch(meta, u, v, k)
-
-
-def _dispatch(meta: ConstructionMeta, u: int, v: int, k: int) -> WitnessFamily:
-    if meta.tag == "bipartite4":
-        return _bipartite_witness(meta, u, v, k)
-    if meta.tag == "ctk":
-        return _ctk_witness(meta, u, v, k)
-    if meta.tag == "mnn":
-        return _mnn_witness(meta, u, v, k)
-    if meta.tag == "k2416":
-        return _k2416_witness(meta, u, v, k)
-    if meta.tag == "extension":
-        return _extension_witness(meta, u, v, k)
-    raise ValueError(f"unknown construction tag {meta.tag!r}")
+    spec.part_of(u), spec.part_of(v)  # id validation
+    return _BUILDERS[meta.tag](meta, spec, u, v, k)
 
 
 def _require_k2(meta: ConstructionMeta, k: int) -> None:
@@ -445,8 +435,9 @@ def _reverse(family: WitnessFamily) -> WitnessFamily:
 # -- bipartite4 -------------------------------------------------------------
 
 
-def _bipartite_witness(meta: ConstructionMeta, u: int, v: int, k: int) -> WitnessFamily:
-    blocks = {name: list(ids) for name, ids in meta.labeling["blocks"].items()}
+def _bipartite_witness(meta: ConstructionMeta, spec: PartitionSpec,
+                       u: int, v: int, k: int) -> WitnessFamily:
+    blocks = _bipartite4_blocks(spec)
     if k < 1:
         raise ValueError("k must be >= 1")
     short = [name for name, ids in blocks.items() if len(ids) < k]
@@ -481,20 +472,19 @@ def _bipartite_witness(meta: ConstructionMeta, u: int, v: int, k: int) -> Witnes
 # -- ctk ---------------------------------------------------------------------
 
 
-def _ctk_witness(meta: ConstructionMeta, u: int, v: int, k: int) -> WitnessFamily:
-    t = meta.params["t"]
+def _ctk_witness(meta: ConstructionMeta, spec: PartitionSpec,
+                 u: int, v: int, k: int) -> WitnessFamily:
+    t = spec.t
     if t < 3:
         raise ValueError("ctk witnesses need t >= 3")
     if k < 1:
         raise ValueError("k must be >= 1")
-    spec = PartitionSpec(tuple(meta.labeling["sizes"]))
     s = ceil_div(2 * k, t - 1)
     if min(spec.sizes) < s:
         raise ValueError(
             f"witnesses at level k={k} need every part size >= {s}, got {spec.sizes}"
         )
-    pairs = [tuple(p) for p in meta.labeling["pairs"]]
-    x_part = meta.labeling["x_part"]
+    pairs, x_part = _ctk_labeling(t)
 
     def desig(part: int) -> list[int]:
         return list(spec.part_members(part))[:s]
@@ -513,7 +503,7 @@ def _ctk_witness(meta: ConstructionMeta, u: int, v: int, k: int) -> WitnessFamil
     rank = {"A": 0, "B": 1, "X": 2}
     cu, cv = classify(u), classify(v)
     if rank[cu[0]] > rank[cv[0]]:
-        return _reverse(_ctk_witness(meta, v, u, k))
+        return _reverse(_ctk_witness(meta, spec, v, u, k))
 
     # Designated vertex lists seen from u's side: same(i) is on u's side of
     # pair i, opp(i) on the other. The mirrored bodies below stay rainbow
@@ -614,10 +604,13 @@ def _ctk_even_body(cu, cv, s, npairs, same, opp, paths, u, v) -> str:
 # -- mnn ---------------------------------------------------------------------
 
 
-def _mnn_witness(meta: ConstructionMeta, u: int, v: int, k: int) -> WitnessFamily:
+def _mnn_witness(meta: ConstructionMeta, spec: PartitionSpec,
+                 u: int, v: int, k: int) -> WitnessFamily:
     _require_k2(meta, k)
-    m, n, s = meta.params["m"], meta.params["n"], meta.params["s"]
-    strings = meta.labeling["strings"]
+    if spec.t != 3 or spec.sizes[1] != spec.sizes[2]:
+        raise ValueError(f"mnn needs parts (m, n, n), got {spec.sizes}")
+    m, n, _ = spec.sizes
+    s, strings = n // 2, _mnn_strings(m, n)
     b0, c0 = m, m + n
 
     def classify(w: int) -> tuple[int, int]:
@@ -629,7 +622,7 @@ def _mnn_witness(meta: ConstructionMeta, u: int, v: int, k: int) -> WitnessFamil
 
     cu, cv = classify(u), classify(v)
     if cu[0] > cv[0]:
-        return _reverse(_mnn_witness(meta, v, u, k))
+        return _reverse(_mnn_witness(meta, spec, v, u, k))
     b_vertex = lambda j: b0 + j - 1
     c_vertex = lambda j: c0 + j - 1
 
@@ -678,9 +671,12 @@ def _k2416_tau(w: int) -> int:
     return w + 8 if w < 14 else w - 8
 
 
-def _k2416_witness(meta: ConstructionMeta, u: int, v: int, k: int) -> WitnessFamily:
+def _k2416_witness(meta: ConstructionMeta, spec: PartitionSpec,
+                   u: int, v: int, k: int) -> WitnessFamily:
     _require_k2(meta, k)
-    strings = meta.labeling["strings"]
+    if spec.sizes != (2, 4, 16):
+        raise ValueError(f"k2416 needs parts (2, 4, 16), got {spec.sizes}")
+    strings = _odd_zero_strings()
 
     def classify(w: int) -> tuple[int, int]:
         if w < 2:
@@ -693,7 +689,7 @@ def _k2416_witness(meta: ConstructionMeta, u: int, v: int, k: int) -> WitnessFam
 
     cu, cv = classify(u), classify(v)
     if cu[0] > cv[0] or (cu[0] == cv[0] and u > v):
-        return _reverse(_k2416_witness(meta, v, u, k))
+        return _reverse(_k2416_witness(meta, spec, v, u, k))
     b_vertex = lambda j: 1 + j
     cl = lambda i: 5 + i
     cr = lambda i: 13 + i
@@ -702,7 +698,7 @@ def _k2416_witness(meta: ConstructionMeta, u: int, v: int, k: int) -> WitnessFam
         return WitnessFamily(u, v, ((u, cl(1), v), (u, cl(2), v)), "k2416 Case 1")
     if cu[0] == 0:
         if u == 1:
-            inner = _k2416_witness(meta, _k2416_tau(u), _k2416_tau(v), k)
+            inner = _k2416_witness(meta, spec, _k2416_tau(u), _k2416_tau(v), k)
             return WitnessFamily(
                 u,
                 v,
@@ -738,24 +734,26 @@ def _k2416_witness(meta: ConstructionMeta, u: int, v: int, k: int) -> WitnessFam
 # -- extension ----------------------------------------------------------------
 
 
-def _extension_witness(meta: ConstructionMeta, u: int, v: int, k: int) -> WitnessFamily:
+def _extension_witness(meta: ConstructionMeta, spec: PartitionSpec,
+                       u: int, v: int, k: int) -> WitnessFamily:
     _require_k2(meta, k)
-    lab = meta.labeling
-    new_a1, new_a2 = lab["new_vertices"]
-    anchor1, anchor2 = lab["anchors"]
-    anchor1_old, anchor2_old = lab["anchors_old"]
-    id_map: list[int] = lab["id_map"]
+    p, q = meta.params.get("p"), meta.params.get("q")
+    # The base has parts p and q one vertex smaller; _extension_ids rejects
+    # any p, q other than two distinct part indices.
+    bspec = PartitionSpec(tuple(size - (i in (p, q)) for i, size in enumerate(spec.sizes)))
+    _, id_map, (new_a1, new_a2), (anchor1, anchor2), (anchor1_old, anchor2_old) = (
+        _extension_ids(bspec, p, q))
     inverse = {new: old for old, new in enumerate(id_map)}
     news = {new_a1, new_a2}
 
     def base_family(u0: int, v0: int) -> WitnessFamily:
-        base_meta = lab["base_meta"]
+        base_meta = meta.labeling.get("base_meta")
         if base_meta is None:
             raise ValueError(
                 "witnesses for this pair need the base construction's meta "
                 "(pass base_meta to color_extension)"
             )
-        return _dispatch(base_meta, u0, v0, 2)
+        return _witness(base_meta, bspec, u0, v0, 2)
 
     def lift(fam: WitnessFamily, swap: dict[int, int], note: str) -> WitnessFamily:
         paths = tuple(
@@ -790,3 +788,8 @@ def _extension_witness(meta: ConstructionMeta, u: int, v: int, k: int) -> Witnes
     return lift(
         fam, {anchor1: new_a1, anchor2: new_a2}, "extension via anchor-swap embedding"
     )
+
+
+# tag -> witness builder; also the tags a meta block may carry.
+_BUILDERS = {"bipartite4": _bipartite_witness, "ctk": _ctk_witness, "mnn": _mnn_witness,
+             "k2416": _k2416_witness, "extension": _extension_witness}

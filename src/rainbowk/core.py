@@ -21,6 +21,7 @@ threads; all operations are pure.
 from __future__ import annotations
 
 import json
+from collections import defaultdict
 from dataclasses import dataclass, field
 from functools import cached_property
 from itertools import combinations
@@ -112,7 +113,7 @@ def adjacent(spec: PartitionSpec, u: int, v: int) -> bool:
 
 
 def _color_table(
-    spec: PartitionSpec, num_colors: int, entries
+    spec: PartitionSpec, num_colors: int, entries, count: int
 ) -> tuple[dict[tuple[int, int], int], tuple[tuple[int, ...], ...]]:
     """The one coloring validator: check [u, v, color] entries and build the
     normalized assignment and the row table in the same pass.
@@ -120,10 +121,16 @@ def _color_table(
     Each entry needs integer ids in range on different parts, a pair not
     seen before and a color in 1..num_colors; together the entries must
     cover every cross-part pair. Raises SchemaError naming the first bad
-    entry's position."""
+    entry's position. Fewer than spec.edge_count() entries (`count`) can
+    never be total: they are checked against sparse rows, so a short
+    document is rejected without allocating the n x n table."""
     n = spec.n
     part = spec._part_table
-    rows = [[0] * n for _ in range(n)]
+    edge_count = spec.edge_count()
+    if count < edge_count:
+        rows = defaultdict(lambda: defaultdict(int))
+    else:
+        rows = [[0] * n for _ in range(n)]
     assignment: dict[tuple[int, int], int] = {}
     for pos, entry in enumerate(entries):
         try:
@@ -145,7 +152,7 @@ def _color_table(
             raise SchemaError(f"edge {pos}: color {col} outside 1..{num_colors}")
         row[v] = rows[v][u] = col
         assignment[(u, v) if u < v else (v, u)] = col
-    missing = spec.edge_count() - len(assignment)
+    missing = edge_count - len(assignment)
     if missing:
         raise SchemaError(f"coloring not total: {missing} cross-part pairs uncolored")
     return assignment, tuple(map(tuple, rows))
@@ -177,10 +184,10 @@ class Coloring:
             raise SchemaError(f"num_colors must be an integer >= 1, got {self.num_colors!r}")
         if type(self.tight) is not bool:
             raise SchemaError(f"tight must be true or false, got {self.tight!r}")
-        entries = self.assignment
+        entries, count = self.assignment, len(self.assignment)
         if isinstance(entries, dict):
             entries = ((u, v, col) for (u, v), col in entries.items())
-        assignment, rows = _color_table(self.spec, self.num_colors, entries)
+        assignment, rows = _color_table(self.spec, self.num_colors, entries, count)
         object.__setattr__(self, "assignment", assignment)
         object.__setattr__(self, "rows", rows)
 

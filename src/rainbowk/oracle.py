@@ -108,6 +108,8 @@ def rc_k_exact(
     rainbow k-connected, with one witness coloring."""
     if k < 1:
         raise ValueError("k must be >= 1")
+    if budget.max_colors < 1:
+        raise ValueError("max_colors must be >= 1")
     if structural_connectivity(spec) < k:
         raise ValueError(
             f"rc_{k} undefined: {spec.sizes} has vertex connectivity "

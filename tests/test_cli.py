@@ -1,23 +1,66 @@
+import copy
 import json
 import subprocess
 import sys
+from itertools import cycle, permutations
 
+import hypothesis.strategies as st
 import pytest
+from hypothesis import given, settings
 
-from rainbowk.cli import build_parser, export_dot, run
+from rainbowk.cli import build_parser, coloring_document, export_dot, run
 from rainbowk.constructions import (
-    WITNESS_KEYS,
+    ConstructionMeta,
     color_2_4_16,
     color_bipartite4,
     color_ctk,
     color_extension,
     color_mnn,
+    witness_paths,
 )
-from rainbowk.core import Coloring, PartitionSpec
+from rainbowk.core import Coloring, PartitionSpec, family_is_valid
+
+TAGS = ("bipartite4", "ctk", "mnn", "k2416", "extension")
+DROP = object()
+
+
+def documents():
+    """Constructed documents: one per tag, an extension chain (base metas
+    nested two deep) and an extension without a base meta."""
+    base, base_meta = color_mnn(2, 2)
+    chain, chain_meta = base, base_meta
+    for p, q in ((0, 1), (1, 2)):
+        chain, chain_meta = color_extension(chain, p, q, base_meta=chain_meta)
+    built = {
+        "bipartite4": color_bipartite4(4, 5, 2),
+        "ctk": color_ctk(PartitionSpec((2, 2, 2)), 2),
+        "mnn": (base, base_meta),
+        "k2416": color_2_4_16(),
+        "extension": color_extension(base, 0, 1, base_meta=base_meta),
+        "extension-chain": (chain, chain_meta),
+        "extension-no-base-meta": color_extension(base, 0, 1),
+    }
+    return {name: json.loads(coloring_document(*pair)) for name, pair in built.items()}
+
+
+DOCUMENTS = documents()
+
+
+def set_value(doc, path, value):
+    *parents, last = path
+    for key in parents:
+        doc = doc[key]
+    if value is DROP:
+        del doc[last]
+    else:
+        doc[last] = value
+
+
+PARSER = build_parser()
 
 
 def invoke(argv):
-    args = build_parser().parse_args(argv)
+    args = PARSER.parse_args(argv)
     options = vars(args)
     command = options.pop("command")
     return run(command, options)
@@ -138,30 +181,113 @@ def test_witness_rejects_incomplete_meta(tmp_path, capsys, missing):
     assert missing in err and err.count("\n") == 1
 
 
-@pytest.mark.parametrize("tag, block, key", [
-    (tag, block, key)
-    for tag, keys in WITNESS_KEYS.items()
-    for block, names in zip(("params", "labeling"), keys)
-    for key in names
+@pytest.mark.parametrize("name, path, value, message", [
+    *(pytest.param(tag, ("labeling", "sizes"), DROP, "does not match",
+                   id=f"{tag}-labeling-sizes") for tag in TAGS),
+    pytest.param("extension", ("params", "p"), DROP, "distinct part indices",
+                 id="extension-params-p"),
+    pytest.param("extension", ("params", "q"), DROP, "distinct part indices",
+                 id="extension-params-q"),
+    pytest.param("extension", ("params", "p"), "0", "distinct part indices",
+                 id="extension-params-p-string"),
+    pytest.param("extension", ("params", "q"), 1.0, "distinct part indices",
+                 id="extension-params-q-float"),
+    pytest.param("extension", ("params", "p"), 3, "distinct part indices",
+                 id="extension-params-p-out-of-range"),
+    pytest.param("extension", ("params", "q"), -1, "distinct part indices",
+                 id="extension-params-q-negative"),
+    pytest.param("extension", ("params", "q"), 0, "distinct part indices",
+                 id="extension-params-q-equals-p"),
+    pytest.param("extension", ("labeling", "base_meta"), DROP, "base construction's meta",
+                 id="extension-labeling-base_meta"),
+    pytest.param("extension", ("labeling", "base_meta", "labeling", "sizes"), [2, 3, 2],
+                 "does not match", id="extension-base-meta-sizes"),
 ])
-def test_witness_rejects_meta_missing_a_builder_key(tmp_path, capsys, tag, block, key):
-    base, base_meta = color_mnn(2, 2)
-    coloring, meta = {
-        "bipartite4": lambda: color_bipartite4(4, 4, 2),
-        "ctk": lambda: color_ctk(PartitionSpec((2, 2, 2)), 2),
-        "mnn": lambda: (base, base_meta),
-        "k2416": color_2_4_16,
-        "extension": lambda: color_extension(base, 0, 1, base_meta=base_meta),
-    }[tag]()
-    doc = coloring.to_json_dict()
-    doc["meta"] = meta.to_json_dict()
-    del doc["meta"][block][key]
-    path = tmp_path / "c.json"
-    path.write_text(json.dumps(doc))
-    assert invoke(["witness", "--coloring", str(path), "--u", "0", "--v", "1",
+def test_witness_rejects_meta_missing_a_builder_key(tmp_path, capsys, name, path, value,
+                                                    message):
+    # The meta values witness builders read: sizes, and for extension p, q
+    # and the base meta. Each missing or bad one is a one-line usage error.
+    doc = copy.deepcopy(DOCUMENTS[name])
+    set_value(doc["meta"], path, value)
+    src = tmp_path / "c.json"
+    src.write_text(json.dumps(doc))
+    assert invoke(["witness", "--coloring", str(src), "--u", "0", "--v", "1",
                    "--k", "2"]) == 2
     err = capsys.readouterr().err
-    assert repr(key) in err and err.count("\n") == 1
+    assert message in err and err.count("\n") == 1
+
+
+def witness_outputs(doc, k):
+    """What `witness` reports for every ordered pair: the family and its
+    validity, or the error message."""
+    coloring = Coloring.from_json_dict(doc)
+    meta = ConstructionMeta.from_json_dict(doc["meta"])
+    out = []
+    for u, v in permutations(range(coloring.spec.n), 2):
+        try:
+            family = witness_paths(meta, coloring, u, v, k)
+            out.append(json.dumps([family.to_json_dict(), family_is_valid(coloring, family, k)]))
+        except ValueError as exc:
+            out.append(str(exc))
+    return out
+
+
+def strip_unread(meta, junk):
+    """Replace with junk (or drop, when junk is None) every params and
+    labeling value of the meta and its base metas that no witness builder
+    reads."""
+    for block, read in (("params", {"p", "q"}), ("labeling", {"sizes", "base_meta"})):
+        for key in [key for key in meta[block] if key not in read]:
+            set_value(meta[block], [key], DROP if junk is None else next(junk))
+    if meta["labeling"].get("base_meta") is not None:
+        strip_unread(meta["labeling"]["base_meta"], junk)
+
+
+@pytest.mark.parametrize("mode", ["junk", "drop"])
+@pytest.mark.parametrize("name", list(DOCUMENTS))
+def test_witness_ignores_descriptive_meta_fields(name, mode):
+    doc = DOCUMENTS[name]
+    expected = witness_outputs(doc, 2)
+    meta = copy.deepcopy(doc["meta"])
+    strip_unread(meta, cycle([5, [], "x", {}, -1, None, [[0, 1]]]) if mode == "junk" else None)
+    assert witness_outputs(dict(doc, meta=meta), 2) == expected
+
+
+json_values = st.recursive(
+    st.none() | st.booleans() | st.integers(-64, 64) | st.floats(-64, 64)
+    | st.text(max_size=3) | st.sampled_from(TAGS),
+    lambda inner: st.lists(inner, max_size=3)
+    | st.dictionaries(st.text(max_size=3), inner, max_size=3),
+    max_leaves=5,
+)
+
+
+def value_paths(node, path=()):
+    """The path of every value inside a JSON document."""
+    if isinstance(node, (dict, list)):
+        for key, child in (node.items() if isinstance(node, dict) else enumerate(node)):
+            yield path + (key,)
+            yield from value_paths(child, path + (key,))
+
+
+@settings(max_examples=150)
+@given(st.data())
+def test_mutated_document_exits_cleanly(tmp_path_factory, data):
+    # One value anywhere in a constructed document (coloring, meta, nested
+    # base metas) becomes an arbitrary small JSON value: every subcommand
+    # that reads the file exits 0, 1 or 2 and raises nothing.
+    doc = copy.deepcopy(DOCUMENTS[data.draw(st.sampled_from(list(DOCUMENTS)))])
+    set_value(doc, data.draw(st.sampled_from(list(value_paths(doc)))), data.draw(json_values))
+    work = tmp_path_factory.mktemp("fuzz")
+    src, out = work / "c.json", str(work / "out")
+    src.write_text(json.dumps(doc))
+    u, v = data.draw(st.tuples(st.integers(-1, 9), st.integers(-1, 9)))
+    for argv in (["verify", "--k", "2"],
+                 ["witness", "--u", str(u), "--v", str(v), "--k", "2"],
+                 ["export-dot", "-o", out]):
+        assert invoke([*argv, "--coloring", str(src)]) in (0, 1, 2), argv
+    assert invoke(["construct", "--family", "extension", "--base", str(src),
+                   "--grow", "0,1", "-o", out]) in (0, 1, 2)
 
 
 def test_witness_rejects_unknown_tag(tmp_path, capsys):
@@ -245,6 +371,8 @@ def test_rck_exact_max_edges_flag(capsys):
      "--seed", "0", "--samples", "-5"],
     ["lower-bound", "--scenario", "bipartite5", "--k", "2", "--sizes", "2,17",
      "--seed", "0", "--jobs", "0"],
+    ["verify", "--k", "0", "--pairs", "0,1", "--mode", "maximize"],
+    ["rck-exact", "--sizes", "1,1", "--k", "1", "--max-colors", "0"],
 ])
 def test_counts_below_one_are_usage_errors(tmp_path, capsys, argv):
     coloring, _ = color_bipartite4(4, 4, 2)
@@ -291,6 +419,17 @@ def test_export_dot_palette_too_small(tmp_path, capsys):
     assert invoke(["export-dot", "--coloring", str(src),
                    "--palette", "1=blue,2=red"]) == 2
     assert "palette" in capsys.readouterr().err
+
+
+def test_export_dot_palette_entry_needs_a_name(tmp_path, capsys):
+    coloring, _ = color_bipartite4(2, 2, 1)
+    src = tmp_path / "c.json"
+    src.write_text(coloring.to_json_text())
+    out = tmp_path / "c.dot"
+    assert invoke(["export-dot", "--coloring", str(src), "--palette",
+                   "1=blue,2=red,3=green,4", "-o", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert "palette" in err and err.count("\n") == 1 and not out.exists()
 
 
 def test_export_dot_rejects_oversized_palette():

@@ -1,5 +1,6 @@
 import ast
 import json
+import tracemalloc
 from pathlib import Path
 
 import pytest
@@ -192,6 +193,26 @@ def test_loader_rejects_partial_colorings():
     doc = _k22_doc(edges=[[0, 2, 1], [0, 3, 2], [1, 2, 2]])
     with pytest.raises(SchemaError, match="not total"):
         Coloring.from_json_dict(doc)
+
+
+@pytest.mark.parametrize("source", ["dict", "json"])
+def test_short_coloring_is_rejected_before_the_table_is_allocated(source):
+    # The n x n table of K_{1500,1} takes about 18 MB; one edge of 1500
+    # must be rejected without allocating it.
+    spec = PartitionSpec((1500, 1))
+    spec.n, spec._part_table  # cached before measuring
+    tracemalloc.start()
+    try:
+        with pytest.raises(SchemaError, match="not total"):
+            if source == "dict":
+                Coloring(spec, 1, {(0, 1500): 1})
+            else:
+                Coloring.from_json_dict({"parts": [1500, 1], "num_colors": 1,
+                                         "edges": [[0, 1500, 1]]})
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 1_000_000
 
 
 @pytest.mark.parametrize(

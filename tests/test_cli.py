@@ -202,17 +202,36 @@ def test_witness_rejects_incomplete_meta(tmp_path, capsys, missing):
                  id="extension-labeling-base_meta"),
     pytest.param("extension", ("labeling", "base_meta", "labeling", "sizes"), [2, 3, 2],
                  "does not match", id="extension-base-meta-sizes"),
+    *(pytest.param(tag, (block, key), DROP, None, id=f"{tag}-{block}-{key}")
+      for tag, block, key in (
+          ("bipartite4", "labeling", "blocks"),
+          ("ctk", "labeling", "pairs"), ("ctk", "labeling", "x_part"), ("ctk", "params", "t"),
+          ("mnn", "labeling", "strings"),
+          ("mnn", "params", "m"), ("mnn", "params", "n"), ("mnn", "params", "s"),
+          ("k2416", "labeling", "strings"),
+          ("extension", "labeling", "new_vertices"), ("extension", "labeling", "anchors"),
+          ("extension", "labeling", "anchors_old"), ("extension", "labeling", "id_map"))),
 ])
 def test_witness_rejects_meta_missing_a_builder_key(tmp_path, capsys, name, path, value,
                                                     message):
     # The meta values witness builders read: sizes, and for extension p, q
     # and the base meta. Each missing or bad one is a one-line usage error.
+    # The cases without a message drop a key the builders used to read and
+    # now derive from the part sizes: witness answers as on the intact file.
     doc = copy.deepcopy(DOCUMENTS[name])
     set_value(doc["meta"], path, value)
     src = tmp_path / "c.json"
     src.write_text(json.dumps(doc))
-    assert invoke(["witness", "--coloring", str(src), "--u", "0", "--v", "1",
-                   "--k", "2"]) == 2
+    argv = ["witness", "--u", "0", "--v", "1", "--k", "2", "-o"]
+    if message is None:
+        intact = tmp_path / "intact.json"
+        intact.write_text(json.dumps(DOCUMENTS[name]))
+        assert invoke([*argv, str(tmp_path / "expected"), "--coloring", str(intact)]) == 0
+        assert invoke([*argv, str(tmp_path / "got"), "--coloring", str(src)]) == 0
+        assert (tmp_path / "got").read_bytes() == (tmp_path / "expected").read_bytes()
+        assert capsys.readouterr().err == ""
+        return
+    assert invoke([*argv, str(tmp_path / "out"), "--coloring", str(src)]) == 2
     err = capsys.readouterr().err
     assert message in err and err.count("\n") == 1
 

@@ -34,7 +34,7 @@ def main():
         path = out / name
         path.write_text(export_dot(coloring, DEFAULT_PALETTE))
         print(f"wrote {path} ({coloring.spec.n} vertices, "
-              f"{len(coloring.assignment)} edges)")
+              f"{coloring.spec.edge_count()} edges)")
 
 
 if __name__ == "__main__":

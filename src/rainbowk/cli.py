@@ -42,28 +42,39 @@ def export_dot(coloring: Coloring, palette: dict[int, str]) -> str:
     for i in range(coloring.spec.t):
         members = " ".join(f"v{w};" for w in coloring.spec.part_members(i))
         lines.append(f'  subgraph cluster_part{i} {{ label="part {i}"; {members} }}')
-    for (u, v), c in sorted(coloring.assignment.items()):
+    for (u, v), c in coloring.assignment.items():
         lines.append(f'  v{u} -- v{v} [color="{palette[c]}"];')
     lines.append("}")
     return "\n".join(lines) + "\n"
 
 
-def _parse_sizes(text: str) -> tuple[int, ...]:
+def _parse_sizes(text: str, flag: str, count: int | None = None) -> tuple[int, ...]:
+    """The comma-separated integers given to `flag`; exactly `count` of them
+    when count is set."""
     try:
-        return tuple(int(x) for x in text.split(","))
-    except ValueError as exc:
-        raise SchemaError(f"bad sizes {text!r}: expected comma-separated integers") from exc
+        values = tuple(int(x) for x in text.split(","))
+        if count and len(values) != count:
+            raise ValueError
+    except ValueError:
+        shape = f"{count} comma-separated integers" if count else "comma-separated integers"
+        raise SchemaError(f"bad {flag} {text!r}: expected {shape}") from None
+    return values
 
 
 def _parse_palette(text: str | None) -> dict[int, str]:
     if text is None:
         return dict(DEFAULT_PALETTE)
     palette = {}
-    for item in text.split(","):
-        color, _, name = item.partition("=")
-        if not name:
-            raise SchemaError(f"bad palette entry {item!r}: expected color=name")
-        palette[int(color)] = name
+    try:
+        for item in text.split(","):
+            color, _, name = item.partition("=")
+            if not name:
+                raise ValueError
+            palette[int(color)] = name
+    except ValueError:
+        raise SchemaError(
+            f"bad --palette entry {item!r}: expected color=name with an integer color"
+        ) from None
     return palette
 
 
@@ -171,7 +182,8 @@ def _run_construct(opt: dict) -> int:
     elif family == "ctk":
         if opt["sizes"] is None or opt["k"] is None:
             raise SchemaError("ctk needs --sizes and --k")
-        coloring, meta = color_ctk(PartitionSpec(_parse_sizes(opt["sizes"])), opt["k"])
+        spec = PartitionSpec(_parse_sizes(opt["sizes"], "--sizes"))
+        coloring, meta = color_ctk(spec, opt["k"])
     elif family == "mnn":
         if opt["m"] is None or opt["n"] is None:
             raise SchemaError("mnn needs --m and --n")
@@ -186,7 +198,7 @@ def _run_construct(opt: dict) -> int:
         base_meta = (
             ConstructionMeta.from_json_dict(doc["meta"]) if "meta" in doc else None
         )
-        p, q = _parse_sizes(opt["grow"])
+        p, q = _parse_sizes(opt["grow"], "--grow", 2)
         coloring, meta = color_extension(base, p, q, base_meta=base_meta)
     _write_text(opt["out"], coloring_document(coloring, meta))
     return 0
@@ -197,7 +209,7 @@ def _run_verify(opt: dict) -> int:
     if opt["pairs"] != "all":
         if opt["k"] < 1:
             raise ValueError("k must be >= 1")
-        u, v = _parse_sizes(opt["pairs"])
+        u, v = _parse_sizes(opt["pairs"], "--pairs", 2)
         query = PairQuery(
             u, v, mode=opt["mode"], k=opt["k"] if opt["mode"] == "decision" else None
         )
@@ -242,7 +254,7 @@ def _run_lower_bound(opt: dict) -> int:
     certs = sample_certificates(
         opt["scenario"],
         opt["k"],
-        _parse_sizes(opt["sizes"]),
+        _parse_sizes(opt["sizes"], "--sizes"),
         opt["samples"],
         opt["seed"],
         jobs=opt["jobs"],
@@ -262,7 +274,7 @@ def _run_lower_bound(opt: dict) -> int:
 
 def _run_rck_exact(opt: dict) -> int:
     budget = SearchBudget(max_colors=opt["max_colors"], max_edges=opt["max_edges"])
-    result = rc_k_exact(PartitionSpec(_parse_sizes(opt["sizes"])), opt["k"], budget)
+    result = rc_k_exact(PartitionSpec(_parse_sizes(opt["sizes"], "--sizes")), opt["k"], budget)
     print(f"rc_{opt['k']}({','.join(map(str, result.spec.sizes))}) = {result}")
     if result.witness is not None and opt["out"]:
         _write_text(opt["out"], result.witness.to_json_text())

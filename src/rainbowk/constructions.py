@@ -35,7 +35,7 @@ the meta as ``bit_colors``.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import product
+from itertools import islice, product
 
 from .core import (
     Coloring,
@@ -200,17 +200,8 @@ def _mnn_strings(m: int, n: int) -> list[str]:
     if not 1 <= m <= 4**s:
         raise ValueError(f"need 1 <= m <= 4^floor(n/2) = {4 ** s}, got m={m}")
     lead = "1" * s + "0" * s
-    rest = (
-        "".join(bits)
-        for bits in product("01", repeat=2 * s)
-        if "".join(bits) != lead
-    )
-    out = [lead]
-    for candidate in rest:
-        if len(out) == m:
-            break
-        out.append(candidate)
-    return out
+    rest = ("".join(bits) for bits in product("01", repeat=2 * s))
+    return [lead, *islice((b for b in rest if b != lead), m - 1)]
 
 
 def _mnn_group(j: int, s: int) -> int:
@@ -266,8 +257,7 @@ def color_mnn(m: int, n: int) -> tuple[Coloring, ConstructionMeta]:
 
 
 def _odd_zero_strings() -> list[str]:
-    out = [f"{i:04b}" for i in range(16) if f"{i:04b}".count("0") % 2 == 1]
-    return sorted(out)
+    return [f"{i:04b}" for i in range(16) if f"{i:04b}".count("0") % 2 == 1]
 
 
 def color_2_4_16() -> tuple[Coloring, ConstructionMeta]:
@@ -350,13 +340,16 @@ def color_extension(
 
     The caller asserts the base is rainbow 2-connected; this is not checked
     here. Passing the base's own ConstructionMeta enables witness generation
-    for every pair (otherwise only the anchor pairs have explicit families).
+    for every pair (otherwise only the anchor pairs have explicit families);
+    a meta whose labeling.sizes are not the base's part sizes is refused.
     """
     bspec = base.spec
     if bspec.t < 3:
         raise ValueError("extension needs a base with t >= 3 parts")
     if base.num_colors != 2:
         raise ValueError("extension needs a 2-colored base")
+    if base_meta is not None and base_meta.labeling.get("sizes") != list(bspec.sizes):
+        raise ValueError(f"base meta's labeling.sizes are not the base's {list(bspec.sizes)}")
     spec, id_map, (new_a1, new_a2), (anchor1, anchor2), (anchor1_old, anchor2_old) = (
         _extension_ids(bspec, p, q))
     transposed = base.color(anchor1_old, anchor2_old) == 2

@@ -5,13 +5,13 @@ input order, so part i owns a contiguous id block. A coloring is a total
 symmetric map from cross-part vertex pairs to colors 1..num_colors; querying
 a same-part pair is a contract violation (raises), never "no color".
 
-A `Coloring` holds its colors in two forms. `assignment`, the dict from
-pairs (u, v), u < v, to colors, is what it is built from and serialised as.
-`rows` is a dense n x n table with rows[u][v] the color of edge uv and 0 on
-same-part pairs (the diagonal included); hot loops (path enumeration, twin
-scans) read it by index instead of calling `Coloring.color` per edge. One
-validator, `_color_table`, checks an assignment and fills `rows` in the same
-pass, whether the coloring comes from code or from a JSON document; it
+A `Coloring` stores its colors once, as `rows`: a dense n x n table with
+rows[u][v] the color of edge uv and 0 on same-part pairs (the diagonal
+included). Hot loops (path enumeration, twin scans) read it by index instead
+of calling `Coloring.color` per edge. `assignment`, the lex-ordered dict from
+pairs (u, v), u < v, to colors, is a view built from `rows` on each access.
+One validator, `_color_table`, checks the given colors and fills `rows` in a
+single pass, whether the coloring comes from code or from a JSON document; it
 raises `SchemaError` naming the offending edge's position.
 
 All types here are immutable after construction and safe to share across
@@ -22,9 +22,9 @@ from __future__ import annotations
 
 import json
 from collections import defaultdict
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import cached_property
-from itertools import combinations
+from itertools import accumulate, combinations
 from typing import Callable, Iterator
 
 # A path is an ordered vertex sequence; consecutive vertices must be adjacent.
@@ -68,18 +68,11 @@ class PartitionSpec:
 
     @cached_property
     def offsets(self) -> tuple[int, ...]:
-        acc, out = 0, []
-        for s in self.sizes:
-            out.append(acc)
-            acc += s
-        return tuple(out)
+        return tuple(accumulate(self.sizes[:-1], initial=0))
 
     @cached_property
     def _part_table(self) -> tuple[int, ...]:
-        table = []
-        for i, s in enumerate(self.sizes):
-            table.extend([i] * s)
-        return tuple(table)
+        return tuple(i for i, s in enumerate(self.sizes) for _ in range(s))
 
     def part_of(self, v: int) -> int:
         if not 0 <= v < self.n:
@@ -114,9 +107,9 @@ def adjacent(spec: PartitionSpec, u: int, v: int) -> bool:
 
 def _color_table(
     spec: PartitionSpec, num_colors: int, entries, count: int
-) -> tuple[dict[tuple[int, int], int], tuple[tuple[int, ...], ...]]:
-    """The one coloring validator: check [u, v, color] entries and build the
-    normalized assignment and the row table in the same pass.
+) -> tuple[tuple[int, ...], ...]:
+    """The one coloring validator: check `count` [u, v, color] entries and
+    fill the row table in the same pass.
 
     Each entry needs integer ids in range on different parts, a pair not
     seen before and a color in 1..num_colors; together the entries must
@@ -131,7 +124,6 @@ def _color_table(
         rows = defaultdict(lambda: defaultdict(int))
     else:
         rows = [[0] * n for _ in range(n)]
-    assignment: dict[tuple[int, int], int] = {}
     for pos, entry in enumerate(entries):
         try:
             u, v, col = entry
@@ -151,45 +143,49 @@ def _color_table(
         if not 1 <= col <= num_colors:
             raise SchemaError(f"edge {pos}: color {col} outside 1..{num_colors}")
         row[v] = rows[v][u] = col
-        assignment[(u, v) if u < v else (v, u)] = col
-    missing = edge_count - len(assignment)
+    # Each entry that got here colored a pair no earlier one did.
+    missing = edge_count - count
     if missing:
         raise SchemaError(f"coloring not total: {missing} cross-part pairs uncolored")
-    return assignment, tuple(map(tuple, rows))
+    return tuple(map(tuple, rows))
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, init=False)
 class Coloring:
     """Total symmetric edge coloring of a complete multipartite graph.
 
-    `assignment` maps each cross-part pair (u, v), u < v, to a color in
-    1..num_colors. It may also be given as a list of [u, v, color] triples
-    (the JSON `edges` form); either way it is stored as the normalized dict.
-    `tight` records whether every color of the palette is actually used, as
-    opposed to num_colors being a declared bound.
-
-    `rows` is derived: rows[u][v] is the color of edge uv and 0 on
-    same-part pairs. It is filled by `_color_table` while the assignment is
-    validated, and takes no part in equality or the serialised form.
+    Built from `assignment`, a dict from each cross-part pair (u, v) to a
+    color in 1..num_colors or a list of [u, v, color] triples (the JSON
+    `edges` form), which `_color_table` checks into `rows`. Only `rows` is
+    stored: rows[u][v] is the color of edge uv and 0 on same-part pairs.
+    The `assignment` property derives the lex-ordered {(u, v): color} dict,
+    u < v, from it on each access. `tight` records whether every color of
+    the palette is actually used, as opposed to num_colors being a declared
+    bound.
     """
 
     spec: PartitionSpec
     num_colors: int
-    assignment: dict[tuple[int, int], int]
-    tight: bool = True
-    rows: tuple[tuple[int, ...], ...] = field(init=False, repr=False, compare=False)
+    rows: tuple[tuple[int, ...], ...]
+    tight: bool
 
-    def __post_init__(self) -> None:
-        if type(self.num_colors) is not int or self.num_colors < 1:
-            raise SchemaError(f"num_colors must be an integer >= 1, got {self.num_colors!r}")
-        if type(self.tight) is not bool:
-            raise SchemaError(f"tight must be true or false, got {self.tight!r}")
-        entries, count = self.assignment, len(self.assignment)
+    def __init__(self, spec: PartitionSpec, num_colors: int,
+                 assignment: dict[tuple[int, int], int] | list, tight: bool = True) -> None:
+        if type(num_colors) is not int or num_colors < 1:
+            raise SchemaError(f"num_colors must be an integer >= 1, got {num_colors!r}")
+        if type(tight) is not bool:
+            raise SchemaError(f"tight must be true or false, got {tight!r}")
+        entries = assignment
         if isinstance(entries, dict):
             entries = ((u, v, col) for (u, v), col in entries.items())
-        assignment, rows = _color_table(self.spec, self.num_colors, entries, count)
-        object.__setattr__(self, "assignment", assignment)
-        object.__setattr__(self, "rows", rows)
+        rows = _color_table(spec, num_colors, entries, len(assignment))
+        # Frozen: the fields are set past the dataclass __setattr__.
+        self.__dict__.update(spec=spec, num_colors=num_colors, rows=rows, tight=tight)
+
+    @property
+    def assignment(self) -> dict[tuple[int, int], int]:
+        rows = self.rows
+        return {(u, v): rows[u][v] for u, v in self.spec.edges()}
 
     @classmethod
     def from_function(
@@ -212,13 +208,12 @@ class Coloring:
         return col
 
     def used_colors(self) -> set[int]:
-        return set(self.assignment.values())
+        return set().union(*self.rows) - {0}
 
     def permuted(self, sigma: dict[int, int]) -> "Coloring":
         """Relabel colors through a bijection of 1..num_colors."""
-        if sorted(sigma) != list(range(1, self.num_colors + 1)) or sorted(
-            sigma.values()
-        ) != list(range(1, self.num_colors + 1)):
+        palette = list(range(1, self.num_colors + 1))
+        if sorted(sigma) != palette or sorted(sigma.values()) != palette:
             raise ValueError("sigma must be a bijection of 1..num_colors")
         return Coloring(
             self.spec,
@@ -236,7 +231,7 @@ class Coloring:
             "parts": list(self.spec.sizes),
             "num_colors": self.num_colors,
             "tight": self.tight,
-            "edges": [[u, v, c] for (u, v), c in sorted(self.assignment.items())],
+            "edges": [[u, v, c] for (u, v), c in self.assignment.items()],
         }
 
     def to_json_text(self) -> str:

@@ -51,7 +51,7 @@ def enumerate_colorings_canonical(
 
     def rec(i: int, used: int, assignment: dict) -> Iterator[Coloring]:
         if i == len(edges):
-            yield Coloring(spec, max(used, 1), dict(assignment), tight=True)
+            yield Coloring(spec, max(used, 1), assignment, tight=True)
             return
         for color in range(1, min(used + 1, max_colors) + 1):
             assignment[edges[i]] = color

@@ -8,7 +8,12 @@ from rainbowk.core import Coloring, PartitionSpec
 
 def brute_force_rainbow_paths(coloring: Coloring, u: int, v: int, max_len: int):
     """All rainbow u->v paths with at most max_len edges, by filtering every
-    injective vertex tuple."""
+    injective vertex tuple.
+
+    The path logic is independent of the library. The colors come from
+    `coloring.assignment`, a view of the coloring's row table; that the
+    table holds the colors the coloring was built from is checked by
+    tests/test_core.py::test_row_table_matches_assignment."""
     spec = coloring.spec
     assignment = coloring.assignment
     others = [w for w in range(spec.n) if w not in (u, v)]

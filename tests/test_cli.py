@@ -347,6 +347,22 @@ def test_extension_subcommand_chain(tmp_path, capsys):
     capsys.readouterr()
 
 
+def test_extension_rejects_a_base_meta_of_other_sizes(tmp_path, capsys):
+    # A base meta that describes other part sizes would make every witness
+    # through the base fail later; construct refuses it up front.
+    base = tmp_path / "base.json"
+    invoke(["construct", "--family", "mnn", "--m", "2", "--n", "2", "-o", str(base)])
+    doc = json.loads(base.read_text())
+    doc["meta"]["labeling"]["sizes"] = [9]
+    base.write_text(json.dumps(doc))
+    grown = tmp_path / "grown.json"
+    assert invoke(["construct", "--family", "extension", "--base", str(base),
+                   "--grow", "0,1", "-o", str(grown)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == "" and not grown.exists()
+    assert "meta" in captured.err and captured.err.count("\n") == 1
+
+
 def test_lower_bound_subcommand(tmp_path, capsys):
     out = tmp_path / "certs.json"
     assert invoke(["lower-bound", "--scenario", "bipartite5", "--k", "2",
@@ -449,6 +465,34 @@ def test_export_dot_palette_entry_needs_a_name(tmp_path, capsys):
                    "1=blue,2=red,3=green,4", "-o", str(out)]) == 2
     err = capsys.readouterr().err
     assert "palette" in err and err.count("\n") == 1 and not out.exists()
+
+
+@pytest.mark.parametrize("argv, flag", [
+    (["construct", "--family", "extension", "--base", "FILE", "--grow", "0,1,2"], "--grow"),
+    (["construct", "--family", "extension", "--base", "FILE", "--grow", "0"], "--grow"),
+    (["construct", "--family", "ctk", "--k", "2", "--sizes", "2,x"], "--sizes"),
+    (["verify", "--coloring", "FILE", "--k", "2", "--pairs", "0,1,2"], "--pairs"),
+    (["verify", "--coloring", "FILE", "--k", "2", "--pairs", "0"], "--pairs"),
+    (["verify", "--coloring", "FILE", "--k", "2", "--pairs", "a,b"], "--pairs"),
+    (["export-dot", "--coloring", "FILE", "--palette", "x=blue,2=red,3=green,4=orange"],
+     "--palette"),
+    (["rck-exact", "--sizes", "2;2", "--k", "1", "--max-colors", "2"], "--sizes"),
+    (["lower-bound", "--scenario", "bipartite5", "--k", "2", "--sizes", "2,17,",
+      "--seed", "0"], "--sizes"),
+], ids=["grow-three", "grow-one", "sizes-word", "pairs-three", "pairs-one", "pairs-words",
+        "palette-word", "sizes-separator", "sizes-trailing-comma"])
+def test_malformed_flag_value_names_the_flag(tmp_path, capsys, argv, flag):
+    coloring, meta = color_mnn(2, 2)
+    path = tmp_path / "c.json"
+    path.write_text(coloring_document(coloring, meta))
+    out = tmp_path / "out"
+    argv = [str(path) if a == "FILE" else a for a in argv]
+    assert invoke(argv + (["--report", str(out)] if argv[0] == "verify"
+                          else ["-o", str(out)])) == 2
+    captured = capsys.readouterr()
+    assert captured.out == "" and not out.exists()
+    assert captured.err.startswith("error: ") and captured.err.count("\n") == 1
+    assert flag in captured.err
 
 
 def test_export_dot_rejects_oversized_palette():

@@ -65,16 +65,51 @@ def test_out_of_range_color_query_is_error(u, v):
         ONE_COLOR_K22.color(u, v)
 
 
-@given(small_colorings())
-def test_row_table_matches_assignment(coloring):
-    spec, rows = coloring.spec, coloring.rows
+@st.composite
+def drawn_assignments(draw):
+    """(spec, num_colors, assignment) with each key drawn as (u, v) or (v, u)."""
+    spec = draw(small_specs)
+    num_colors = draw(st.integers(1, 4))
+    assignment = {
+        (e if draw(st.booleans()) else e[::-1]): draw(st.integers(1, num_colors))
+        for e in spec.edges()
+    }
+    return spec, num_colors, assignment
+
+
+@given(drawn_assignments())
+def test_row_table_matches_assignment(drawn):
+    # Checked against the dict the coloring was built from, not against
+    # the `assignment` view, which is derived from `rows`.
+    spec, num_colors, given_colors = drawn
+    coloring = Coloring(spec, num_colors, given_colors, tight=False)
+    expected = {(min(e), max(e)): col for e, col in given_colors.items()}
+    assert coloring.assignment == expected
+    assert list(coloring.assignment) == list(spec.edges())
+    rows = coloring.rows
     assert len(rows) == spec.n and all(len(row) == spec.n for row in rows)
     for u in range(spec.n):
         for v in range(spec.n):
             assert rows[u][v] == rows[v][u]
             assert (rows[u][v] == 0) == (spec.part_of(u) == spec.part_of(v))
-    for (u, v), col in coloring.assignment.items():
+    for (u, v), col in expected.items():
         assert rows[u][v] == col == coloring.color(v, u)
+    assert coloring.used_colors() == set(expected.values())
+
+
+@given(drawn_assignments(), st.data())
+def test_coloring_equality_compares_the_table(drawn, data):
+    spec, num_colors, given_colors = drawn
+    coloring = Coloring(spec, num_colors, given_colors)
+    triples = [[u, v, col] for (u, v), col in given_colors.items()]
+    assert Coloring(spec, num_colors, triples) == coloring
+    assert Coloring(spec, num_colors + 1, given_colors) != coloring
+    assert Coloring(spec, num_colors, given_colors, tight=False) != coloring
+    if num_colors >= 2:
+        edge = data.draw(st.sampled_from(sorted(given_colors)))
+        recolored = dict(given_colors)
+        recolored[edge] = given_colors[edge] % num_colors + 1
+        assert Coloring(spec, num_colors, recolored) != coloring
 
 
 def test_coloring_must_be_total():

@@ -1,0 +1,50 @@
+"""Smoke tests for the scripts in scripts/, each run as its own process."""
+
+import os
+import re
+import subprocess
+import sys
+from pathlib import Path
+
+from rainbowk.cli import DEFAULT_PALETTE, export_dot
+from rainbowk.constructions import color_2_4_16, color_bipartite4, color_ctk, color_mnn
+from rainbowk.core import PartitionSpec
+
+ROOT = Path(__file__).resolve().parents[1]
+
+
+def run_script(name, *args):
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(ROOT / "src"),
+                                                      env.get("PYTHONPATH")]))
+    return subprocess.run([sys.executable, str(ROOT / "scripts" / name), *args],
+                          capture_output=True, text=True, env=env, cwd=ROOT)
+
+
+def test_run_grid_passes_every_row():
+    proc = run_script("run_grid.py", "--max-k", "1")
+    assert proc.returncode == 0, proc.stderr
+    header, *rows = proc.stdout.splitlines()
+    assert "verdict" in header and rows
+    # Columns: instance label (may hold spaces), k, colors, verdict, min pairs, time.
+    assert [row.split()[-3] for row in rows] == ["pass"] * len(rows)
+
+
+def test_render_figures_writes_the_dot_files(tmp_path):
+    figures = {
+        "bipartite4_k44.dot": color_bipartite4(4, 4, 2)[0],
+        "ctk_9_parts.dot": color_ctk(PartitionSpec(tuple([1] * 9)), 2)[0],
+        "mnn_k422.dot": color_mnn(4, 2)[0],
+        "k2416.dot": color_2_4_16()[0],
+    }
+    proc = run_script("render_figures.py", "--out-dir", str(tmp_path))
+    assert proc.returncode == 0, proc.stderr
+    assert sorted(p.name for p in tmp_path.iterdir()) == sorted(figures)
+    printed = {
+        Path(path).name: (int(n), int(m))
+        for path, n, m in re.findall(r"wrote (\S+) \((\d+) vertices, (\d+) edges\)",
+                                     proc.stdout)
+    }
+    for name, coloring in figures.items():
+        assert (tmp_path / name).read_text() == export_dot(coloring, DEFAULT_PALETTE)
+        assert printed[name] == (coloring.spec.n, coloring.spec.edge_count())

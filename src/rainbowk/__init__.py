@@ -36,7 +36,6 @@ from .core import (
 )
 from .oracle import (
     BudgetExceeded,
-    SearchBudget,
     canonical_form,
     enumerate_colorings_canonical,
     rc_k_exact,

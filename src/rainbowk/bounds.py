@@ -4,9 +4,9 @@ k-connected.
 
 The lower-bound statements quantify over all colorings; exhausting them is
 infeasible (4^34 colorings already for K_{2,17}), so this module certifies
-arbitrary supplied colorings instead. The pigeonhole and path-length
-arguments hold per coloring, which makes each certificate a complete proof
-for its input; test suites drive it with seeded random colorings.
+supplied colorings instead and reads every hypothesis (part sizes, palette)
+off the coloring itself. The pigeonhole and path-length arguments hold per
+coloring, which makes each certificate a complete proof for its input.
 """
 
 from __future__ import annotations
@@ -67,6 +67,14 @@ class LowerBoundCertificate:
 def _twin_certificate(
     coloring: Coloring, big_part: int, k: int, scenario: str, params: dict, bound: int
 ) -> LowerBoundCertificate:
+    """Certificate from the first twin pair in big_part.
+
+    Twins a1, a2 see each outside vertex w in one color, so no a1-w-a2 path
+    is rainbow. A rainbow twin path therefore has length 4 with 4 colors on
+    K_{s,m} and length 3 with 3 colors on t >= 3 parts, and either way two
+    of its interior vertices lie in the small parts. Paths with disjoint
+    interiors number at most `bound` = (small-part vertices) // 2, so a
+    count above it means the search or this argument is wrong."""
     twins = find_color_twins(coloring, big_part)
     if twins is None:
         raise InvariantError("pigeonhole guarantee violated: no color twins found")
@@ -77,52 +85,53 @@ def _twin_certificate(
         raise InvariantError(
             f"certificate construction failed: twins {twins} admit {count} >= k paths"
         )
+    if count > bound:
+        raise InvariantError(
+            f"twins {twins} admit {count} paths, above the interior bound {bound}"
+        )
     return LowerBoundCertificate(scenario, params, twins, count, bound)
 
 
-def certify_bipartite_lower(
-    k: int, s: int, m: int, coloring: Coloring
-) -> LowerBoundCertificate:
+# Palette size per scenario: the certifier's hypothesis and the sampler's draw.
+_PALETTE = {"bipartite5": 4, "multipartite4": 3}
+
+
+def certify_bipartite_lower(k: int, coloring: Coloring) -> LowerBoundCertificate:
     """Certify that a 4-colored K_{s,m} (k <= s <= 2k-1, m >= 4^s + 1) is not
     rainbow k-connected: the big part carries color twins, every rainbow twin
     path has length 4 and uses two small-part interiors, and the small part
-    is too small to host k of them."""
+    is too small to host k of them. s and m are read off coloring.spec."""
+    spec = coloring.spec
+    if spec.t != 2:
+        raise ValueError(f"bipartite5 needs 2 parts, got {spec.t}")
     if k < 2:
         raise ValueError("k must be >= 2")
+    s, m = sorted(spec.sizes)
     if not k <= s <= 2 * k - 1:
         raise ValueError(f"need k <= s <= 2k-1, got k={k}, s={s}")
     if m < 4**s + 1:
         raise ValueError(f"need m >= 4^s + 1 = {4 ** s + 1}, got m={m}")
-    spec = coloring.spec
-    if spec.t != 2 or sorted(spec.sizes) != sorted((s, m)):
-        raise ValueError(f"coloring is not on K_{{{s},{m}}}")
-    if coloring.num_colors > 4:
-        raise ValueError("coloring must use at most 4 colors")
-    big = 0 if spec.sizes[0] == m else 1
+    if coloring.num_colors > _PALETTE["bipartite5"]:
+        raise ValueError(f"coloring must use at most {_PALETTE['bipartite5']} colors")
+    big = spec.sizes.index(m)
     return _twin_certificate(
         coloring, big, k, "bipartite5", {"k": k, "s": s, "m": m}, bound=s // 2
     )
 
 
-def certify_multipartite_lower(
-    k: int, t: int, sizes, coloring: Coloring
-) -> LowerBoundCertificate:
+def certify_multipartite_lower(k: int, coloring: Coloring) -> LowerBoundCertificate:
     """Certify that a 3-colored complete t-partite graph (t >= 3) with one
     huge part and t-1 small parts of size in [ceil(k/(t-1)),
     ceil(2k/(t-1)) - 1] is not rainbow k-connected. Twin paths have length 3
-    with both interiors among the small parts."""
+    with both interiors among the small parts. t and the part sizes are read
+    off coloring.spec."""
+    sizes, t = coloring.spec.sizes, coloring.spec.t
+    if t < 3:
+        raise ValueError(f"multipartite4 needs t >= 3 parts, got {t}")
     if k < 2:
         raise ValueError("k must be >= 2")
-    if t < 3:
-        raise ValueError("t must be >= 3")
-    sizes = tuple(sizes)
-    if len(sizes) != t:
-        raise ValueError(f"expected {t} part sizes, got {len(sizes)}")
-    spec = coloring.spec
-    if spec.sizes != sizes:
-        raise ValueError("sizes do not match the coloring")
-    if coloring.num_colors > 3:
-        raise ValueError("coloring must use at most 3 colors")
+    if coloring.num_colors > _PALETTE["multipartite4"]:
+        raise ValueError(f"coloring must use at most {_PALETTE['multipartite4']} colors")
     big = max(range(t), key=lambda i: sizes[i])
     small = [sizes[i] for i in range(t) if i != big]
     lo, hi = ceil_div(k, t - 1), ceil_div(2 * k, t - 1) - 1
@@ -135,14 +144,8 @@ def certify_multipartite_lower(
             f"big part must have >= 3^{sum(small)} + 1 = {3 ** sum(small) + 1} "
             f"vertices, got {m}"
         )
-    return _twin_certificate(
-        coloring,
-        big,
-        k,
-        "multipartite4",
-        {"k": k, "t": t, "sizes": list(sizes), "m": m},
-        bound=sum(small) // 2,
-    )
+    params = {"k": k, "t": t, "sizes": list(sizes), "m": m}
+    return _twin_certificate(coloring, big, k, "multipartite4", params, bound=sum(small) // 2)
 
 
 def random_coloring(
@@ -154,19 +157,18 @@ def random_coloring(
         raise ValueError("num_colors must be >= 1")
     rng = random.Random(seed)
     assignment = {e: rng.randrange(1, num_colors + 1) for e in spec.edges()}
-    return Coloring(spec, num_colors, assignment, tight=False)
+    return Coloring(spec, num_colors, assignment)
 
 
-def _certify_seed(scenario: str, k: int, sizes, seed: int) -> LowerBoundCertificate:
-    spec = PartitionSpec(tuple(sizes))
+def _certify_seed(
+    scenario: str, k: int, spec: PartitionSpec, seed: int
+) -> LowerBoundCertificate:
+    coloring = random_coloring(spec, _PALETTE[scenario], seed)
+    # The certifiers are looked up by module name at each call, so wrappers
+    # set on the module attributes (perfbench/tracing.py) see every call.
     if scenario == "bipartite5":
-        coloring = random_coloring(spec, 4, seed)
-        s, m = min(spec.sizes), max(spec.sizes)
-        return certify_bipartite_lower(k, s, m, coloring)
-    if scenario == "multipartite4":
-        coloring = random_coloring(spec, 3, seed)
-        return certify_multipartite_lower(k, spec.t, spec.sizes, coloring)
-    raise ValueError(f"unknown scenario {scenario!r}")
+        return certify_bipartite_lower(k, coloring)
+    return certify_multipartite_lower(k, coloring)
 
 
 def sample_certificates(
@@ -183,5 +185,7 @@ def sample_certificates(
     list is identical for any jobs count."""
     if samples < 1:
         raise ValueError(f"samples must be >= 1, got {samples}")
-    work = partial(_certify_seed, scenario, k, tuple(sizes))
+    if scenario not in _PALETTE:
+        raise ValueError(f"unknown scenario {scenario!r}")
+    work = partial(_certify_seed, scenario, k, PartitionSpec(tuple(sizes)))
     return fan_out(work, range(seed, seed + samples), jobs)

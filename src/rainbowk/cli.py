@@ -25,7 +25,7 @@ from .constructions import (
     witness_paths,
 )
 from .core import Coloring, InvariantError, PartitionSpec, SchemaError, family_is_valid
-from .oracle import BudgetExceeded, SearchBudget, rc_k_exact
+from .oracle import BudgetExceeded, rc_k_exact
 from .verifier import PairQuery, max_disjoint_rainbow, verify_rainbow_k_connected
 
 DEFAULT_PALETTE = {1: "blue", 2: "red", 3: "green", 4: "orange"}
@@ -273,9 +273,10 @@ def _run_lower_bound(opt: dict) -> int:
 
 
 def _run_rck_exact(opt: dict) -> int:
-    budget = SearchBudget(max_colors=opt["max_colors"], max_edges=opt["max_edges"])
-    result = rc_k_exact(PartitionSpec(_parse_sizes(opt["sizes"], "--sizes")), opt["k"], budget)
-    print(f"rc_{opt['k']}({','.join(map(str, result.spec.sizes))}) = {result}")
+    spec = PartitionSpec(_parse_sizes(opt["sizes"], "--sizes"))
+    result = rc_k_exact(spec, opt["k"], opt["max_colors"], opt["max_edges"])
+    label = f"rc_{opt['k']}({','.join(map(str, spec.sizes))})"
+    print(f"{label} {result}" if result.value is None else f"{label} = {result}")
     if result.witness is not None and opt["out"]:
         _write_text(opt["out"], result.witness.to_json_text())
     return 0

@@ -173,7 +173,7 @@ def color_ctk(spec: PartitionSpec, k: int) -> tuple[Coloring, ConstructionMeta]:
         return 2 if pair_index[pu] == pair_index[pv] else 3
 
     s = ceil_div(2 * k, t - 1)
-    coloring = Coloring.from_function(spec, 3, rule, tight=(t >= 3))
+    coloring = Coloring.from_function(spec, 3, rule)
     meta = ConstructionMeta(
         tag="ctk",
         params={"t": t, "k": k, "s": s, "s1": ceil_div(s, 2), "s2": s // 2},

@@ -12,7 +12,9 @@ of calling `Coloring.color` per edge. `assignment`, the lex-ordered dict from
 pairs (u, v), u < v, to colors, is a view built from `rows` on each access.
 One validator, `_color_table`, checks the given colors and fills `rows` in a
 single pass, whether the coloring comes from code or from a JSON document; it
-raises `SchemaError` naming the offending edge's position.
+raises `SchemaError` naming the offending edge's position. Nothing else is
+stored: `tight` (every palette color occurs) is derived from `rows` too, and a
+document's `"tight"` must agree with it.
 
 All types here are immutable after construction and safe to share across
 threads; all operations are pure.
@@ -159,43 +161,42 @@ class Coloring:
     `edges` form), which `_color_table` checks into `rows`. Only `rows` is
     stored: rows[u][v] is the color of edge uv and 0 on same-part pairs.
     The `assignment` property derives the lex-ordered {(u, v): color} dict,
-    u < v, from it on each access. `tight` records whether every color of
-    the palette is actually used, as opposed to num_colors being a declared
-    bound.
+    u < v, from it on each access, and `tight` whether every color of the
+    palette is actually used, as opposed to num_colors being only a bound.
     """
 
     spec: PartitionSpec
     num_colors: int
     rows: tuple[tuple[int, ...], ...]
-    tight: bool
 
     def __init__(self, spec: PartitionSpec, num_colors: int,
-                 assignment: dict[tuple[int, int], int] | list, tight: bool = True) -> None:
+                 assignment: dict[tuple[int, int], int] | list) -> None:
         if type(num_colors) is not int or num_colors < 1:
             raise SchemaError(f"num_colors must be an integer >= 1, got {num_colors!r}")
-        if type(tight) is not bool:
-            raise SchemaError(f"tight must be true or false, got {tight!r}")
         entries = assignment
         if isinstance(entries, dict):
-            entries = ((u, v, col) for (u, v), col in entries.items())
+            # A non-tuple key stays one item, which the validator rejects.
+            entries = ((*key, col) if isinstance(key, tuple) else (key, col)
+                       for key, col in entries.items())
         rows = _color_table(spec, num_colors, entries, len(assignment))
         # Frozen: the fields are set past the dataclass __setattr__.
-        self.__dict__.update(spec=spec, num_colors=num_colors, rows=rows, tight=tight)
+        self.__dict__.update(spec=spec, num_colors=num_colors, rows=rows)
 
     @property
     def assignment(self) -> dict[tuple[int, int], int]:
         rows = self.rows
         return {(u, v): rows[u][v] for u, v in self.spec.edges()}
 
+    @property
+    def tight(self) -> bool:
+        # The validator keeps every color in 1..num_colors.
+        return len(self.used_colors()) == self.num_colors
+
     @classmethod
     def from_function(
-        cls,
-        spec: PartitionSpec,
-        num_colors: int,
-        rule: Callable[[int, int], int],
-        tight: bool = True,
+        cls, spec: PartitionSpec, num_colors: int, rule: Callable[[int, int], int]
     ) -> "Coloring":
-        return cls(spec, num_colors, {e: rule(*e) for e in spec.edges()}, tight)
+        return cls(spec, num_colors, {e: rule(*e) for e in spec.edges()})
 
     def color(self, u: int, v: int) -> int:
         n = self.spec.n
@@ -215,12 +216,8 @@ class Coloring:
         palette = list(range(1, self.num_colors + 1))
         if sorted(sigma) != palette or sorted(sigma.values()) != palette:
             raise ValueError("sigma must be a bijection of 1..num_colors")
-        return Coloring(
-            self.spec,
-            self.num_colors,
-            {e: sigma[c] for e, c in self.assignment.items()},
-            self.tight,
-        )
+        colors = {e: sigma[c] for e, c in self.assignment.items()}
+        return Coloring(self.spec, self.num_colors, colors)
 
     # -- JSON schema -------------------------------------------------------
     # {"parts":[n1,...,nt], "num_colors":L, "tight":bool,
@@ -254,7 +251,13 @@ class Coloring:
             raise SchemaError(
                 f"bad edges: expected a list of [u,v,color], got {type(edges).__name__}"
             )
-        return cls(spec, doc["num_colors"], edges, doc.get("tight", True))
+        if "tight" in doc and type(doc["tight"]) is not bool:
+            raise SchemaError(f"tight must be true or false, got {doc['tight']!r}")
+        coloring = cls(spec, doc["num_colors"], edges)
+        if doc.get("tight", coloring.tight) != coloring.tight:
+            raise SchemaError(f"tight is {json.dumps(doc['tight'])} but the edges use colors "
+                              f"{sorted(coloring.used_colors())} of 1..{coloring.num_colors}")
+        return coloring
 
     @classmethod
     def from_json_text(cls, text: str) -> "Coloring":

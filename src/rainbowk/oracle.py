@@ -5,8 +5,8 @@ Color-relabeling symmetry is removed with restricted-growth strings over a
 fixed lexicographic edge order: each edge's color is at most one more than
 the maximum color used on earlier edges, so exactly one representative per
 relabeling orbit is generated. Graph-automorphism symmetry is deliberately
-not removed; at <= 16 edges the guard keeps runtime bounded and the simpler
-enumeration is easier to trust.
+not removed; the max_edges guard (16 edges by default, BudgetExceeded beyond)
+keeps runtime bounded and the simpler enumeration is easier to trust.
 
 Candidates are rejected fail-first: `first_failing_pair` maps the
 verifier's `pair_count` over the pairs, starting with the pair that sank
@@ -27,31 +27,22 @@ class BudgetExceeded(RuntimeError):
     """The instance is too large for exhaustive search."""
 
 
-@dataclass(frozen=True)
-class SearchBudget:
-    max_colors: int
-    max_edges: int = 16
-
-    def check(self, spec: PartitionSpec) -> None:
-        if spec.edge_count() > self.max_edges:
-            raise BudgetExceeded(
-                f"{spec.edge_count()} edges exceed the budget of {self.max_edges}"
-            )
-
-
 def enumerate_colorings_canonical(
-    spec: PartitionSpec, max_colors: int, budget: SearchBudget | None = None
+    spec: PartitionSpec, max_colors: int, max_edges: int = 16
 ) -> Iterator[Coloring]:
     """One representative per orbit of the color-relabeling action: all
     restricted-growth assignments over the lex-ordered edge list that use at
-    most max_colors colors."""
-    budget = budget if budget is not None else SearchBudget(max_colors=max_colors)
-    budget.check(spec)
+    most max_colors colors. Raises BudgetExceeded, before yielding anything,
+    when the graph has more than max_edges edges."""
+    if spec.edge_count() > max_edges:
+        raise BudgetExceeded(
+            f"{spec.edge_count()} edges exceed the budget of {max_edges}"
+        )
     edges = list(spec.edges())
 
     def rec(i: int, used: int, assignment: dict) -> Iterator[Coloring]:
         if i == len(edges):
-            yield Coloring(spec, max(used, 1), assignment, tight=True)
+            yield Coloring(spec, max(used, 1), assignment)
             return
         for color in range(1, min(used + 1, max_colors) + 1):
             assignment[edges[i]] = color
@@ -71,7 +62,7 @@ def canonical_form(coloring: Coloring) -> Coloring:
         if c not in relabel:
             relabel[c] = len(relabel) + 1
         assignment[e] = relabel[c]
-    return Coloring(coloring.spec, len(relabel), assignment, tight=True)
+    return Coloring(coloring.spec, len(relabel), assignment)
 
 
 @dataclass(frozen=True)
@@ -102,24 +93,24 @@ def first_failing_pair(
 
 
 def rc_k_exact(
-    spec: PartitionSpec, k: int, budget: SearchBudget
+    spec: PartitionSpec, k: int, max_colors: int, max_edges: int = 16
 ) -> RckExactResult:
-    """Smallest palette size <= budget.max_colors for which some coloring is
-    rainbow k-connected, with one witness coloring."""
+    """Smallest palette size <= max_colors for which some coloring is
+    rainbow k-connected, with one witness coloring. Graphs with more than
+    max_edges edges raise BudgetExceeded."""
     if k < 1:
         raise ValueError("k must be >= 1")
-    if budget.max_colors < 1:
+    if max_colors < 1:
         raise ValueError("max_colors must be >= 1")
     if structural_connectivity(spec) < k:
         raise ValueError(
             f"rc_{k} undefined: {spec.sizes} has vertex connectivity "
             f"{structural_connectivity(spec)} < {k}"
         )
-    budget.check(spec)
-    for num_colors in range(1, budget.max_colors + 1):
+    for num_colors in range(1, max_colors + 1):
         hint: tuple[int, int] | None = None
         checked_symmetry = False
-        for coloring in enumerate_colorings_canonical(spec, num_colors, budget):
+        for coloring in enumerate_colorings_canonical(spec, num_colors, max_edges):
             if coloring.num_colors != num_colors:
                 continue  # uses fewer colors; already covered at a lower level
             failing = first_failing_pair(coloring, k, hint)
@@ -142,5 +133,5 @@ def rc_k_exact(
                         "the fail-first pair check passed a coloring that "
                         "full verification rejects"
                     )
-                return RckExactResult(spec, k, num_colors, coloring, budget.max_colors)
-    return RckExactResult(spec, k, None, None, budget.max_colors)
+                return RckExactResult(spec, k, num_colors, coloring, max_colors)
+    return RckExactResult(spec, k, None, None, max_colors)

@@ -55,7 +55,10 @@ def enumerate_rainbow_paths(
     vertex order. Each path is reported once, oriented from u to v.
 
     Colors come from `coloring.rows` by index. A path one edge short of the
-    cap is only tried against v, since any other step could not end there."""
+    cap is only tried against v, since any other step could not end there.
+    Steps from a partial path P go in ascending x, so P + (v,) follows the
+    paths through P + (x,) for x < v and precedes those for x > v; no path
+    runs past v, so the output is lexicographic without a sort."""
     spec = coloring.spec
     if u == v:
         raise ValueError("pair endpoints must differ")
@@ -85,7 +88,6 @@ def enumerate_rainbow_paths(
 
     if cap >= 1:
         extend((u,), frozenset())
-    out.sort()
     return out
 
 

@@ -18,4 +18,4 @@ def small_colorings(draw, max_colors: int = 4):
     assignment = {
         e: draw(st.integers(1, num_colors)) for e in spec.edges()
     }
-    return Coloring(spec, num_colors, assignment, tight=False)
+    return Coloring(spec, num_colors, assignment)

@@ -90,4 +90,4 @@ def all_colorings(spec: PartitionSpec, num_colors: int):
 
     edges = list(spec.edges())
     for colors in product(range(1, num_colors + 1), repeat=len(edges)):
-        yield Coloring(spec, num_colors, dict(zip(edges, colors)), tight=False)
+        yield Coloring(spec, num_colors, dict(zip(edges, colors)))

@@ -18,7 +18,7 @@ from rainbowk.constructions import (
     witness_paths,
 )
 from rainbowk.core import PartitionSpec, ceil_div, family_is_valid
-from rainbowk.oracle import SearchBudget, rc_k_exact
+from rainbowk.oracle import rc_k_exact
 from rainbowk.verifier import verify_rainbow_k_connected
 
 CTK_GRID = [(3, 2), (3, 3), (4, 2), (4, 3), (5, 2), (5, 4)]
@@ -146,7 +146,7 @@ def test_criterion_8_oracle_cross_checks():
             (PartitionSpec((2, 2, 2)), 2, 2, 2, color_mnn(2, 2)[0]),
         ]
         for spec, k, max_colors, expected, construction in cases:
-            result = rc_k_exact(spec, k, SearchBudget(max_colors=max_colors))
+            result = rc_k_exact(spec, k, max_colors)
             assert result.value == expected, (spec.sizes, k)
             assert result.value <= construction.num_colors
             assert verify_rainbow_k_connected(result.witness, k).ok

@@ -49,7 +49,7 @@ def test_find_color_twins_none_when_profiles_distinct():
     for a in range(4):
         assignment[(a, 4)] = profiles[a][0]
         assignment[(a, 5)] = profiles[a][1]
-    coloring = Coloring(spec, 2, assignment, tight=False)
+    coloring = Coloring(spec, 2, assignment)
     assert find_color_twins(coloring, 0) is None
 
 
@@ -64,7 +64,13 @@ def test_twin_certificate_failures_raise_invariant_error(monkeypatch):
     coloring = random_coloring(PartitionSpec((2, 17)), 4, seed=0)
     monkeypatch.setattr(rainbowk.bounds, "find_color_twins", lambda c, part: None)
     with pytest.raises(InvariantError, match="no color twins"):
-        certify_bipartite_lower(2, 2, 17, coloring)
+        certify_bipartite_lower(2, coloring)
+    # On K_{3,65} at k = 3 the interior bound is 3 // 2 = 1, so a count of
+    # 2 is below k yet contradicts the twin-path argument.
+    monkeypatch.undo()
+    monkeypatch.setattr(rainbowk.bounds, "max_disjoint_rainbow", lambda c, q: (2, None))
+    with pytest.raises(InvariantError, match="interior bound 1"):
+        certify_bipartite_lower(3, random_coloring(PartitionSpec((3, 65)), 4, seed=0))
 
 
 def test_find_color_twins_forced_by_pigeonhole():
@@ -77,11 +83,11 @@ def test_find_color_twins_forced_by_pigeonhole():
 def test_certify_bipartite_examples():
     spec = PartitionSpec((2, 17))
     for seed in range(25):
-        cert = certify_bipartite_lower(2, 2, 17, random_coloring(spec, 4, seed))
+        cert = certify_bipartite_lower(2, random_coloring(spec, 4, seed))
         assert cert.count <= 1
         assert cert.scenario == "bipartite5"
     spec = PartitionSpec((3, 65))
-    cert = certify_bipartite_lower(2, 3, 65, random_coloring(spec, 4, 0))
+    cert = certify_bipartite_lower(2, random_coloring(spec, 4, 0))
     assert cert.count <= 1
 
 
@@ -89,12 +95,12 @@ def test_certify_bipartite_rejects_bad_hypotheses():
     spec = PartitionSpec((4, 17))
     coloring = random_coloring(spec, 4, 0)
     with pytest.raises(ValueError):
-        certify_bipartite_lower(2, 4, 17, coloring)  # s > 2k-1
+        certify_bipartite_lower(2, coloring)  # s > 2k-1
     with pytest.raises(ValueError):
-        certify_bipartite_lower(2, 1, 17, coloring)  # s < k
+        certify_bipartite_lower(2, random_coloring(PartitionSpec((1, 17)), 4, 0))  # s < k
     spec_small = PartitionSpec((2, 16))
     with pytest.raises(ValueError):
-        certify_bipartite_lower(2, 2, 16, random_coloring(spec_small, 4, 0))
+        certify_bipartite_lower(2, random_coloring(spec_small, 4, 0))
 
 
 def test_bipartite_twin_paths_all_have_length_four():
@@ -109,13 +115,11 @@ def test_bipartite_twin_paths_all_have_length_four():
 def test_certify_multipartite_examples():
     spec = PartitionSpec((10, 1, 1))
     for seed in range(25):
-        cert = certify_multipartite_lower(
-            2, 3, spec.sizes, random_coloring(spec, 3, seed)
-        )
+        cert = certify_multipartite_lower(2, random_coloring(spec, 3, seed))
         assert cert.count <= 1
         assert cert.scenario == "multipartite4"
     spec = PartitionSpec((82, 2, 2))
-    cert = certify_multipartite_lower(3, 3, spec.sizes, random_coloring(spec, 3, 1))
+    cert = certify_multipartite_lower(3, random_coloring(spec, 3, 1))
     assert cert.count <= 2
 
 
@@ -123,12 +127,10 @@ def test_certify_multipartite_rejects_bad_hypotheses():
     spec = PartitionSpec((10, 2, 1))
     coloring = random_coloring(spec, 3, 0)
     with pytest.raises(ValueError):
-        certify_multipartite_lower(2, 3, spec.sizes, coloring)  # s_1 = 2 > 1
+        certify_multipartite_lower(2, coloring)  # s_1 = 2 > 1
     spec_small = PartitionSpec((9, 1, 1))
     with pytest.raises(ValueError):
-        certify_multipartite_lower(
-            2, 3, spec_small.sizes, random_coloring(spec_small, 3, 0)
-        )
+        certify_multipartite_lower(2, random_coloring(spec_small, 3, 0))
 
 
 def test_multipartite_twin_paths_have_length_three_outside_big_part():
@@ -191,14 +193,12 @@ def test_twin_search_is_per_part():
     for a in range(4):
         assignment[(a, 4)] = profiles[a][0]
         assignment[(a, 5)] = profiles[a][1]
-    coloring = Coloring(spec, 2, assignment, tight=False)
+    coloring = Coloring(spec, 2, assignment)
     assert find_color_twins(coloring, 0) is None
     assert find_color_twins(coloring, 1) is None
     # Distinct rows but equal columns: only the 2-part has twins, and the
     # search reports them only when asked for that part.
-    paired = Coloring(
-        spec, 4, {(a, b): a + 1 for a in range(4) for b in (4, 5)}, tight=False
-    )
+    paired = Coloring(spec, 4, {(a, b): a + 1 for a in range(4) for b in (4, 5)})
     assert find_color_twins(paired, 0) is None
     assert find_color_twins(paired, 1) == (4, 5)
 

@@ -122,7 +122,7 @@ def test_malformed_file_is_usage_error(tmp_path, capsys):
     "overrides",
     [{"edges": 5}, {"num_colors": True}, {"edges": [[0, 2, 1.7], [0, 3, 2],
                                                     [1, 2, 2], [1, 3, 1]]},
-     {"tight": "false"}],
+     {"tight": "false"}, {"tight": False}, {"num_colors": 3}],
 )
 def test_mistyped_document_is_one_line_usage_error(tmp_path, capsys, overrides):
     doc = {"parts": [2, 2], "num_colors": 2, "tight": True,
@@ -374,6 +374,15 @@ def test_lower_bound_subcommand(tmp_path, capsys):
     capsys.readouterr()
 
 
+def test_lower_bound_names_a_wrong_part_count(tmp_path, capsys):
+    out = tmp_path / "certs.json"
+    assert invoke(["lower-bound", "--scenario", "bipartite5", "--k", "2",
+                   "--sizes", "2,17,1", "--seed", "0", "-o", str(out)]) == 2
+    captured = capsys.readouterr()
+    assert captured.err == "error: bipartite5 needs 2 parts, got 3\n"
+    assert captured.out == "" and not out.exists()
+
+
 def test_rck_exact_subcommand(tmp_path, capsys):
     witness = tmp_path / "witness.json"
     assert invoke(["rck-exact", "--sizes", "2,2", "--k", "1",
@@ -381,6 +390,11 @@ def test_rck_exact_subcommand(tmp_path, capsys):
     assert "rc_1(2,2) = 2" in capsys.readouterr().out
     reloaded = Coloring.from_json_text(witness.read_text())
     assert reloaded.num_colors == 2
+
+
+def test_rck_exact_exhaustion_line(capsys):
+    assert invoke(["rck-exact", "--sizes", "2,2", "--k", "2", "--max-colors", "3"]) == 0
+    assert capsys.readouterr().out == "rc_2(2,2) > 3\n"
 
 
 def test_rck_exact_budget_error(capsys):

@@ -1,4 +1,5 @@
 import ast
+import dataclasses
 import json
 import tracemalloc
 from pathlib import Path
@@ -82,7 +83,7 @@ def test_row_table_matches_assignment(drawn):
     # Checked against the dict the coloring was built from, not against
     # the `assignment` view, which is derived from `rows`.
     spec, num_colors, given_colors = drawn
-    coloring = Coloring(spec, num_colors, given_colors, tight=False)
+    coloring = Coloring(spec, num_colors, given_colors)
     expected = {(min(e), max(e)): col for e, col in given_colors.items()}
     assert coloring.assignment == expected
     assert list(coloring.assignment) == list(spec.edges())
@@ -104,12 +105,25 @@ def test_coloring_equality_compares_the_table(drawn, data):
     triples = [[u, v, col] for (u, v), col in given_colors.items()]
     assert Coloring(spec, num_colors, triples) == coloring
     assert Coloring(spec, num_colors + 1, given_colors) != coloring
-    assert Coloring(spec, num_colors, given_colors, tight=False) != coloring
     if num_colors >= 2:
         edge = data.draw(st.sampled_from(sorted(given_colors)))
         recolored = dict(given_colors)
         recolored[edge] = given_colors[edge] % num_colors + 1
         assert Coloring(spec, num_colors, recolored) != coloring
+
+
+@given(drawn_assignments())
+def test_tight_is_derived_not_stored(drawn):
+    spec, num_colors, given_colors = drawn
+    coloring = Coloring(spec, num_colors, given_colors)
+    assert [f.name for f in dataclasses.fields(Coloring)] == ["spec", "num_colors", "rows"]
+    assert coloring.tight == (set(given_colors.values()) == set(range(1, num_colors + 1)))
+
+
+@pytest.mark.parametrize("key", [(0,), 5, (0, 1, 2)])
+def test_dict_key_that_is_not_a_pair_is_a_schema_error(key):
+    with pytest.raises(SchemaError, match="edge 0: .* is not \\[u,v,color\\]"):
+        Coloring(PartitionSpec((1, 1)), 1, {key: 1})
 
 
 def test_coloring_must_be_total():
@@ -267,6 +281,16 @@ def test_short_coloring_is_rejected_before_the_table_is_allocated(source):
 def test_loader_rejects_mistyped_fields(overrides, message):
     with pytest.raises(SchemaError, match=message):
         Coloring.from_json_dict(_k22_doc(**overrides))
+
+
+@pytest.mark.parametrize("overrides", [{"tight": False}, {"num_colors": 3}])
+def test_loader_rejects_a_tight_that_contradicts_the_edges(overrides):
+    # _k22_doc uses colors 1 and 2: tight on a palette of 2, not of 3.
+    with pytest.raises(SchemaError, match="tight is (true|false) but the edges use colors"):
+        Coloring.from_json_dict(_k22_doc(**overrides))
+    doc = _k22_doc(**overrides)
+    del doc["tight"]
+    assert Coloring.from_json_dict(doc).tight == (doc["num_colors"] == 2)
 
 
 def test_loader_rejects_missing_keys_and_bad_json():

@@ -6,7 +6,6 @@ from rainbowk.constructions import color_ctk, color_mnn
 from rainbowk.core import PartitionSpec
 from rainbowk.oracle import (
     BudgetExceeded,
-    SearchBudget,
     canonical_form,
     enumerate_colorings_canonical,
     rc_k_exact,
@@ -46,17 +45,17 @@ def test_budget_guard():
     with pytest.raises(BudgetExceeded):
         list(enumerate_colorings_canonical(PartitionSpec((5, 5)), 2))
     with pytest.raises(BudgetExceeded):
-        rc_k_exact(PartitionSpec((5, 5)), 1, SearchBudget(max_colors=2))
+        rc_k_exact(PartitionSpec((5, 5)), 1, 2)
 
 
 def test_rc_k_rejects_underconnected_graphs():
     with pytest.raises(ValueError, match="connectivity"):
-        rc_k_exact(PartitionSpec((1, 1)), 2, SearchBudget(max_colors=2))
+        rc_k_exact(PartitionSpec((1, 1)), 2, 2)
 
 
 def test_rc_1_values():
-    assert rc_k_exact(PartitionSpec((1, 1, 1)), 1, SearchBudget(max_colors=3)).value == 1
-    result = rc_k_exact(PartitionSpec((2, 2)), 1, SearchBudget(max_colors=4))
+    assert rc_k_exact(PartitionSpec((1, 1, 1)), 1, 3).value == 1
+    result = rc_k_exact(PartitionSpec((2, 2)), 1, 4)
     assert result.value == 2
     assert verify_rainbow_k_connected(result.witness, 1).ok
 
@@ -65,31 +64,30 @@ def test_rc_2_of_k22_needs_all_four_colors():
     # Every cross pair of K_{2,2} has only the direct edge and one length-3
     # alternative; making all four alternatives rainbow forces the four edge
     # colors to be pairwise distinct, so rc_2 is exactly 4.
-    result = rc_k_exact(PartitionSpec((2, 2)), 2, SearchBudget(max_colors=4))
+    result = rc_k_exact(PartitionSpec((2, 2)), 2, 4)
     assert result.value == 4
     assert result.witness.used_colors() == {1, 2, 3, 4}
     assert verify_rainbow_k_connected(result.witness, 2).ok
-    assert rc_k_exact(PartitionSpec((2, 2)), 2, SearchBudget(max_colors=3)).value is None
+    assert rc_k_exact(PartitionSpec((2, 2)), 2, 3).value is None
 
 
 def test_rc_1_values_on_three_part_shapes():
     # The same-part pair of K_{1,1,2} needs a 2-edge rainbow path.
-    assert rc_k_exact(PartitionSpec((1, 1, 2)), 1, SearchBudget(max_colors=3)).value == 2
-    assert rc_k_exact(PartitionSpec((1, 2)), 1, SearchBudget(max_colors=3)).value == 2
+    assert rc_k_exact(PartitionSpec((1, 1, 2)), 1, 3).value == 2
+    assert rc_k_exact(PartitionSpec((1, 2)), 1, 3).value == 2
 
 
 def test_rc_reports_exhaustion():
     # One color can never rainbow-connect a same-part pair in K_{2,2}.
-    result = rc_k_exact(PartitionSpec((2, 2)), 1, SearchBudget(max_colors=1))
+    result = rc_k_exact(PartitionSpec((2, 2)), 1, 1)
     assert result.value is None
     assert str(result) == "> 1"
 
 
 def test_rc_monotone_in_k():
-    budget = SearchBudget(max_colors=4)
     spec = PartitionSpec((2, 2))
-    rc1 = rc_k_exact(spec, 1, budget).value
-    rc2 = rc_k_exact(spec, 2, budget).value
+    rc1 = rc_k_exact(spec, 1, 4).value
+    rc2 = rc_k_exact(spec, 2, 4).value
     assert rc1 is not None and rc2 is not None
     assert rc1 <= rc2
 
@@ -98,11 +96,11 @@ def test_oracle_consistent_with_constructions():
     spec = PartitionSpec((1, 1, 1))
     construction, _ = color_ctk(spec, 1)
     assert verify_rainbow_k_connected(construction, 1).ok
-    value = rc_k_exact(spec, 1, SearchBudget(max_colors=3)).value
+    value = rc_k_exact(spec, 1, 3).value
     assert value <= construction.num_colors
 
     spec = PartitionSpec((2, 2, 2))
     construction, _ = color_mnn(2, 2)
-    result = rc_k_exact(spec, 2, SearchBudget(max_colors=2))
+    result = rc_k_exact(spec, 2, 2)
     assert result.value == 2 == construction.num_colors
     assert verify_rainbow_k_connected(result.witness, 2).ok

@@ -74,7 +74,13 @@ def _twin_certificate(
     K_{s,m} and length 3 with 3 colors on t >= 3 parts, and either way two
     of its interior vertices lie in the small parts. Paths with disjoint
     interiors number at most `bound` = (small-part vertices) // 2, so a
-    count above it means the search or this argument is wrong."""
+    count above it means the search or this argument is wrong.
+
+    `bound` equals one region's term of the verifier's interior-capacity
+    bound (see `rainbowk.verifier`) on the twin pair's paths whenever every
+    small-part vertex lies on one of them: the small part on K_{s,m}, the
+    whole vertex set on t >= 3 parts (interiors avoid the big part). Each
+    twin path weighs 2 in that region."""
     twins = find_color_twins(coloring, big_part)
     if twins is None:
         raise InvariantError("pigeonhole guarantee violated: no color twins found")
@@ -96,12 +102,10 @@ def _twin_certificate(
 _PALETTE = {"bipartite5": 4, "multipartite4": 3}
 
 
-def certify_bipartite_lower(k: int, coloring: Coloring) -> LowerBoundCertificate:
-    """Certify that a 4-colored K_{s,m} (k <= s <= 2k-1, m >= 4^s + 1) is not
-    rainbow k-connected: the big part carries color twins, every rainbow twin
-    path has length 4 and uses two small-part interiors, and the small part
-    is too small to host k of them. s and m are read off coloring.spec."""
-    spec = coloring.spec
+def _bipartite_hypotheses(k: int, spec: PartitionSpec) -> tuple[int, int]:
+    """(s, m) of K_{s,m}, s <= m, after checking the bipartite5 hypotheses
+    k >= 2, k <= s <= 2k-1 and m >= 4^s + 1; ValueError names the first
+    that fails."""
     if spec.t != 2:
         raise ValueError(f"bipartite5 needs 2 parts, got {spec.t}")
     if k < 2:
@@ -111,6 +115,40 @@ def certify_bipartite_lower(k: int, coloring: Coloring) -> LowerBoundCertificate
         raise ValueError(f"need k <= s <= 2k-1, got k={k}, s={s}")
     if m < 4**s + 1:
         raise ValueError(f"need m >= 4^s + 1 = {4 ** s + 1}, got m={m}")
+    return s, m
+
+
+def _multipartite_hypotheses(k: int, spec: PartitionSpec) -> int:
+    """Index of the big part after checking the multipartite4 hypotheses
+    t >= 3, k >= 2, every other part's size in [ceil(k/(t-1)),
+    ceil(2k/(t-1)) - 1] and the big part above 3^(their sum); ValueError
+    names the first that fails."""
+    sizes, t = spec.sizes, spec.t
+    if t < 3:
+        raise ValueError(f"multipartite4 needs t >= 3 parts, got {t}")
+    if k < 2:
+        raise ValueError("k must be >= 2")
+    big = max(range(t), key=lambda i: sizes[i])
+    small = [sizes[i] for i in range(t) if i != big]
+    lo, hi = ceil_div(k, t - 1), ceil_div(2 * k, t - 1) - 1
+    bad = [s_i for s_i in small if not lo <= s_i <= hi]
+    if bad:
+        raise ValueError(f"small part sizes {bad} outside [{lo}, {hi}]")
+    if sizes[big] < 3 ** sum(small) + 1:
+        raise ValueError(
+            f"big part must have >= 3^{sum(small)} + 1 = {3 ** sum(small) + 1} "
+            f"vertices, got {sizes[big]}"
+        )
+    return big
+
+
+def certify_bipartite_lower(k: int, coloring: Coloring) -> LowerBoundCertificate:
+    """Certify that a 4-colored K_{s,m} (k <= s <= 2k-1, m >= 4^s + 1) is not
+    rainbow k-connected: the big part carries color twins, every rainbow twin
+    path has length 4 and uses two small-part interiors, and the small part
+    is too small to host k of them. s and m are read off coloring.spec."""
+    spec = coloring.spec
+    s, m = _bipartite_hypotheses(k, spec)
     if coloring.num_colors > _PALETTE["bipartite5"]:
         raise ValueError(f"coloring must use at most {_PALETTE['bipartite5']} colors")
     big = spec.sizes.index(m)
@@ -126,26 +164,12 @@ def certify_multipartite_lower(k: int, coloring: Coloring) -> LowerBoundCertific
     with both interiors among the small parts. t and the part sizes are read
     off coloring.spec."""
     sizes, t = coloring.spec.sizes, coloring.spec.t
-    if t < 3:
-        raise ValueError(f"multipartite4 needs t >= 3 parts, got {t}")
-    if k < 2:
-        raise ValueError("k must be >= 2")
+    big = _multipartite_hypotheses(k, coloring.spec)
     if coloring.num_colors > _PALETTE["multipartite4"]:
         raise ValueError(f"coloring must use at most {_PALETTE['multipartite4']} colors")
-    big = max(range(t), key=lambda i: sizes[i])
-    small = [sizes[i] for i in range(t) if i != big]
-    lo, hi = ceil_div(k, t - 1), ceil_div(2 * k, t - 1) - 1
-    bad = [s_i for s_i in small if not lo <= s_i <= hi]
-    if bad:
-        raise ValueError(f"small part sizes {bad} outside [{lo}, {hi}]")
-    m = sizes[big]
-    if m < 3 ** sum(small) + 1:
-        raise ValueError(
-            f"big part must have >= 3^{sum(small)} + 1 = {3 ** sum(small) + 1} "
-            f"vertices, got {m}"
-        )
-    params = {"k": k, "t": t, "sizes": list(sizes), "m": m}
-    return _twin_certificate(coloring, big, k, "multipartite4", params, bound=sum(small) // 2)
+    params = {"k": k, "t": t, "sizes": list(sizes), "m": sizes[big]}
+    return _twin_certificate(coloring, big, k, "multipartite4", params,
+                             bound=(coloring.spec.n - sizes[big]) // 2)
 
 
 def random_coloring(
@@ -187,5 +211,11 @@ def sample_certificates(
         raise ValueError(f"samples must be >= 1, got {samples}")
     if scenario not in _PALETTE:
         raise ValueError(f"unknown scenario {scenario!r}")
-    work = partial(_certify_seed, scenario, k, PartitionSpec(tuple(sizes)))
+    spec = PartitionSpec(tuple(sizes))
+    # Usage errors surface before any coloring is drawn.
+    if scenario == "bipartite5":
+        _bipartite_hypotheses(k, spec)
+    else:
+        _multipartite_hypotheses(k, spec)
+    work = partial(_certify_seed, scenario, k, spec)
     return fan_out(work, range(seed, seed + samples), jobs)

@@ -76,6 +76,11 @@ class PartitionSpec:
     def _part_table(self) -> tuple[int, ...]:
         return tuple(i for i, s in enumerate(self.sizes) for _ in range(s))
 
+    @cached_property
+    def part_masks(self) -> tuple[int, ...]:
+        """Per part, the bitmask with bit w set for each member w."""
+        return tuple(((1 << s) - 1) << o for s, o in zip(self.sizes, self.offsets))
+
     def part_of(self, v: int) -> int:
         if not 0 <= v < self.n:
             raise ValueError(f"vertex {v} out of range 0..{self.n - 1}")

@@ -28,12 +28,16 @@ class BudgetExceeded(RuntimeError):
 
 
 def enumerate_colorings_canonical(
-    spec: PartitionSpec, max_colors: int, max_edges: int = 16
+    spec: PartitionSpec, max_colors: int, max_edges: int = 16, min_colors: int = 1
 ) -> Iterator[Coloring]:
     """One representative per orbit of the color-relabeling action: all
     restricted-growth assignments over the lex-ordered edge list that use at
-    most max_colors colors. Raises BudgetExceeded, before yielding anything,
-    when the graph has more than max_edges edges."""
+    least min_colors and at most max_colors colors. Raises BudgetExceeded,
+    before yielding anything, when the graph has more than max_edges edges.
+
+    Each edge brings in at most one new color, so a prefix that has used
+    `used` colors with `left` edges to go ends with at most used + left;
+    below min_colors its branch is cut before any coloring is built."""
     if spec.edge_count() > max_edges:
         raise BudgetExceeded(
             f"{spec.edge_count()} edges exceed the budget of {max_edges}"
@@ -41,6 +45,8 @@ def enumerate_colorings_canonical(
     edges = list(spec.edges())
 
     def rec(i: int, used: int, assignment: dict) -> Iterator[Coloring]:
+        if used + len(edges) - i < min_colors:
+            return
         if i == len(edges):
             yield Coloring(spec, max(used, 1), assignment)
             return
@@ -110,9 +116,10 @@ def rc_k_exact(
     for num_colors in range(1, max_colors + 1):
         hint: tuple[int, int] | None = None
         checked_symmetry = False
-        for coloring in enumerate_colorings_canonical(spec, num_colors, max_edges):
-            if coloring.num_colors != num_colors:
-                continue  # uses fewer colors; already covered at a lower level
+        # Colorings with fewer colors were all rejected at a lower level.
+        for coloring in enumerate_colorings_canonical(
+            spec, num_colors, max_edges, min_colors=num_colors
+        ):
             failing = first_failing_pair(coloring, k, hint)
             ok = failing is None
             hint = failing or hint

@@ -5,7 +5,20 @@ size, which is safe by pigeonhole), then compute a maximum packing of paths
 with pairwise disjoint interiors. Packing is a small set-packing instance
 solved exactly by branch and bound over the enumerated path list, branching
 on the lowest-id internal vertex still in contention. A greedy first-fit
-pass seeds the bound, so the explicit constructions verify without search.
+pass seeds the best packing, so the explicit constructions verify without
+search.
+
+The search prunes with an interior-capacity bound, the verifier's form of
+the paper's interior-counting argument. A region R is one part of the
+coloring's spec or the whole vertex set; a path's weight in R is the number
+of its interior vertices in R; avail(cand) is the union of the interiors of
+the candidate paths cand. Paths of a packing drawn from cand have pairwise
+disjoint interiors, all inside avail(cand), so their weights in R sum to at
+most |avail(cand) & R|. Any c of them weigh at least the c smallest weights
+of cand, so the packing has at most as many paths as the smallest weights
+that fit that sum (zero-weight paths, such as the direct edge, are free).
+The minimum of that count over the regions, and of |cand|, bounds every
+packing drawn from cand; `_capacity_bound` computes it.
 
 `pair_count` is the one per-pair query (the oracle maps it over its own
 pair order) and `fan_out` the one process fan-out (the lower-bound sampler
@@ -91,17 +104,64 @@ def enumerate_rainbow_paths(
     return out
 
 
+def _capacity_tables(
+    masks: list[int], part_masks: tuple[int, ...]
+) -> list[tuple[int, list[tuple[int, int]]]]:
+    """Per region (each part, then the whole vertex set), its vertex mask and
+    the paths grouped by their weight in it, lightest group first. Path i
+    is bit i of a group, and masks[i] is the vertex mask of its interior."""
+    tables = []
+    for region in part_masks + (sum(part_masks),):
+        groups: dict[int, int] = {}
+        for i, mask in enumerate(masks):
+            weight = (mask & region).bit_count()
+            groups[weight] = groups.get(weight, 0) | 1 << i
+        tables.append((region, sorted(groups.items())))
+    return tables
+
+
+def _capacity_bound(tables, avail: int, cand: int) -> int:
+    """Upper bound on the size of any packing drawn from the paths in cand:
+    the module docstring's interior-capacity bound over the regions of
+    `tables`. avail must hold the interior of every path in cand; their
+    union gives the tightest bound."""
+    bound = cand.bit_count()
+    for region, groups in tables:
+        room = (avail & region).bit_count()
+        fit = 0
+        for weight, group in groups:
+            have = (group & cand).bit_count()
+            take = have if weight == 0 else min(have, room // weight)
+            fit += take
+            if take < have or fit >= bound:
+                break
+            room -= take * weight
+        bound = min(bound, fit)
+    return bound
+
+
 def _max_packing(
-    paths: list[VertexPath], target: int | None
+    paths: list[VertexPath], target: int | None, part_masks: tuple[int, ...]
 ) -> list[int]:
     """Indices of a maximum subset of paths with pairwise disjoint interiors.
 
     Exact branch and bound; with a target it stops as soon as `target`
-    pairwise disjoint paths are found. A greedy first-fit pass runs first,
-    and the conflict matrix, the per-vertex path sets and the pivot order
-    are built only when it falls short of the target (or there is none):
-    only `search` reads them, so a target the greedy pass reaches returns
-    the same paths without them.
+    pairwise disjoint paths are found. `part_masks` are the parts' vertex
+    masks, the regions of the capacity bound beside the whole vertex set.
+
+    A greedy first-fit pass runs first, and two root exits follow it before
+    any work quadratic in the path count:
+    - greedy took every path: no packing has more, so it is maximum;
+    - greedy reached the capacity bound of the whole path set: the bound
+      holds for every packing (module docstring), so none is larger.
+    Otherwise the conflict matrix, the per-vertex path sets and the pivot
+    order are built, and each search node is cut when the paths it has
+    chosen plus the capacity bound of its candidates cannot beat the best
+    packing found so far. Every packing reachable from a node is its chosen
+    paths plus a packing drawn from its candidates, so a cut subtree holds
+    no packing larger than `best`. `best` changes only on a strict
+    improvement, so the search holds the same `best` at every step as the
+    same search without cuts, and returns the same indices.
     """
     m = len(paths)
     masks = [0] * m
@@ -118,6 +178,15 @@ def _max_packing(
             used |= masks[i]
             if target is not None and len(best) >= target:
                 return best[:target]
+    if len(best) == m:
+        return best
+    tables = _capacity_tables(masks, part_masks)
+    everything = (1 << m) - 1
+    avail = 0
+    for mask in masks:
+        avail |= mask
+    if _capacity_bound(tables, avail, everything) <= len(best):
+        return best
 
     conflicts = [0] * m
     for i in range(m):
@@ -129,7 +198,7 @@ def _max_packing(
     for i, p in enumerate(paths):
         for w in p[1:-1]:
             through[w] = through.get(w, 0) | 1 << i
-    contended = sorted(through)
+    contended = [(w, 1 << w, through[w]) for w in sorted(through)]
 
     def bits(mask: int):
         while mask:
@@ -144,15 +213,20 @@ def _max_packing(
         if len(chosen) + cand.bit_count() <= len(best):
             return
         pivot = None
-        for w in contended:
-            if (through[w] & cand).bit_count() >= 2:
-                pivot = w
-                break
+        avail = 0
+        for w, bit, paths_through in contended:
+            hit = paths_through & cand
+            if hit:
+                avail |= bit
+                if pivot is None and hit.bit_count() >= 2:
+                    pivot = w
         if pivot is None:
             # Remaining candidates are pairwise disjoint: take them all.
             full = chosen + list(bits(cand))
             if len(full) > len(best):
                 best = full
+            return
+        if len(chosen) + _capacity_bound(tables, avail, cand) <= len(best):
             return
         tm = through[pivot] & cand
         for i in bits(tm):
@@ -161,7 +235,7 @@ def _max_packing(
                 return
         search(cand & ~tm, chosen)
 
-    search((1 << m) - 1, [])
+    search(everything, [])
     if target is not None:
         return best[:target]
     return best
@@ -174,7 +248,7 @@ def max_disjoint_rainbow(
     plus a family attaining it. Decision mode caps the count at k."""
     paths = enumerate_rainbow_paths(coloring, query.u, query.v)
     target = query.k if query.mode == "decision" else None
-    picked = _max_packing(paths, target)
+    picked = _max_packing(paths, target, coloring.spec.part_masks)
     family = WitnessFamily(
         query.u,
         query.v,

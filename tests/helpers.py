@@ -51,6 +51,76 @@ def naive_max_disjoint(paths) -> int:
     return best
 
 
+def unpruned_max_packing(paths, target):
+    """Indices of a maximum subset of paths with pairwise disjoint interiors:
+    the verifier's branch and bound with its only cut the trivial one, that
+    the chosen paths plus every candidate cannot beat the best packing. The
+    reference the capacity-bounded search is compared against, indices
+    included."""
+    m = len(paths)
+    masks = [0] * m
+    for i, p in enumerate(paths):
+        for w in p[1:-1]:
+            masks[i] |= 1 << w
+
+    # Greedy first-fit seed.
+    best = []
+    used = 0
+    for i in range(m):
+        if masks[i] & used == 0:
+            best.append(i)
+            used |= masks[i]
+            if target is not None and len(best) >= target:
+                return best[:target]
+
+    conflicts = [0] * m
+    for i in range(m):
+        for j in range(i + 1, m):
+            if masks[i] & masks[j]:
+                conflicts[i] |= 1 << j
+                conflicts[j] |= 1 << i
+    through = {}
+    for i, p in enumerate(paths):
+        for w in p[1:-1]:
+            through[w] = through.get(w, 0) | 1 << i
+    contended = sorted(through)
+
+    def bits(mask):
+        while mask:
+            low = mask & -mask
+            yield low.bit_length() - 1
+            mask ^= low
+
+    def search(cand, chosen):
+        nonlocal best
+        if target is not None and len(best) >= target:
+            return
+        if len(chosen) + cand.bit_count() <= len(best):
+            return
+        pivot = None
+        for w in contended:
+            if (through[w] & cand).bit_count() >= 2:
+                pivot = w
+                break
+        if pivot is None:
+            # Remaining candidates are pairwise disjoint: take them all.
+            full = chosen + list(bits(cand))
+            if len(full) > len(best):
+                best = full
+            return
+        tm = through[pivot] & cand
+        for i in bits(tm):
+            search(cand & ~conflicts[i] & ~(1 << i), chosen + [i])
+            if target is not None and len(best) >= target:
+                return
+        search(cand & ~tm, chosen)
+
+    search((1 << m) - 1, [])
+    if target is not None:
+        return best[:target]
+    return best
+
+
 def _connected_after_removal(spec: PartitionSpec, removed: set) -> bool:
     remaining = [w for w in range(spec.n) if w not in removed]
     if len(remaining) <= 1:

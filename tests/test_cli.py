@@ -383,6 +383,30 @@ def test_lower_bound_names_a_wrong_part_count(tmp_path, capsys):
     assert captured.out == "" and not out.exists()
 
 
+@pytest.mark.parametrize("scenario, k, sizes, message", [
+    ("bipartite5", "2", "800,800", "need k <= s <= 2k-1, got k=2, s=800"),
+    ("bipartite5", "2", "2,16", "need m >= 4^s + 1 = 17, got m=16"),
+    ("bipartite5", "1", "2,17", "k must be >= 2"),
+    ("multipartite4", "2", "10,2,1", "small part sizes [2] outside [1, 1]"),
+    ("multipartite4", "2", "9,1,1", "big part must have >= 3^2 + 1 = 10 vertices, got 9"),
+    ("multipartite4", "2", "10,1", "multipartite4 needs t >= 3 parts, got 2"),
+])
+def test_lower_bound_checks_hypotheses_before_drawing_a_coloring(
+        monkeypatch, tmp_path, capsys, scenario, k, sizes, message):
+    import rainbowk.bounds
+
+    def no_draw(*args):
+        raise AssertionError("a coloring was drawn for a usage error")
+
+    monkeypatch.setattr(rainbowk.bounds, "random_coloring", no_draw)
+    out = tmp_path / "certs.json"
+    assert invoke(["lower-bound", "--scenario", scenario, "--k", k, "--sizes", sizes,
+                   "--seed", "0", "-o", str(out)]) == 2
+    captured = capsys.readouterr()
+    assert captured.err == f"error: {message}\n"
+    assert captured.out == "" and not out.exists()
+
+
 def test_rck_exact_subcommand(tmp_path, capsys):
     witness = tmp_path / "witness.json"
     assert invoke(["rck-exact", "--sizes", "2,2", "--k", "1",

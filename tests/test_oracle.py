@@ -24,6 +24,17 @@ def test_canonical_enumeration_counts():
     )
 
 
+def test_min_colors_cuts_exactly_the_colorings_with_fewer_colors():
+    # The cut branches are those that could only end below min_colors: the
+    # rest come out in the same order, Stirling S(4, L) of them on K_{2,2}.
+    spec = PartitionSpec((2, 2))
+    for num_colors, stirling in ((1, 1), (2, 7), (3, 6), (4, 1)):
+        full = [c for c in enumerate_colorings_canonical(spec, num_colors)
+                if c.num_colors == num_colors]
+        cut = list(enumerate_colorings_canonical(spec, num_colors, min_colors=num_colors))
+        assert cut == full and len(cut) == stirling
+
+
 def test_canonical_colorings_are_tight_and_first_edge_is_color_one():
     first_edge = next(iter(PartitionSpec((2, 2)).edges()))
     for coloring in enumerate_colorings_canonical(PartitionSpec((2, 2)), 3):

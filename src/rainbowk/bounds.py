@@ -15,7 +15,7 @@ import random
 from dataclasses import dataclass
 from functools import partial
 
-from .core import Coloring, InvariantError, PartitionSpec, ceil_div
+from .core import Coloring, InvariantError, PartitionSpec, ceil_div, twin_classes
 from .verifier import PairQuery, fan_out, max_disjoint_rainbow
 
 
@@ -32,15 +32,15 @@ def find_color_twins(coloring: Coloring, big_part: int) -> tuple[int, int] | Non
     color profiles toward every vertex outside big_part, if any.
 
     A whole row is a color profile: its entries toward the part itself are
-    0 for every member, so rows agree iff the profiles outside do."""
+    0 for every member, so rows agree iff the profiles outside do. The
+    classes of `twin_classes` over the ascending members are ascending and
+    ordered by their smallest member, so the first class with two members
+    starts with the lexicographically first twin pair."""
     spec = coloring.spec
     if not 0 <= big_part < spec.t:
         raise ValueError(f"part index {big_part} out of range")
-    rows = coloring.rows
-    groups: dict[tuple[int, ...], list[int]] = {}
-    for a in spec.part_members(big_part):
-        groups.setdefault(rows[a], []).append(a)
-    return min(((ids[0], ids[1]) for ids in groups.values() if len(ids) >= 2), default=None)
+    classes = twin_classes(coloring, spec.part_members(big_part))
+    return next(((ids[0], ids[1]) for ids in classes if len(ids) >= 2), None)
 
 
 @dataclass(frozen=True)

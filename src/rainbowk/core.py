@@ -27,7 +27,7 @@ from collections import defaultdict
 from dataclasses import dataclass
 from functools import cached_property
 from itertools import accumulate, combinations
-from typing import Callable, Iterator
+from typing import Callable, Iterable, Iterator
 
 # A path is an ordered vertex sequence; consecutive vertices must be adjacent.
 VertexPath = tuple[int, ...]
@@ -374,3 +374,21 @@ class VerificationReport:
 def all_pairs(spec: PartitionSpec) -> Iterator[tuple[int, int]]:
     """All unordered vertex pairs (same-part pairs included)."""
     return combinations(range(spec.n), 2)
+
+
+def twin_classes(
+    coloring: Coloring, vertices: Iterable[int] | None = None
+) -> list[list[int]]:
+    """The given vertices (all by default) grouped into color-twin classes:
+    vertices with equal `rows` entries, hence the same color toward every
+    other vertex. Equal rows imply the same part, since rows[a][b] is 0
+    only when a and b share a part.
+
+    Classes come in order of first appearance and list their members in
+    the order given, so over ascending ids each class is ascending and the
+    classes are ordered by their smallest member."""
+    rows = coloring.rows
+    classes: dict[tuple[int, ...], list[int]] = {}
+    for a in coloring.spec.vertices() if vertices is None else vertices:
+        classes.setdefault(rows[a], []).append(a)
+    return list(classes.values())

@@ -95,7 +95,7 @@ def first_failing_pair(
     pairs = all_pairs(coloring.spec)
     if hint is not None:
         pairs = chain([hint], (p for p in pairs if p != hint))
-    return next((p for p in pairs if pair_count(coloring, k, "decision", p) < k), None)
+    return next((p for p in pairs if pair_count(coloring, k, "decision", p)[0] < k), None)
 
 
 def rc_k_exact(

@@ -20,6 +20,26 @@ that fit that sum (zero-weight paths, such as the direct edge, are free).
 The minimum of that count over the regions, and of |cand|, bounds every
 packing drawn from cand; `_capacity_bound` computes it.
 
+`verify_rainbow_k_connected` queries one pair per orbit of the coloring's
+twin symmetry. Color twins are vertices with equal `rows` entries
+(`core.twin_classes`); they lie in one part. The quotient is sound in three
+steps:
+- The transposition of two twins a, b is a color-preserving automorphism:
+  it fixes every part, an edge bw has color rows[b][w] = rows[a][w], the
+  color of aw, and the pair ab itself is no edge. It therefore maps the
+  rainbow u,v-paths onto the rainbow paths of the image pair, disjoint
+  interiors to disjoint interiors, so both pairs have the same maximum.
+- These transpositions generate the product of the symmetric groups on the
+  twin classes. Its orbits on unordered pairs are C x D for classes C != D
+  and the pairs inside C: Sym(C) x Sym(D) is transitive on C x D, Sym(C)
+  on the 2-subsets of C, and no element moves a vertex out of its class.
+- Maximize mode counts the maximum, decision mode min(k, maximum); both
+  are constant on each orbit.
+Each orbit is queried at its lexicographically first pair, (min C, min D)
+or the two smallest members of C, and its count is copied to the others.
+The first failing pair in lexicographic order is then a representative, so
+the report is the one the full pair loop gives, failing family included.
+
 `pair_count` is the one per-pair query (the oracle maps it over its own
 pair order) and `fan_out` the one process fan-out (the lower-bound sampler
 maps its seeds through it).
@@ -27,6 +47,7 @@ maps its seeds through it).
 
 from __future__ import annotations
 
+import logging
 import os
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
@@ -40,7 +61,10 @@ from .core import (
     WitnessFamily,
     all_pairs,
     ceil_div,
+    twin_classes,
 )
+
+logger = logging.getLogger(__name__)
 
 
 @dataclass(frozen=True)
@@ -260,11 +284,14 @@ def max_disjoint_rainbow(
 
 def pair_count(
     coloring: Coloring, k: int, mode: str, pair: tuple[int, int]
-) -> int:
+) -> tuple[int, WitnessFamily | None]:
     """Disjoint rainbow path count of one pair: capped at k in decision
-    mode, the maximum in maximize mode."""
+    mode, the maximum in maximize mode. The family comes with it in
+    maximize mode only, where it attains the maximum; a decision-mode
+    family may stop at k and is dropped (None)."""
     query = PairQuery(pair[0], pair[1], mode=mode, k=k if mode == "decision" else None)
-    return max_disjoint_rainbow(coloring, query)[0]
+    count, family = max_disjoint_rainbow(coloring, query)
+    return count, family if mode == "maximize" else None
 
 
 def fan_out(work, items, jobs: int) -> list:
@@ -288,17 +315,34 @@ def verify_rainbow_k_connected(
     coloring: Coloring, k: int, mode: str = "decision", jobs: int = 1
 ) -> VerificationReport:
     """Check that every unordered vertex pair admits k pairwise internally
-    disjoint rainbow paths. Results are identical for any jobs count."""
+    disjoint rainbow paths, querying one pair per twin orbit (module
+    docstring). Results are identical for any jobs count."""
     if k < 1:
         raise ValueError("k must be >= 1")
     pairs = list(all_pairs(coloring.spec))
-    counts = dict(zip(pairs, fan_out(partial(pair_count, coloring, k, mode), pairs, jobs)))
+    classes = twin_classes(coloring)
+    class_of = {a: i for i, members in enumerate(classes) for a in members}
+    # An orbit is keyed by its unordered class pair. Pairs come in lex
+    # order, so the first pair seen of each orbit is its representative.
+    reps: dict[tuple[int, int], tuple[int, int]] = {}
+    rep_of = []
+    for u, v in pairs:
+        a, b = sorted((class_of[u], class_of[v]))
+        rep_of.append(reps.setdefault((a, b), (u, v)))
+    logger.debug("verify: %d pairs, %d twin classes, %d representative pairs",
+                 len(pairs), len(classes), len(reps))
+    rep_pairs = list(reps.values())
+    work = partial(pair_count, coloring, k, mode)
+    results = dict(zip(rep_pairs, fan_out(work, rep_pairs, jobs)))
+    counts = {p: results[r][0] for p, r in zip(pairs, rep_of)}
     failing = next((p for p in pairs if counts[p] < k), None)
     best = None
     if failing is not None:
-        _, best = max_disjoint_rainbow(
-            coloring, PairQuery(failing[0], failing[1], mode="maximize")
-        )
+        best = results[failing][1]
+        if best is None:  # decision mode: search the failing pair's maximum
+            _, best = max_disjoint_rainbow(
+                coloring, PairQuery(failing[0], failing[1], mode="maximize")
+            )
     return VerificationReport(
         k=k,
         ok=failing is None,

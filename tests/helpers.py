@@ -1,9 +1,12 @@
 """Independent oracles used to cross-check the library, written from the
-definitions without reusing library internals."""
+definitions without reusing library internals, and unpruned references for
+the library's pruned loops (`unpruned_max_packing`, `full_pair_report`),
+which reuse only the per-pair query they do not prune."""
 
 from itertools import combinations, permutations
 
-from rainbowk.core import Coloring, PartitionSpec
+from rainbowk.core import Coloring, PartitionSpec, VerificationReport, all_pairs
+from rainbowk.verifier import PairQuery, max_disjoint_rainbow
 
 
 def brute_force_rainbow_paths(coloring: Coloring, u: int, v: int, max_len: int):
@@ -119,6 +122,23 @@ def unpruned_max_packing(paths, target):
     if target is not None:
         return best[:target]
     return best
+
+
+def full_pair_report(coloring: Coloring, k: int, mode: str) -> VerificationReport:
+    """The verifier's report from a query of every pair, with no twin
+    quotient: the reference the one-pair-per-orbit loop is compared
+    against. The failing pair's family comes from a maximize query."""
+    counts = {}
+    for u, v in all_pairs(coloring.spec):
+        query = PairQuery(u, v, mode=mode, k=k if mode == "decision" else None)
+        counts[(u, v)] = max_disjoint_rainbow(coloring, query)[0]
+    failing = next((p for p in counts if counts[p] < k), None)
+    best = None
+    if failing is not None:
+        _, best = max_disjoint_rainbow(coloring, PairQuery(*failing, mode="maximize"))
+    return VerificationReport(k=k, ok=failing is None, counts=counts,
+                              capped=(mode == "decision"), failing_pair=failing,
+                              failing_family=best)
 
 
 def _connected_after_removal(spec: PartitionSpec, removed: set) -> bool:

@@ -18,6 +18,7 @@ from rainbowk.core import (
     family_is_valid,
     is_rainbow_path,
     path_colors,
+    twin_classes,
 )
 
 # The 3-color triangle coloring on K_{1,1,1}: parts A={0}, B={1}, X={2}.
@@ -323,3 +324,23 @@ def test_package_has_no_assert_statements():
         if isinstance(node, ast.Assert)
     ]
     assert found == []
+
+
+@given(small_colorings())
+def test_twin_classes_group_equal_rows_within_parts(coloring):
+    # Classes partition the vertices, ascending and ordered by their
+    # smallest member; members share a row and a part, and classes differ
+    # in their rows.
+    spec, rows = coloring.spec, coloring.rows
+    classes = twin_classes(coloring)
+    assert sorted(a for c in classes for a in c) == list(spec.vertices())
+    assert all(c == sorted(c) for c in classes)
+    assert [c[0] for c in classes] == sorted(c[0] for c in classes)
+    for c in classes:
+        assert len({rows[a] for a in c}) == 1
+        assert len({spec.part_of(a) for a in c}) == 1
+    assert len({rows[c[0]] for c in classes}) == len(classes)
+    # A subset of the vertices is grouped on its own.
+    members = spec.part_members(0)
+    assert twin_classes(coloring, members) == [
+        c for c in classes if spec.part_of(c[0]) == 0]

@@ -1,5 +1,7 @@
 import json
+import logging
 import os
+from itertools import combinations
 from pathlib import Path
 
 import pytest
@@ -11,13 +13,14 @@ from helpers import (
     all_colorings,
     assert_vertex_connectivity,
     brute_force_rainbow_paths,
+    full_pair_report,
     naive_max_disjoint,
     unpruned_max_packing,
 )
 from rainbowk import verifier
 from rainbowk.bounds import random_coloring
-from rainbowk.constructions import color_2_4_16, color_bipartite4, color_ctk
-from rainbowk.core import Coloring, PartitionSpec, all_pairs, family_is_valid
+from rainbowk.constructions import color_2_4_16, color_bipartite4, color_ctk, color_mnn
+from rainbowk.core import Coloring, PartitionSpec, all_pairs, family_is_valid, twin_classes
 from rainbowk.oracle import first_failing_pair
 from rainbowk.verifier import (
     PairQuery,
@@ -363,3 +366,109 @@ def test_maximize_counts_match_the_benchmark_record():
     for name, ((coloring, _), k) in instances.items():
         report = verify_rainbow_k_connected(coloring, k, mode="maximize")
         assert [report.counts[p] for p in sorted(report.counts)] == expected[name], name
+
+
+@st.composite
+def twinned_colorings(draw):
+    """A small random coloring with planted color twins: in each part, the
+    rows of some members are overwritten by one member's row (its colors
+    toward every vertex outside the part)."""
+    sizes = draw(st.lists(st.integers(1, 4), min_size=2, max_size=3)
+                 .filter(lambda sizes: sum(sizes) <= 8))
+    spec = PartitionSpec(tuple(sizes))
+    num_colors = draw(st.integers(1, 4))
+    colors = {e: draw(st.integers(1, num_colors)) for e in spec.edges()}
+    copy_of = {}
+    for i in range(spec.t):
+        members = list(spec.part_members(i))
+        source = draw(st.sampled_from(members))
+        for a in draw(st.sets(st.sampled_from(members))) - {source}:
+            copy_of[a] = source
+    planted = {}
+    for u, v in spec.edges():
+        a, b = copy_of.get(u, u), copy_of.get(v, v)
+        planted[(u, v)] = colors[(min(a, b), max(a, b))]
+    return Coloring(spec, num_colors, planted)
+
+
+@given(twinned_colorings(), st.sampled_from(["decision", "maximize"]),
+       st.integers(1, 3))
+@settings(max_examples=60)
+def test_twin_quotient_matches_the_full_pair_loop(coloring, pool_mode, pool_k):
+    # One query per twin orbit, counts copied: the report document equals
+    # the one from querying every pair, failing pair and family included.
+    # Every mode and k runs with jobs=1; one drawn pair of them with jobs=2
+    # too, since each pool costs a process start.
+    for mode in ("decision", "maximize"):
+        for k in (1, 2, 3):
+            expected = full_pair_report(coloring, k, mode).to_json_dict()
+            jobs_list = (1, 2) if (mode, k) == (pool_mode, pool_k) else (1,)
+            for jobs in jobs_list:
+                got = verify_rainbow_k_connected(coloring, k, mode=mode, jobs=jobs)
+                assert got.to_json_dict() == expected, (mode, k, jobs)
+
+
+def _count_calls(monkeypatch, name):
+    """Record the arguments of every call of verifier.<name>."""
+    calls = []
+    original = getattr(verifier, name)
+
+    def counted(*args):
+        calls.append(args)
+        return original(*args)
+
+    monkeypatch.setattr(verifier, name, counted)
+    return calls
+
+
+def _representatives(coloring):
+    """The lex-first pair of each twin orbit, from the classes directly."""
+    classes = twin_classes(coloring)
+    reps = [(c[0], c[1]) for c in classes if len(c) >= 2]
+    reps += [(min(c[0], d[0]), max(c[0], d[0])) for c, d in combinations(classes, 2)]
+    return sorted(reps)
+
+
+def test_each_representative_pair_is_queried_once(monkeypatch):
+    # Twins planted in a seeded coloring, so the run fails at k = 3 on a
+    # pair whose orbit holds more than one pair.
+    base = random_coloring(PartitionSpec((3, 3, 2)), 3, seed=7)
+    rows = base.rows
+    coloring = Coloring.from_function(
+        base.spec, 3, lambda u, v: rows[0 if u == 1 else u][0 if v == 1 else v])
+    reps = _representatives(coloring)
+    assert len(reps) < len(list(all_pairs(coloring.spec)))
+
+    calls = _count_calls(monkeypatch, "max_disjoint_rainbow")
+    report = verify_rainbow_k_connected(coloring, 3, mode="maximize")
+    assert not report.ok
+    # Maximize mode keeps the failing pair's family from its own query.
+    assert sorted((q.u, q.v) for _, q in calls) == reps
+    assert all(q.mode == "maximize" for _, q in calls)
+
+    calls.clear()
+    report = verify_rainbow_k_connected(coloring, 3)
+    queries = [(q.u, q.v, q.mode) for _, q in calls]
+    # Decision mode runs one maximize query more, on the failing pair.
+    assert sorted(queries[:-1]) == [(u, v, "decision") for u, v in reps]
+    assert queries[-1] == (*report.failing_pair, "maximize")
+
+
+@pytest.mark.parametrize("build, k, queries", [
+    (lambda: color_bipartite4(8, 8, 4), 4, 10),  # 120 pairs
+    (lambda: color_ctk(PartitionSpec((6, 6, 6)), 4), 4, 6),  # 153 pairs
+    (lambda: color_mnn(16, 6), 2, 378),  # twin-free: every pair
+])
+def test_pair_queries_on_construction_instances(monkeypatch, build, k, queries):
+    coloring, _ = build()
+    calls = _count_calls(monkeypatch, "pair_count")
+    assert verify_rainbow_k_connected(coloring, k).ok
+    assert len(calls) == queries
+
+
+def test_verify_logs_its_pair_and_class_counts(caplog):
+    coloring, _ = color_bipartite4(8, 8, 4)
+    with caplog.at_level(logging.DEBUG, logger="rainbowk.verifier"):
+        verify_rainbow_k_connected(coloring, 4)
+    assert caplog.messages == [
+        "verify: 120 pairs, 4 twin classes, 10 representative pairs"]

@@ -41,8 +41,8 @@ The first failing pair in lexicographic order is then a representative, so
 the report is the one the full pair loop gives, failing family included.
 
 `pair_count` is the one per-pair query (the oracle maps it over its own
-pair order) and `fan_out` the one process fan-out (the lower-bound sampler
-maps its seeds through it).
+pair order, with its relaxations' path-length cap) and `fan_out` the one
+process fan-out (the lower-bound sampler maps its seeds through it).
 """
 
 from __future__ import annotations
@@ -69,12 +69,15 @@ logger = logging.getLogger(__name__)
 
 @dataclass(frozen=True)
 class PairQuery:
-    """One pair to check: decide `count >= k` or maximize the packing size."""
+    """One pair to check: decide `count >= k` or maximize the packing size.
+    `max_len` caps the path length below the palette size (None: no cap
+    beyond the palette's own, which pigeonhole makes safe)."""
 
     u: int
     v: int
     mode: str = "decision"
     k: int | None = None
+    max_len: int | None = None
 
     def __post_init__(self) -> None:
         if self.u == self.v:
@@ -83,6 +86,8 @@ class PairQuery:
             raise ValueError(f"unknown mode {self.mode!r}")
         if self.mode == "decision" and (self.k is None or self.k < 1):
             raise ValueError("decision mode needs k >= 1")
+        if self.max_len is not None and self.max_len < 1:
+            raise ValueError("max_len must be >= 1")
 
 
 def enumerate_rainbow_paths(
@@ -270,7 +275,7 @@ def max_disjoint_rainbow(
 ) -> tuple[int, WitnessFamily]:
     """Size of a maximum packing of internally disjoint rainbow u,v-paths,
     plus a family attaining it. Decision mode caps the count at k."""
-    paths = enumerate_rainbow_paths(coloring, query.u, query.v)
+    paths = enumerate_rainbow_paths(coloring, query.u, query.v, query.max_len)
     target = query.k if query.mode == "decision" else None
     picked = _max_packing(paths, target, coloring.spec.part_masks)
     family = WitnessFamily(
@@ -283,13 +288,15 @@ def max_disjoint_rainbow(
 
 
 def pair_count(
-    coloring: Coloring, k: int, mode: str, pair: tuple[int, int]
+    coloring: Coloring, k: int, mode: str, pair: tuple[int, int],
+    max_len: int | None = None,
 ) -> tuple[int, WitnessFamily | None]:
-    """Disjoint rainbow path count of one pair: capped at k in decision
-    mode, the maximum in maximize mode. The family comes with it in
-    maximize mode only, where it attains the maximum; a decision-mode
-    family may stop at k and is dropped (None)."""
-    query = PairQuery(pair[0], pair[1], mode=mode, k=k if mode == "decision" else None)
+    """Disjoint rainbow path count of one pair, over paths of at most
+    max_len edges: capped at k in decision mode, the maximum in maximize
+    mode. The family comes with it in maximize mode only, where it attains
+    the maximum; a decision-mode family may stop at k and is dropped (None)."""
+    query = PairQuery(pair[0], pair[1], mode=mode, k=k if mode == "decision" else None,
+                      max_len=max_len)
     count, family = max_disjoint_rainbow(coloring, query)
     return count, family if mode == "maximize" else None
 

@@ -1,11 +1,13 @@
 """Independent oracles used to cross-check the library, written from the
 definitions without reusing library internals, and unpruned references for
-the library's pruned loops (`unpruned_max_packing`, `full_pair_report`),
-which reuse only the per-pair query they do not prune."""
+the library's pruned loops (`unpruned_max_packing`, `full_pair_report`,
+`unpruned_rc_k_exact`), which reuse only the per-pair query or the
+enumerator they do not prune."""
 
 from itertools import combinations, permutations
 
 from rainbowk.core import Coloring, PartitionSpec, VerificationReport, all_pairs
+from rainbowk.oracle import enumerate_colorings_canonical, first_failing_pair
 from rainbowk.verifier import PairQuery, max_disjoint_rainbow
 
 
@@ -139,6 +141,21 @@ def full_pair_report(coloring: Coloring, k: int, mode: str) -> VerificationRepor
     return VerificationReport(k=k, ok=failing is None, counts=counts,
                               capped=(mode == "decision"), failing_pair=failing,
                               failing_family=best)
+
+
+def unpruned_rc_k_exact(spec: PartitionSpec, k: int, max_colors: int):
+    """(value, witness) of the oracle without the relaxation cut: for each
+    palette size, every restricted-growth coloring with exactly that many
+    colors, checked one by one, the first that passes being the witness.
+    (None, None) when none passes up to max_colors."""
+    for num_colors in range(1, max_colors + 1):
+        hint = None
+        for coloring in enumerate_colorings_canonical(spec, num_colors,
+                                                      min_colors=num_colors):
+            hint = first_failing_pair(coloring, k, hint)
+            if hint is None:
+                return num_colors, coloring
+    return None, None
 
 
 def _connected_after_removal(spec: PartitionSpec, removed: set) -> bool:

@@ -1,16 +1,25 @@
+import logging
 import random
+from itertools import permutations
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from helpers import unpruned_rc_k_exact
 from rainbowk.constructions import color_ctk, color_mnn
-from rainbowk.core import PartitionSpec
+from rainbowk.core import Coloring, PartitionSpec, all_pairs
 from rainbowk.oracle import (
     BudgetExceeded,
     canonical_form,
     enumerate_colorings_canonical,
     rc_k_exact,
 )
-from rainbowk.verifier import verify_rainbow_k_connected
+from rainbowk.verifier import (
+    pair_count,
+    structural_connectivity,
+    verify_rainbow_k_connected,
+)
 
 
 def test_canonical_enumeration_counts():
@@ -115,3 +124,85 @@ def test_oracle_consistent_with_constructions():
     result = rc_k_exact(spec, 2, 2)
     assert result.value == 2 == construction.num_colors
     assert verify_rainbow_k_connected(result.witness, 2).ok
+
+
+@st.composite
+def colorings_with_a_prefix(draw):
+    """A small spec, a full coloring with palette 1..L and a prefix length
+    of the lex edge list."""
+    sizes = draw(st.lists(st.integers(1, 3), min_size=2, max_size=3))
+    spec = PartitionSpec(tuple(sizes))
+    num_colors = draw(st.integers(1, 4))
+    edges = list(spec.edges())
+    colors = draw(st.lists(st.integers(1, num_colors),
+                           min_size=len(edges), max_size=len(edges)))
+    prefix = draw(st.integers(0, len(edges)))
+    return Coloring(spec, num_colors, dict(zip(edges, colors))), prefix
+
+
+@settings(max_examples=60)
+@given(colorings_with_a_prefix())
+def test_the_relaxation_bounds_every_completion(instance):
+    # The oracle's relaxation, built here from its definition: the prefix
+    # keeps its colors, every later edge gets its own fresh color > L. Its
+    # packing over paths of at most L edges is an upper bound for every
+    # completion's, this coloring's among them.
+    coloring, prefix = instance
+    num_colors = coloring.num_colors
+    edges = list(coloring.spec.edges())
+    colors = [coloring.color(*e) for e in edges[:prefix]]
+    colors += range(num_colors + 1, num_colors + 1 + len(edges) - prefix)
+    relaxation = Coloring(coloring.spec, num_colors + len(edges) - prefix,
+                          dict(zip(edges, colors)))
+    for pair in all_pairs(coloring.spec):
+        full, _ = pair_count(coloring, 1, "maximize", pair)
+        relaxed, _ = pair_count(relaxation, 1, "maximize", pair, max_len=num_colors)
+        assert relaxed >= full, pair
+
+
+CROSS_CHECK = [
+    (order, k)
+    for shape in [(1, 2, 3), (2, 2, 2), (3, 3), (1, 1, 1, 1, 1), (2, 2), (1, 1, 3)]
+    for order in sorted(set(permutations(shape)))
+    for k in range(1, structural_connectivity(PartitionSpec(order)) + 1)
+]
+
+
+@pytest.mark.parametrize("order, k", CROSS_CHECK,
+                         ids=[f"{''.join(map(str, o))}-k{k}" for o, k in CROSS_CHECK])
+def test_pruned_oracle_matches_the_unpruned_enumeration(order, k):
+    # Cut subtrees hold no passing leaf, so the value and the witness, the
+    # first passing coloring in restricted-growth order, are unchanged.
+    spec = PartitionSpec(order)
+    result = rc_k_exact(spec, k, 3)
+    value, witness = unpruned_rc_k_exact(spec, k, 3)
+    assert result.value == value
+    if witness is None:
+        assert result.witness is None
+    else:
+        assert result.witness.to_json_text() == witness.to_json_text()
+
+
+@pytest.mark.parametrize("sizes, max_colors, expected", [
+    ((1, 1, 3), 4, 3),
+    ((1, 1, 4), 4, 4),
+    ((2, 3), 3, 3),
+    ((2, 4), 3, None),
+    ((1, 1, 5), 4, None),
+])
+def test_rc_2_values_on_lopsided_graphs(sizes, max_colors, expected):
+    result = rc_k_exact(PartitionSpec(sizes), 2, max_colors)
+    assert result.value == expected
+    if expected is not None:
+        assert verify_rainbow_k_connected(result.witness, 2).ok
+
+
+def test_oracle_logs_its_search_per_palette_size(caplog):
+    with caplog.at_level(logging.DEBUG, logger="rainbowk.oracle"):
+        result = rc_k_exact(PartitionSpec((2, 2)), 2, 4)
+    assert result.value == 4
+    assert caplog.messages == [
+        f"rck-exact: {L} colors: {nodes} nodes checked, {cut} subtrees cut, "
+        f"{leaves} leaves reached"
+        for L, nodes, cut, leaves in [(1, 1, 1, 0), (2, 1, 1, 0), (3, 10, 3, 3), (4, 5, 0, 1)]
+    ]

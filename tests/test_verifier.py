@@ -117,6 +117,22 @@ def test_pair_query_validation():
         PairQuery(0, 1, mode="guess")
 
 
+def test_pair_query_rejects_a_cap_below_one_edge():
+    with pytest.raises(ValueError, match="max_len"):
+        PairQuery(0, 1, mode="maximize", max_len=0)
+    assert PairQuery(0, 1, mode="maximize", max_len=1).max_len == 1
+
+
+def test_max_len_caps_the_paths_a_query_packs():
+    # K_{2,2} rainbow: the cross pair (0, 2) has its edge and 0-3-1-2.
+    coloring = Coloring.from_function(PartitionSpec((2, 2)), 4,
+                                      lambda u, v: 2 * u + v - 1)
+    assert max_disjoint_rainbow(coloring, PairQuery(0, 2, mode="maximize"))[0] == 2
+    count, family = max_disjoint_rainbow(
+        coloring, PairQuery(0, 2, mode="maximize", max_len=2))
+    assert count == 1 and family.paths == ((0, 2),)
+
+
 def test_exhaustive_oracle_agreement():
     # Every coloring of K_{2,2} and K_{1,1,2} with up to 3 colors: the
     # branch-and-bound packing equals the subset brute force for every pair.

@@ -13,7 +13,7 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass
-from functools import partial
+from functools import lru_cache, partial
 
 from .core import Coloring, InvariantError, PartitionSpec, ceil_div, twin_classes
 from .verifier import PairQuery, fan_out, max_disjoint_rainbow
@@ -172,16 +172,51 @@ def certify_multipartite_lower(k: int, coloring: Coloring) -> LowerBoundCertific
                              bound=(coloring.spec.n - sizes[big]) // 2)
 
 
+@lru_cache(maxsize=None)
+def _byte_tables(num_colors: int) -> tuple[bytes, bytes]:
+    """`bytes.translate` tables for `random_coloring`'s byte draw: the map
+    from the top byte of a 32-bit word to its color 1 + (byte >> (8 - b)),
+    b = num_colors.bit_length(), and the bytes whose value is rejected."""
+    shift = 8 - num_colors.bit_length()
+    values = [byte >> shift for byte in range(256)]
+    table = bytes(r + 1 if r < num_colors else 0 for r in values)
+    reject = bytes(byte for byte, r in enumerate(values) if r >= num_colors)
+    return table, reject
+
+
 def random_coloring(
     spec: PartitionSpec, num_colors: int, seed: int
 ) -> Coloring:
     """Uniform independent color per cross edge from a seeded generator;
-    the same seed always reproduces the same coloring."""
+    the same seed always reproduces the same coloring.
+
+    Stream contract: edge by edge in lex order (`spec.edge_list`), the
+    colors are those `rng.randrange(1, num_colors + 1)` draws from
+    `rng = random.Random(seed)`. randrange(1, L + 1) returns 1 + r, r drawn
+    by rejection: getrandbits(b), b = L.bit_length(), until r < L. For
+    b <= 32 each getrandbits(b) takes one 32-bit Mersenne Twister word and
+    keeps its top b bits, and getrandbits(32 * W) returns the next W words,
+    the first one least significant. So for L <= 255 (b <= 8) the top
+    bytes of `getrandbits(32 * W).to_bytes(4 * W, "little")`, every fourth
+    byte from the fourth, give the same r values in order after a shift
+    right by 8 - b: `_byte_tables` drops the rejected ones and maps the
+    rest to 1 + r. Each round draws one word per color still missing, so
+    the last word drawn is always kept and no word randrange would not draw
+    is taken. Larger palettes draw with randrange itself."""
     if num_colors < 1:
         raise ValueError("num_colors must be >= 1")
     rng = random.Random(seed)
-    assignment = {e: rng.randrange(1, num_colors + 1) for e in spec.edges()}
-    return Coloring(spec, num_colors, assignment)
+    edges = spec.edge_list
+    if num_colors <= 255:
+        table, reject = _byte_tables(num_colors)
+        colors = b""
+        while len(colors) < len(edges):
+            words = len(edges) - len(colors)
+            top = rng.getrandbits(32 * words).to_bytes(4 * words, "little")[3::4]
+            colors += top.translate(table, reject)
+    else:
+        colors = [rng.randrange(1, num_colors + 1) for _ in edges]
+    return Coloring(spec, num_colors, [(u, v, c) for (u, v), c in zip(edges, colors)])
 
 
 def _certify_seed(
@@ -209,6 +244,10 @@ def sample_certificates(
     list is identical for any jobs count."""
     if samples < 1:
         raise ValueError(f"samples must be >= 1, got {samples}")
+    # random.Random(-s) seeds like Random(s), so a negative range would
+    # repeat samples.
+    if seed < 0:
+        raise ValueError(f"--seed must be >= 0, got {seed}")
     if scenario not in _PALETTE:
         raise ValueError(f"unknown scenario {scenario!r}")
     spec = PartitionSpec(tuple(sizes))

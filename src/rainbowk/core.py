@@ -102,6 +102,11 @@ class PartitionSpec:
                 if table[u] != table[v]:
                     yield (u, v)
 
+    @cached_property
+    def edge_list(self) -> tuple[tuple[int, int], ...]:
+        """`edges()` as a tuple, built once per spec."""
+        return tuple(self.edges())
+
     def edge_count(self) -> int:
         sq = sum(s * s for s in self.sizes)
         return (self.n * self.n - sq) // 2

@@ -96,8 +96,10 @@ def enumerate_rainbow_paths(
     """All rainbow u->v paths with at most max_len edges, in lexicographic
     vertex order. Each path is reported once, oriented from u to v.
 
-    Colors come from `coloring.rows` by index. A path one edge short of the
-    cap is only tried against v, since any other step could not end there.
+    Colors come from `coloring.rows` by index. The last step the cap allows
+    is closed in place: from a partial path two edges short of the cap, each
+    step x is kept only together with its edge xv, which must exist and
+    differ from every color before it, and no call is made for P + (x,).
     Steps from a partial path P go in ascending x, so P + (v,) follows the
     paths through P + (x,) for x < v and precedes those for x > v; no path
     runs past v, so the output is lexicographic without a sort."""
@@ -109,27 +111,29 @@ def enumerate_rainbow_paths(
     if max_len is not None:
         cap = min(max_len, cap)
     rows = coloring.rows
+    if cap < 2:
+        # At most one edge: only the direct one can qualify.
+        return [(u, v)] if cap == 1 and rows[u][v] else []
+    to_v = rows[v]
     out: list[VertexPath] = []
 
     def extend(path: tuple[int, ...], used_colors: frozenset[int]) -> None:
-        w = path[-1]
-        if len(path) == cap:
-            # The next edge is the last one allowed: only the step to v counts.
-            col = rows[w][v]
-            if col and col not in used_colors:
-                out.append(path + (v,))
-            return
-        # Color 0 marks same-part pairs, the step back to w included.
-        for x, col in enumerate(rows[w]):
+        close = len(path) == cap - 1
+        # Color 0 marks same-part pairs, the step back to path[-1] included.
+        for x, col in enumerate(rows[path[-1]]):
             if not col or col in used_colors or x in path:
                 continue
             if x == v:
                 out.append(path + (x,))
+            elif close:
+                # The edge xv is the last one allowed: test it here.
+                end = to_v[x]
+                if end and end != col and end not in used_colors:
+                    out.append(path + (x, v))
             else:
                 extend(path + (x,), used_colors | {col})
 
-    if cap >= 1:
-        extend((u,), frozenset())
+    extend((u,), frozenset())
     return out
 
 

@@ -2,8 +2,9 @@
 definitions without reusing library internals, and unpruned references for
 the library's pruned loops (`unpruned_max_packing`, `full_pair_report`,
 `unpruned_rc_k_exact`), which reuse only the per-pair query or the
-enumerator they do not prune."""
+enumerator they do not prune, and of its batched draw (`randrange_coloring`)."""
 
+import random
 from itertools import combinations, permutations
 
 from rainbowk.core import Coloring, PartitionSpec, VerificationReport, all_pairs
@@ -156,6 +157,14 @@ def unpruned_rc_k_exact(spec: PartitionSpec, k: int, max_colors: int):
             if hint is None:
                 return num_colors, coloring
     return None, None
+
+
+def randrange_coloring(spec: PartitionSpec, num_colors: int, seed: int) -> Coloring:
+    """`bounds.random_coloring` as one randrange call per edge, in lex edge
+    order: the stream the batched draw must reproduce."""
+    rng = random.Random(seed)
+    return Coloring(spec, num_colors,
+                    {e: rng.randrange(1, num_colors + 1) for e in spec.edges()})
 
 
 def _connected_after_removal(spec: PartitionSpec, removed: set) -> bool:

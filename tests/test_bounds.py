@@ -2,6 +2,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from helpers import randrange_coloring
 from rainbowk.bounds import (
     certify_bipartite_lower,
     certify_multipartite_lower,
@@ -162,6 +163,33 @@ def test_random_coloring_is_deterministic():
     assert a != random_coloring(spec, 4, 43)
     assert len(a.assignment) == 34
     assert a.used_colors() <= {1, 2, 3, 4}
+
+
+@given(
+    st.lists(st.integers(1, 3), min_size=1, max_size=3),
+    st.integers(1, 40),
+    st.integers(0, 4),
+    st.one_of(st.integers(1, 9), st.sampled_from([255, 256, 300])),
+    st.integers(0, 2**32),
+)
+@settings(max_examples=150)
+def test_random_coloring_draws_the_randrange_stream(small, big, at, num_colors, seed):
+    # t = 2..4 parts, one of them big, in any position; palettes up to 255
+    # take the byte draw, 256 and 300 the randrange fallback.
+    sizes = small[:at] + [big] + small[at:]
+    spec = PartitionSpec(tuple(sizes))
+    got = random_coloring(spec, num_colors, seed)
+    assert got.rows == randrange_coloring(spec, num_colors, seed).rows
+
+
+@pytest.mark.parametrize("sizes", [(1, 1), (2, 17), (10, 1, 1), (2, 3, 1, 2)])
+def test_edge_list_is_the_lex_edge_order(sizes):
+    spec = PartitionSpec(sizes)
+    assert spec.edge_list == tuple(spec.edges())
+    part = [i for i, s in enumerate(sizes) for _ in range(s)]
+    assert spec.edge_list == tuple(
+        (u, v) for u in range(spec.n) for v in range(u + 1, spec.n) if part[u] != part[v]
+    )
 
 
 @given(

@@ -1,4 +1,5 @@
 import copy
+import hashlib
 import json
 import subprocess
 import sys
@@ -383,6 +384,16 @@ def test_lower_bound_names_a_wrong_part_count(tmp_path, capsys):
     assert captured.out == "" and not out.exists()
 
 
+@pytest.fixture
+def no_coloring_drawn(monkeypatch):
+    import rainbowk.bounds
+
+    def no_draw(*args):
+        raise AssertionError("a coloring was drawn for a usage error")
+
+    monkeypatch.setattr(rainbowk.bounds, "random_coloring", no_draw)
+
+
 @pytest.mark.parametrize("scenario, k, sizes, message", [
     ("bipartite5", "2", "800,800", "need k <= s <= 2k-1, got k=2, s=800"),
     ("bipartite5", "2", "2,16", "need m >= 4^s + 1 = 17, got m=16"),
@@ -392,19 +403,41 @@ def test_lower_bound_names_a_wrong_part_count(tmp_path, capsys):
     ("multipartite4", "2", "10,1", "multipartite4 needs t >= 3 parts, got 2"),
 ])
 def test_lower_bound_checks_hypotheses_before_drawing_a_coloring(
-        monkeypatch, tmp_path, capsys, scenario, k, sizes, message):
-    import rainbowk.bounds
-
-    def no_draw(*args):
-        raise AssertionError("a coloring was drawn for a usage error")
-
-    monkeypatch.setattr(rainbowk.bounds, "random_coloring", no_draw)
+        no_coloring_drawn, tmp_path, capsys, scenario, k, sizes, message):
     out = tmp_path / "certs.json"
     assert invoke(["lower-bound", "--scenario", scenario, "--k", k, "--sizes", sizes,
                    "--seed", "0", "-o", str(out)]) == 2
     captured = capsys.readouterr()
     assert captured.err == f"error: {message}\n"
     assert captured.out == "" and not out.exists()
+
+
+def test_lower_bound_refuses_a_negative_seed_before_drawing_a_coloring(
+        no_coloring_drawn, tmp_path, capsys):
+    # random.Random(-s) seeds like Random(s), so seeds -2..2 would repeat
+    # samples 0/4 and 1/3.
+    out = tmp_path / "certs.json"
+    assert invoke(["lower-bound", "--scenario", "bipartite5", "--k", "2", "--sizes", "2,17",
+                   "--samples", "5", "--seed", "-2", "-o", str(out)]) == 2
+    captured = capsys.readouterr()
+    assert captured.err == "error: --seed must be >= 0, got -2\n"
+    assert captured.out == "" and not out.exists()
+
+
+@pytest.mark.parametrize("scenario, sizes, digest", [
+    ("bipartite5", "2,17", "51912d9dcfde7d4d9c7eb3aa4d6632c4afc7c9ccaf2873c698bb2e99e0874c47"),
+    ("multipartite4", "10,1,1",
+     "4acc5571ad7da8f3cf994d04a824e9b9d6ddf7323ffd9670487d5f5360737165"),
+])
+def test_lower_bound_certificates_keep_their_bytes(tmp_path, capsys, scenario, sizes, digest):
+    # Pinned when each sample drew one randrange call per edge: any change
+    # to the colors a seed draws (or an interpreter whose random stream
+    # differs) changes these files.
+    out = tmp_path / "certs.json"
+    assert invoke(["lower-bound", "--scenario", scenario, "--k", "2", "--sizes", sizes,
+                   "--samples", "50", "--seed", "7", "-o", str(out)]) == 0
+    capsys.readouterr()
+    assert hashlib.sha256(out.read_bytes()).hexdigest() == digest
 
 
 def test_rck_exact_subcommand(tmp_path, capsys):

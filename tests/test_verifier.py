@@ -62,19 +62,29 @@ def test_enumerate_rejects_equal_endpoints():
         enumerate_rainbow_paths(ONE_COLOR_K22, 1, 1)
 
 
-@given(small_colorings())
-@settings(max_examples=40)
+@st.composite
+def lopsided_colorings(draw):
+    """Colorings with one big last part, 1..5 colors: most last steps of a
+    path toward a big-part vertex land in its own part."""
+    spec = PartitionSpec(draw(st.sampled_from([(1, 6), (2, 2, 5), (3, 9)])))
+    num_colors = draw(st.integers(1, 5))
+    return Coloring(spec, num_colors,
+                    {e: draw(st.integers(1, num_colors)) for e in spec.edges()})
+
+
+@given(st.one_of(small_colorings(), lopsided_colorings()))
+@settings(max_examples=80)
 def test_enumeration_matches_brute_force(coloring):
     n = coloring.spec.n
-    u, v = 0, n - 1
-    assert enumerate_rainbow_paths(coloring, u, v) == brute_force_rainbow_paths(
-        coloring, u, v, coloring.num_colors
-    )
-    # Every smaller cap too: the last edge below the cap is tried only
-    # against v, and that shortcut must hold at each depth.
-    for max_len in range(coloring.num_colors):
-        got = enumerate_rainbow_paths(coloring, u, v, max_len)
-        assert got == brute_force_rainbow_paths(coloring, u, v, max_len)
+    for u, v in {(0, n - 1), (n - 2, n - 1)}:
+        assert enumerate_rainbow_paths(coloring, u, v) == brute_force_rainbow_paths(
+            coloring, u, v, coloring.num_colors
+        )
+        # Every smaller cap too, and 1..3 at least: the last edge the cap
+        # allows is closed in place, and that must hold at each depth.
+        for max_len in range(max(coloring.num_colors, 4)):
+            got = enumerate_rainbow_paths(coloring, u, v, max_len)
+            assert got == brute_force_rainbow_paths(coloring, u, v, max_len)
 
 
 @given(small_colorings())

@@ -5,8 +5,28 @@ size, which is safe by pigeonhole), then compute a maximum packing of paths
 with pairwise disjoint interiors. Packing is a small set-packing instance
 solved exactly by branch and bound over the enumerated path list, branching
 on the lowest-id internal vertex still in contention. A greedy first-fit
-pass seeds the best packing, so the explicit constructions verify without
-search.
+pass over the list seeds the best packing.
+
+A decision query (target k) first runs that first-fit without the list:
+`first_fit_rainbow_paths` walks the depth-first search of
+`enumerate_rainbow_paths`, in the same lexicographic order, and picks each
+path it reaches, until it holds k. It differs from the full search in two
+ways, and neither changes which paths are picked:
+- It never steps onto a vertex in the interior of a picked path. Every path
+  through such a step has that vertex in its interior, and first-fit
+  rejects a path whose interior meets a picked one; picked interiors only
+  grow, so the whole subtree is rejected. The endpoints are in no interior,
+  so the step onto v is never skipped.
+- After each pick it goes back to the root and on to the next neighbour of
+  u. A pick (u, x, ..., v) with x != v puts x among the picked interiors,
+  so every later path in x's subtree is rejected. The direct edge (u, v) is
+  the only path of its root step, at position v, where the list has it too.
+Each skipped path is one first-fit rejects, and the walk reaches the others
+in list order, so it picks the paths, in the order, that the greedy pass
+over the full list picks. When it holds k paths the query is settled with
+them, the family the enumerate-and-pack route returns (the packing stops at
+its greedy seed); when it ends short of k, the query falls back to that
+route, whose search may still find k.
 
 The search prunes with an interior-capacity bound, the verifier's form of
 the paper's interior-counting argument. A region R is one part of the
@@ -90,11 +110,22 @@ class PairQuery:
             raise ValueError("max_len must be >= 1")
 
 
+def _path_cap(coloring: Coloring, u: int, v: int, max_len: int | None) -> int:
+    """Edge cap of the rainbow u->v paths to search: the palette size, or
+    max_len when smaller. Raises ValueError on an id out of range or u == v."""
+    if u == v:
+        raise ValueError("pair endpoints must differ")
+    coloring.spec.part_of(u), coloring.spec.part_of(v)  # id validation
+    cap = coloring.num_colors
+    return cap if max_len is None else min(max_len, cap)
+
+
 def enumerate_rainbow_paths(
     coloring: Coloring, u: int, v: int, max_len: int | None = None
 ) -> list[VertexPath]:
     """All rainbow u->v paths with at most max_len edges, in lexicographic
-    vertex order. Each path is reported once, oriented from u to v.
+    vertex order. Each path is reported once, oriented from u to v. Decision
+    queries list them only when `first_fit_rainbow_paths` falls short of k.
 
     Colors come from `coloring.rows` by index. The last step the cap allows
     is closed in place: from a partial path two edges short of the cap, each
@@ -103,13 +134,7 @@ def enumerate_rainbow_paths(
     Steps from a partial path P go in ascending x, so P + (v,) follows the
     paths through P + (x,) for x < v and precedes those for x > v; no path
     runs past v, so the output is lexicographic without a sort."""
-    spec = coloring.spec
-    if u == v:
-        raise ValueError("pair endpoints must differ")
-    spec.part_of(u), spec.part_of(v)  # id validation
-    cap = coloring.num_colors
-    if max_len is not None:
-        cap = min(max_len, cap)
+    cap = _path_cap(coloring, u, v, max_len)
     rows = coloring.rows
     if cap < 2:
         # At most one edge: only the direct one can qualify.
@@ -135,6 +160,58 @@ def enumerate_rainbow_paths(
 
     extend((u,), frozenset())
     return out
+
+
+def first_fit_rainbow_paths(
+    coloring: Coloring, u: int, v: int, k: int, max_len: int | None = None
+) -> list[VertexPath]:
+    """The paths, at most k, that greedy first-fit picks from
+    `enumerate_rainbow_paths(coloring, u, v, max_len)`: each path whose
+    interior misses the interiors picked before it, in list order. The
+    paths are not listed: the walk of the module docstring searches
+    depth-first for the lexicographically first path that avoids the picked
+    interiors, one neighbour of u after another, and stops at k picks."""
+    cap = _path_cap(coloring, u, v, max_len)
+    rows = coloring.rows
+    if cap < 2:
+        return [(u, v)] if cap == 1 and rows[u][v] else []
+    to_v = rows[v]
+    used: set[int] = set()  # interiors of the picked paths
+
+    def first(path: tuple[int, ...], used_colors: frozenset[int]) -> VertexPath | None:
+        close = len(path) == cap - 1
+        for x, col in enumerate(rows[path[-1]]):
+            if not col or col in used_colors or x in path or x in used:
+                continue
+            if x == v:
+                return path + (x,)
+            if close:
+                end = to_v[x]
+                if end and end != col and end not in used_colors:
+                    return path + (x, v)
+            else:
+                found = first(path + (x,), used_colors | {col})
+                if found:
+                    return found
+        return None
+
+    picked: list[VertexPath] = []
+    for x, col in enumerate(rows[u]):
+        if not col or x in used:
+            continue
+        if x == v:
+            found = (u, v)
+        elif cap == 2:  # the root step closes in place, as in the enumeration
+            end = to_v[x]
+            found = (u, x, v) if end and end != col else None
+        else:
+            found = first((u, x), frozenset((col,)))
+        if found:
+            picked.append(found)
+            if len(picked) == k:
+                break
+            used.update(found[1:-1])
+    return picked
 
 
 def _capacity_tables(
@@ -182,8 +259,11 @@ def _max_packing(
     pairwise disjoint paths are found. `part_masks` are the parts' vertex
     masks, the regions of the capacity bound beside the whole vertex set.
 
-    A greedy first-fit pass runs first, and two root exits follow it before
-    any work quadratic in the path count:
+    A greedy first-fit pass runs first. With a target, this function runs
+    only as `max_disjoint_rainbow`'s fallback, after its first-fit walk fell
+    short of the target, so the pass picks the walk's paths again and the
+    search starts from them. Two root exits follow the pass before any work
+    quadratic in the path count:
     - greedy took every path: no packing has more, so it is maximum;
     - greedy reached the capacity bound of the whole path set: the bound
       holds for every packing (module docstring), so none is larger.
@@ -278,16 +358,22 @@ def max_disjoint_rainbow(
     coloring: Coloring, query: PairQuery
 ) -> tuple[int, WitnessFamily]:
     """Size of a maximum packing of internally disjoint rainbow u,v-paths,
-    plus a family attaining it. Decision mode caps the count at k."""
-    paths = enumerate_rainbow_paths(coloring, query.u, query.v, query.max_len)
+    plus a family attaining it. Decision mode caps the count at k: the
+    first-fit walk settles it when it picks k paths, and only a walk that
+    ends short of k enumerates the paths and searches them (module
+    docstring); each such fallback is logged at debug level."""
+    u, v = query.u, query.v
     target = query.k if query.mode == "decision" else None
-    picked = _max_packing(paths, target, coloring.spec.part_masks)
-    family = WitnessFamily(
-        query.u,
-        query.v,
-        tuple(paths[i] for i in picked),
-        provenance=f"verifier {query.mode}",
-    )
+    if target is not None:
+        picked = first_fit_rainbow_paths(coloring, u, v, target, query.max_len)
+    if target is None or len(picked) < target:
+        paths = enumerate_rainbow_paths(coloring, u, v, query.max_len)
+        if target is not None:
+            logger.debug("pair (%d, %d): first fit stopped at %d of %d paths; "
+                         "searching %d enumerated paths", u, v, len(picked), target,
+                         len(paths))
+        picked = [paths[i] for i in _max_packing(paths, target, coloring.spec.part_masks)]
+    family = WitnessFamily(u, v, tuple(picked), provenance=f"verifier {query.mode}")
     return len(picked), family
 
 

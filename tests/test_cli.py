@@ -1,6 +1,7 @@
 import copy
 import hashlib
 import json
+import random
 import subprocess
 import sys
 from itertools import cycle, permutations
@@ -110,6 +111,86 @@ def test_verify_single_pair(tmp_path, capsys):
     assert invoke(["verify", "--coloring", str(path), "--k", "2",
                    "--pairs", "0,1"]) == 0
     assert "pass" in capsys.readouterr().out
+
+
+@pytest.mark.parametrize("mode", ["decision", "maximize"])
+@pytest.mark.parametrize("pairs, vertex", [(["--pairs", "0,99"], 99), (["--pairs=-1,3"], -1)],
+                         ids=["past-n", "negative"])
+def test_verify_pair_out_of_range_is_usage_error(tmp_path, capsys, mode, pairs, vertex):
+    # Unchecked, -1 would read rows[-1] and print a verdict, and 99 would
+    # end in an IndexError traceback.
+    coloring, meta = color_mnn(2, 2)
+    path = tmp_path / "c.json"
+    path.write_text(coloring_document(coloring, meta))
+    out = tmp_path / "report.json"
+    assert invoke(["verify", "--coloring", str(path), "--k", "2", "--mode", mode,
+                   *pairs, "--report", str(out)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == "" and not out.exists()
+    assert captured.err == f"error: vertex {vertex} out of range 0..5\n"
+
+
+def _relabelled(coloring, seed):
+    """`coloring` with its vertices shuffled inside each part and its
+    colours permuted by Random(seed): the same problem under other names."""
+    rng = random.Random(seed)
+    spec = coloring.spec
+    old_of = []
+    for i in range(spec.t):
+        block = list(spec.part_members(i))
+        rng.shuffle(block)
+        old_of.extend(block)
+    palette = list(range(1, coloring.num_colors + 1))
+    rng.shuffle(palette)
+    rows = coloring.rows
+    return Coloring.from_function(
+        spec, coloring.num_colors, lambda a, b: palette[rows[old_of[a]][old_of[b]] - 1])
+
+
+GOLDEN_COLORINGS = {
+    "mnn": lambda: _relabelled(color_mnn(16, 4)[0], 1),
+    "k2416": lambda: _relabelled(color_2_4_16()[0], 2),
+}
+
+
+@pytest.mark.parametrize("name, argv, code, line, digest", [
+    ("mnn", ["--k", "2"], 0, "pass: rainbow 2-connected (2 colors, 24 vertices)",
+     "a16b1fce752f4188d935644d24c867d99d3074fac8007f663b8c84233fea78d0"),
+    ("mnn", ["--k", "3"], 1,
+     "fail: pair (0, 1) has only 2 < 3 internally disjoint rainbow paths",
+     "fbd3b4ee87927be03a58c42c9e90536ba39c490fad7e45aa20f8db993b47c167"),
+    ("mnn", ["--k", "2", "--pairs", "3,20"], 0,
+     "pair (3, 20): 2 internally disjoint rainbow paths (pass at k=2)",
+     "8e722dd97cf3b4a0feeabd4dd21d144593463f5e3b5f164a004f174fe2439186"),
+    ("mnn", ["--k", "3", "--pairs", "3,20"], 1,
+     "pair (3, 20): 2 internally disjoint rainbow paths (fail at k=3)",
+     "8e722dd97cf3b4a0feeabd4dd21d144593463f5e3b5f164a004f174fe2439186"),
+    ("mnn", ["--k", "2", "--pairs", "17,18"], 0,
+     "pair (17, 18): 2 internally disjoint rainbow paths (pass at k=2)",
+     "e9cd7da832447ed830fdd6883f155d4c58fe5275baa8955398a06f4ff1d12b71"),
+    ("k2416", ["--k", "2"], 0, "pass: rainbow 2-connected (2 colors, 22 vertices)",
+     "2ebb0363643da4cdfa284f096e523a51901cfc10e3a0859147a97bec8f6f8135"),
+    ("k2416", ["--k", "3"], 1,
+     "fail: pair (0, 8) has only 2 < 3 internally disjoint rainbow paths",
+     "4099d9185e9a633ce657cab84f32eaaf060439c9ac06e971ed23e79f22187e7d"),
+    ("k2416", ["--k", "2", "--pairs", "0,1"], 0,
+     "pair (0, 1): 2 internally disjoint rainbow paths (pass at k=2)",
+     "e3944a3707fb1ac034adb50401f7294916f85619b5368868a666b76d5edd98a5"),
+    ("k2416", ["--k", "2", "--pairs", "4,9"], 0,
+     "pair (4, 9): 2 internally disjoint rainbow paths (pass at k=2)",
+     "40a21d130e117d875aeb8031a24a03af0a52c3ed3419fb48e81ae54e9010ba2b"),
+], ids=["mnn-pass", "mnn-fail", "mnn-pair", "mnn-pair-fail", "mnn-pair-same-part",
+        "k2416-pass", "k2416-fail", "k2416-pair-same-part", "k2416-pair"])
+def test_decision_reports_keep_their_bytes(tmp_path, capsys, name, argv, code, line, digest):
+    # Pinned while every decision query still enumerated all of its rainbow
+    # paths: verdicts, counts and families must not depend on how a
+    # decision query is settled.
+    path = tmp_path / "c.json"
+    path.write_text(GOLDEN_COLORINGS[name]().to_json_text())
+    report = tmp_path / "report.json"
+    assert invoke(["verify", "--coloring", str(path), "--report", str(report), *argv]) == code
+    assert capsys.readouterr().out == line + "\n"
+    assert hashlib.sha256(report.read_bytes()).hexdigest() == digest
 
 
 def test_malformed_file_is_usage_error(tmp_path, capsys):
@@ -447,6 +528,17 @@ def test_rck_exact_subcommand(tmp_path, capsys):
     assert "rc_1(2,2) = 2" in capsys.readouterr().out
     reloaded = Coloring.from_json_text(witness.read_text())
     assert reloaded.num_colors == 2
+
+
+def test_rck_exact_witness_keeps_its_bytes(tmp_path, capsys):
+    # Pinned while every decision query still enumerated all of its rainbow
+    # paths; the oracle's pair checks are decision queries.
+    witness = tmp_path / "witness.json"
+    assert invoke(["rck-exact", "--sizes", "2,1,3", "--k", "2", "--max-colors", "3",
+                   "-o", str(witness)]) == 0
+    assert capsys.readouterr().out == "rc_2(2,1,3) = 3\n"
+    assert hashlib.sha256(witness.read_bytes()).hexdigest() == (
+        "6c1415122b8a036299f64abb1f90333e763748c0314ec5576139a5a568b04d7b")
 
 
 def test_rck_exact_exhaustion_line(capsys):

@@ -28,7 +28,9 @@ from rainbowk.verifier import (
     _capacity_tables,
     enumerate_rainbow_paths,
     fan_out,
+    first_fit_rainbow_paths,
     max_disjoint_rainbow,
+    pair_count,
     structural_connectivity,
     verify_rainbow_k_connected,
 )
@@ -349,6 +351,43 @@ def test_bounded_search_matches_unpruned_search(instance):
         assert family.paths == tuple(paths[i] for i in unpruned_max_packing(paths, k))
 
 
+@given(st.lists(st.integers(1, 4), min_size=2, max_size=4), st.integers(1, 5),
+       st.integers(0, 2**32))
+@settings(max_examples=250)
+def test_first_fit_walk_matches_the_full_enumeration(sizes, num_colors, seed):
+    # The walk picks what greedy first-fit picks from the full path list
+    # (module docstring), so decision counts and families, fallback
+    # included, equal enumeration plus the unpruned search. Palettes of 1
+    # and 2 and max_len 2 reach the walk's cap < 2 and cap = 2 branches.
+    coloring = random_coloring(PartitionSpec(tuple(sizes)), num_colors, seed)
+    for u, v in all_pairs(coloring.spec):
+        for max_len in (None, 2, 3):
+            paths = enumerate_rainbow_paths(coloring, u, v, max_len)
+            for k in (1, 2, 3):
+                greedy, used = [], set()
+                for p in paths:
+                    if len(greedy) < k and used.isdisjoint(p[1:-1]):
+                        greedy.append(p)
+                        used.update(p[1:-1])
+                assert first_fit_rainbow_paths(coloring, u, v, k, max_len) == greedy
+                picked = unpruned_max_packing(paths, k)
+                count, family = max_disjoint_rainbow(
+                    coloring, PairQuery(u, v, k=k, max_len=max_len))
+                assert count == len(picked)
+                assert family.paths == tuple(paths[i] for i in picked)
+                assert pair_count(coloring, k, "decision", (u, v), max_len) == (count, None)
+
+
+@pytest.mark.parametrize("mode", ["decision", "maximize"])
+@pytest.mark.parametrize("u, v", [(-1, 3), (3, -1), (0, 6), (6, 0)])
+def test_pair_query_refuses_ids_out_of_range(mode, u, v):
+    # n = 6: rows[-1] would answer silently, rows[6] with an IndexError.
+    coloring = random_coloring(PartitionSpec((2, 2, 2)), 3, seed=2)
+    query = PairQuery(u, v, mode=mode, k=2 if mode == "decision" else None)
+    with pytest.raises(ValueError, match="out of range 0..5"):
+        max_disjoint_rainbow(coloring, query)
+
+
 @given(packing_pairs(max_paths=60), st.data())
 @settings(max_examples=150)
 def test_capacity_bound_is_never_below_the_optimum(instance, data):
@@ -498,3 +537,17 @@ def test_verify_logs_its_pair_and_class_counts(caplog):
         verify_rainbow_k_connected(coloring, 4)
     assert caplog.messages == [
         "verify: 120 pairs, 4 twin classes, 10 representative pairs"]
+
+
+def test_verify_logs_each_decision_fallback(caplog):
+    # Two representative pairs are left short of k = 3 by the first-fit
+    # walk and searched; the failing pair's maximize query logs nothing.
+    coloring = random_coloring(PartitionSpec((2, 2, 2)), 3, seed=2)
+    with caplog.at_level(logging.DEBUG, logger="rainbowk.verifier"):
+        report = verify_rainbow_k_connected(coloring, 3)
+    assert report.failing_pair == (0, 3)
+    assert caplog.messages == [
+        "verify: 15 pairs, 6 twin classes, 15 representative pairs",
+        "pair (0, 1): first fit stopped at 2 of 3 paths; searching 6 enumerated paths",
+        "pair (0, 3): first fit stopped at 2 of 3 paths; searching 2 enumerated paths",
+    ]

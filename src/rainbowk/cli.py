@@ -4,7 +4,12 @@ rck-exact / export-dot.
 Exit codes: 0 = success or verified pass, 1 = verified fail, 2 = usage error
 (including malformed input files), 3 = a self-check of the program failed
 (a bug; see `InvariantError`). Every run is fully determined by its
-parsed flags; randomized subcommands require an explicit --seed.
+parsed flags; randomized subcommands require an explicit --seed. An output
+path that cannot be written is a usage error too.
+
+The parser is built once per process, on the first `main` call, and reused
+by every later call. Every JSON file (and JSON on stdout) goes through
+`core.json_text`, whose bytes are those of `json.dumps(doc, indent=2)`.
 """
 
 from __future__ import annotations
@@ -12,6 +17,7 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+from functools import cache
 from pathlib import Path
 
 from .bounds import f_formula, sample_certificates
@@ -24,7 +30,14 @@ from .constructions import (
     color_mnn,
     witness_paths,
 )
-from .core import Coloring, InvariantError, PartitionSpec, SchemaError, family_is_valid
+from .core import (
+    Coloring,
+    InvariantError,
+    PartitionSpec,
+    SchemaError,
+    family_is_valid,
+    json_text,
+)
 from .oracle import BudgetExceeded, rc_k_exact
 from .verifier import PairQuery, max_disjoint_rainbow, verify_rainbow_k_connected
 
@@ -97,18 +110,25 @@ def _load_coloring(path: str) -> Coloring:
 def _write_text(path: str | None, text: str) -> None:
     if path is None:
         sys.stdout.write(text)
-    else:
+        return
+    try:
         Path(path).write_text(text)
+    except OSError as exc:
+        raise SchemaError(f"cannot write {path}: {exc}") from exc
 
 
 def coloring_document(coloring: Coloring, meta: ConstructionMeta | None = None) -> str:
     doc = coloring.to_json_dict()
     if meta is not None:
         doc["meta"] = meta.to_json_dict()
-    return json.dumps(doc, indent=2) + "\n"
+    return json_text(doc)
 
 
+@cache
 def build_parser() -> argparse.ArgumentParser:
+    """The CLI's parser, built on the first call and shared after that.
+    Sharing is safe: `parse_args` never changes the parser, and every
+    default is immutable."""
     parser = argparse.ArgumentParser(
         prog="rainbowk",
         description="Rainbow k-connection colorings of complete multipartite graphs",
@@ -214,17 +234,17 @@ def _run_verify(opt: dict) -> int:
             u, v, mode=opt["mode"], k=opt["k"] if opt["mode"] == "decision" else None
         )
         count, family = max_disjoint_rainbow(coloring, query)
+        if opt["report"]:
+            _write_text(opt["report"], json_text(family.to_json_dict()))
         ok = count >= opt["k"]
         print(f"pair ({u}, {v}): {count} internally disjoint rainbow paths "
               f"({'pass' if ok else 'fail'} at k={opt['k']})")
-        if opt["report"]:
-            _write_text(opt["report"], json.dumps(family.to_json_dict(), indent=2) + "\n")
         return 0 if ok else 1
     report = verify_rainbow_k_connected(
         coloring, opt["k"], mode=opt["mode"], jobs=opt["jobs"]
     )
     if opt["report"]:
-        _write_text(opt["report"], json.dumps(report.to_json_dict(), indent=2) + "\n")
+        _write_text(opt["report"], json_text(report.to_json_dict()))
     if report.ok:
         print(f"pass: rainbow {opt['k']}-connected "
               f"({coloring.num_colors} colors, {coloring.spec.n} vertices)")
@@ -246,7 +266,7 @@ def _run_witness(opt: dict) -> int:
     ok = family_is_valid(coloring, family, opt["k"])
     out = family.to_json_dict()
     out["valid"] = ok
-    _write_text(opt["out"], json.dumps(out, indent=2) + "\n")
+    _write_text(opt["out"], json_text(out))
     return 0 if ok else 1
 
 
@@ -266,7 +286,7 @@ def _run_lower_bound(opt: dict) -> int:
         "seed": opt["seed"],
         "certificates": [c.to_json_dict() for c in certs],
     }
-    _write_text(opt["out"], json.dumps(doc, indent=2) + "\n")
+    _write_text(opt["out"], json_text(doc))
     if opt["out"]:
         print(f"{len(certs)} certificates written to {opt['out']}")
     return 0
@@ -275,10 +295,10 @@ def _run_lower_bound(opt: dict) -> int:
 def _run_rck_exact(opt: dict) -> int:
     spec = PartitionSpec(_parse_sizes(opt["sizes"], "--sizes"))
     result = rc_k_exact(spec, opt["k"], opt["max_colors"], opt["max_edges"])
-    label = f"rc_{opt['k']}({','.join(map(str, spec.sizes))})"
-    print(f"{label} {result}" if result.value is None else f"{label} = {result}")
     if result.witness is not None and opt["out"]:
         _write_text(opt["out"], result.witness.to_json_text())
+    label = f"rc_{opt['k']}({','.join(map(str, spec.sizes))})"
+    print(f"{label} {result}" if result.value is None else f"{label} = {result}")
     return 0
 
 

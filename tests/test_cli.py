@@ -10,7 +10,8 @@ import hypothesis.strategies as st
 import pytest
 from hypothesis import given, settings
 
-from rainbowk.cli import build_parser, coloring_document, export_dot, run
+from helpers import randrange_coloring
+from rainbowk.cli import build_parser, coloring_document, export_dot, main, run
 from rainbowk.constructions import (
     ConstructionMeta,
     color_2_4_16,
@@ -673,3 +674,171 @@ def test_module_entry_point_runs():
     )
     assert proc.returncode == 0
     assert proc.stdout.strip() == "6"
+
+
+def _sha256(path):
+    return hashlib.sha256(path.read_bytes()).hexdigest()
+
+
+def _construct(tmp_path, name, argv):
+    out = tmp_path / f"{name}.json"
+    assert invoke(["construct", *argv, "-o", str(out)]) == 0
+    return out
+
+
+CONSTRUCT_ARGV = {
+    "bipartite4": ["--family", "bipartite4", "--a", "4", "--b", "5", "--k", "2"],
+    "ctk": ["--family", "ctk", "--sizes", "2,3,3", "--k", "2"],
+    "mnn": ["--family", "mnn", "--m", "3", "--n", "2"],
+    "k2416": ["--family", "k2416"],
+}
+
+
+# The digests in the tests below were recorded while every file was written
+# by json.dumps(..., indent=2): they pin its bytes, not json_text's own.
+@pytest.mark.parametrize("name, digest", [
+    ("bipartite4", "de185b89b34e3b1373503e4b08eb236831899dc773371e08539b10eaa7775dad"),
+    ("ctk", "5dd3ae65f1a2f401566002879e8ce00b4ad362731628d0b89a50fe75dac5f6d7"),
+    ("mnn", "8261780abd063f21348edf4cb3876ebc0f9d5aa5dd90506c3d32dc48f80a4d2c"),
+    ("k2416", "1b901c29bc02b3f7a01ae71fc50fbbcfac9ed092ab771dd6c98ef302246cda23"),
+    ("extension", "a8b9ab4c3c9a728d7ac0d29a1f156eb670db7d00bff77d050c45c4098ce9bad6"),
+])
+def test_construct_files_keep_their_bytes(tmp_path, capsys, name, digest):
+    if name == "extension":
+        base = _construct(tmp_path, "mnn", CONSTRUCT_ARGV["mnn"])
+        out = _construct(tmp_path, name, ["--family", "extension", "--base", str(base),
+                                          "--grow", "0,1"])
+    else:
+        out = _construct(tmp_path, name, CONSTRUCT_ARGV[name])
+    assert capsys.readouterr().out == ""
+    assert _sha256(out) == digest
+
+
+@pytest.mark.parametrize("u, v, digest", [
+    (0, 3, "51221f01d9338298ab673d2647981d0a34c946e2a5b32b3dd5a0e1f84392a861"),
+    (3, 4, "61f8177c0f7dea8c99e586fe60c44c06dc18286d8240e75884a04a0178980088"),
+], ids=["cross-part", "same-part"])
+def test_witness_files_keep_their_bytes(tmp_path, capsys, u, v, digest):
+    src = _construct(tmp_path, "mnn", CONSTRUCT_ARGV["mnn"])
+    out = tmp_path / "fam.json"
+    assert invoke(["witness", "--coloring", str(src), "--u", str(u), "--v", str(v),
+                   "--k", "2", "-o", str(out)]) == 0
+    assert capsys.readouterr().out == ""
+    assert _sha256(out) == digest
+
+
+MAXIMIZE_COLORINGS = {
+    "pass": lambda: color_ctk(PartitionSpec((3, 3, 3)), 2)[0],
+    "fail": lambda: randrange_coloring(PartitionSpec((2, 3, 3)), 2, 1),
+}
+
+
+@pytest.mark.parametrize("name, pairs, code, line, digest", [
+    ("pass", [], 0, "pass: rainbow 2-connected (3 colors, 9 vertices)",
+     "448cdcd4447db8b7b76f1198b0df17504d2c4e04c0efe169d8537e9212e9440c"),
+    ("pass", ["--pairs", "0,4"], 0,
+     "pair (0, 4): 4 internally disjoint rainbow paths (pass at k=2)",
+     "754ca65993b1212f134f7cb03f22a9fef25ee0ebc73bb6d0ee772044e39d2b87"),
+    ("pass", ["--pairs", "3,4"], 0,
+     "pair (3, 4): 3 internally disjoint rainbow paths (pass at k=2)",
+     "5f7cb1d3b80f6bb64eb440d41c5d3f6602fb4e2d62356c3cf3747b9d27c9d879"),
+    ("fail", [], 1, "fail: pair (1, 4) has only 1 < 2 internally disjoint rainbow paths",
+     "3a838fb2d96fd9f563326c07a3646146c4e2df094fce997edcc16af2e7b9a8f5"),
+    ("fail", ["--pairs", "0,4"], 0,
+     "pair (0, 4): 2 internally disjoint rainbow paths (pass at k=2)",
+     "716cc11ba6540da870fe78f847297fd070341f32788486b797fe0475c696279f"),
+    ("fail", ["--pairs", "1,4"], 1,
+     "pair (1, 4): 1 internally disjoint rainbow paths (fail at k=2)",
+     "ce85c24cceaf17758ffd7986a2106a003a57f41c464d64040cab0c1bfb5033ba"),
+], ids=["pass", "pass-pair", "pass-pair-same-part", "fail", "fail-pair-pass", "fail-pair"])
+def test_maximize_reports_keep_their_bytes(tmp_path, capsys, name, pairs, code, line, digest):
+    path = tmp_path / "c.json"
+    path.write_text(MAXIMIZE_COLORINGS[name]().to_json_text())
+    report = tmp_path / "report.json"
+    assert invoke(["verify", "--coloring", str(path), "--k", "2", "--mode", "maximize",
+                   "--report", str(report), *pairs]) == code
+    assert capsys.readouterr().out == line + "\n"
+    assert _sha256(report) == digest
+
+
+@pytest.mark.parametrize("argv", [
+    ["construct", *CONSTRUCT_ARGV["k2416"]],
+    ["verify", "--k", "2"],
+    ["verify", "--k", "2", "--mode", "maximize"],
+    ["verify", "--k", "2", "--pairs", "0,4"],
+    ["verify", "--k", "2", "--pairs", "0,4", "--mode", "maximize"],
+    ["witness", "--u", "0", "--v", "3", "--k", "2"],
+    ["lower-bound", "--scenario", "bipartite5", "--k", "2", "--sizes", "2,17",
+     "--samples", "3", "--seed", "0"],
+    ["rck-exact", "--sizes", "2,2", "--k", "1", "--max-colors", "4"],
+    ["export-dot"],
+], ids=["construct", "verify", "verify-maximize", "verify-pair", "verify-pair-maximize",
+        "witness", "lower-bound", "rck-exact", "export-dot"])
+def test_unwritable_output_is_one_line_usage_error(tmp_path, capsys, argv):
+    # Exit 1 means "verified fail", so a path that cannot be written must
+    # not surface as a traceback (exit 1); stdout stays empty.
+    src = _construct(tmp_path, "mnn", CONSTRUCT_ARGV["mnn"])
+    bad = tmp_path / "missing" / "out.json"
+    flag = "--report" if argv[0] == "verify" else "-o"
+    if argv[0] in ("verify", "witness", "export-dot"):
+        argv = argv + ["--coloring", str(src)]
+    assert invoke(argv + [flag, str(bad)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == "" and not bad.exists()
+    assert captured.err.startswith(f"error: cannot write {bad}: ")
+    assert captured.err.count("\n") == 1
+
+
+def _main(argv):
+    """Exit code of `main(argv)` in this process."""
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    return exc.value.code
+
+
+def test_main_reuses_one_parser_without_carrying_state(tmp_path, capsys):
+    assert build_parser() is build_parser()
+    src = _construct(tmp_path, "mnn", CONSTRUCT_ARGV["mnn"])
+    report = tmp_path / "report.json"
+    verify = ["verify", "--coloring", str(src), "--k", "2", "--report", str(report)]
+    assert _main([*verify, "--pairs", "0,3", "--mode", "maximize"]) == 0
+    assert set(json.loads(report.read_text())) == {"u", "v", "provenance", "paths"}
+    # Neither --pairs nor --mode carries over to the next call.
+    assert _main(verify) == 0
+    doc = json.loads(report.read_text())
+    assert doc["verdict"] == "pass" and doc["counts_capped_at_k"] is True
+    assert len(doc["pairs"]) == 7 * 6 // 2
+    assert _main(["verify", "--k", "2"]) == 2  # argparse: --coloring is required
+    assert "--coloring" in capsys.readouterr().err
+    assert _main([*verify, "--pairs", "0,3"]) == 0
+    assert capsys.readouterr().out == (
+        "pair (0, 3): 2 internally disjoint rainbow paths (pass at k=2)\n")
+    bad = tmp_path / "missing" / "report.json"
+    assert _main(["verify", "--coloring", str(src), "--k", "2", "--report", str(bad)]) == 2
+    assert _main(["fkt", "--k", "2", "--t", "3"]) == 0
+    captured = capsys.readouterr()
+    assert captured.out == "2\n" and captured.err.startswith("error: cannot write ")
+
+
+# Recorded with Python 3.11's argparse at 80 columns; other argparse
+# versions lay help out differently.
+@pytest.mark.parametrize("command, digest", [
+    (None, "45f5a0ff88ef602fdda81a70d1414897a92226fe34cee44a582fe7ab8a68d029"),
+    ("construct", "efcbb44fbe6c04a4485dda8935f97431e1d4f44ac6a8ec61a55ee1a430918c8a"),
+    ("verify", "5ebe5da8be3bba5d6ac86ed1499c6704d5831b56eba007524b114bdd942b323e"),
+    ("witness", "1d5025eb1d24e01be27008f0feef72ec8554a9a208dc631acad4fe5e733e0164"),
+    ("lower-bound", "ac53e580b3a6728a8ab630214139f0a6676e346e19c294960912c84631f626ef"),
+    ("fkt", "fefd5ff9eff3680a92a6f8fa20c5f5c0b03e9a6c2eb6dc4163aa541ec8477e51"),
+    ("rck-exact", "6cad7a96a053676caa2b017845ed01962a5f73d1d3e4c70502a6527c124a4b52"),
+    ("export-dot", "2baf13418328c47de64d4f04b05a3abc6927798d952f27b581caabe11ae333ee"),
+])
+def test_help_text_keeps_its_bytes(capsys, monkeypatch, command, digest):
+    if sys.version_info[:2] != (3, 11):
+        pytest.skip("help digests were recorded with Python 3.11's argparse")
+    monkeypatch.setenv("COLUMNS", "80")
+    argv = [command, "--help"] if command else ["--help"]
+    for _ in range(2):  # the second call reuses the parser the first one built
+        assert _main(argv) == 0
+        captured = capsys.readouterr()
+        assert captured.err == ""
+        assert hashlib.sha256(captured.out.encode()).hexdigest() == digest

@@ -5,7 +5,7 @@ import tracemalloc
 from pathlib import Path
 
 import pytest
-from hypothesis import given
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import small_colorings, small_specs
@@ -17,6 +17,7 @@ from rainbowk.core import (
     adjacent,
     family_is_valid,
     is_rainbow_path,
+    json_text,
     path_colors,
     twin_classes,
 )
@@ -344,3 +345,69 @@ def test_twin_classes_group_equal_rows_within_parts(coloring):
     members = spec.part_members(0)
     assert twin_classes(coloring, members) == [
         c for c in classes if spec.part_of(c[0]) == 0]
+
+
+class _Int(int):
+    pass
+
+
+class _Str(str):
+    pass
+
+
+# Values json.dumps writes in ways the writer's fast paths must not copy:
+# bools (never `1`), int and str subclasses, nan/inf, None.
+_TRICKY_TEXT = st.text(st.sampled_from('ab"\\\n\t\u00e9\u2028\U0001f600[]{},: '), max_size=6)
+_INTISH = st.one_of(st.integers(), st.integers(), st.integers(), st.booleans(),
+                    st.integers(-3, 3).map(_Int))
+_SCALARS = st.one_of(_INTISH, st.none(), st.floats(allow_nan=True, allow_infinity=True),
+                     _TRICKY_TEXT, _TRICKY_TEXT.map(_Str))
+_KEYS = st.one_of(_TRICKY_TEXT, _TRICKY_TEXT, _TRICKY_TEXT, st.integers(-2, 2), st.booleans(),
+                  st.none(), st.floats(allow_nan=True), _TRICKY_TEXT.map(_Str))
+
+
+def _tables(rows):
+    """Equal-length tables (rows of one width, possibly 0) and ragged ones,
+    as lists and as tuples, rows mixing lists and tuples too."""
+    equal = st.integers(0, 3).flatmap(lambda w: st.lists(
+        st.lists(rows, min_size=w, max_size=w).flatmap(
+            lambda r: st.sampled_from([r, tuple(r)])), max_size=4))
+    ragged = st.lists(st.lists(rows, max_size=3), max_size=4)
+    return st.one_of(equal, ragged).flatmap(lambda t: st.sampled_from([t, tuple(t)]))
+
+
+def _containers(children):
+    return st.one_of(
+        st.lists(children, max_size=4),
+        st.lists(children, max_size=4).map(tuple),
+        st.dictionaries(_TRICKY_TEXT, children, max_size=4),
+        st.dictionaries(_KEYS, children, max_size=3),
+        st.lists(st.integers(), max_size=5),
+        st.lists(_INTISH, max_size=5),
+        _tables(st.integers()),
+        _tables(_INTISH),
+        st.lists(st.dictionaries(st.integers(0, 1), st.integers(), min_size=1, max_size=1),
+                 min_size=1, max_size=3),  # rows that are not lists
+    )
+
+
+_DOCUMENTS = st.recursive(_SCALARS, _containers, max_leaves=30).map(
+    lambda x: [{"a": ({"b": [x, {}]},)}, []])  # always depth 4 or more
+
+
+@settings(max_examples=600)
+@given(_DOCUMENTS)
+def test_json_text_matches_indented_json_dumps(doc):
+    assert json_text(doc) == json.dumps(doc, indent=2) + "\n"
+
+
+def test_json_text_refuses_what_json_dumps_refuses():
+    cycle: list = [1, [2]]
+    cycle[1].append(cycle)
+    for bad, error in (([1, {"a": {1, 2}}], TypeError), ({(0, 1): 2}, TypeError),
+                       ({"a": cycle}, ValueError)):
+        with pytest.raises(error) as expected:
+            json.dumps(bad, indent=2)
+        with pytest.raises(error) as got:
+            json_text(bad)
+        assert str(got.value) == str(expected.value)

@@ -5,7 +5,7 @@ Exit codes: 0 = success or verified pass, 1 = verified fail, 2 = usage error
 (including malformed input files), 3 = a self-check of the program failed
 (a bug; see `InvariantError`). Every run is fully determined by its
 parsed flags; randomized subcommands require an explicit --seed. An output
-path that cannot be written is a usage error too.
+path or a stdout that cannot be written is a usage error too.
 
 The parser is built once per process, on the first `main` call, and reused
 by every later call. Every JSON file (and JSON on stdout) goes through
@@ -16,6 +16,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import os
 import sys
 from functools import cache
 from pathlib import Path
@@ -108,13 +109,36 @@ def _load_coloring(path: str) -> Coloring:
 
 
 def _write_text(path: str | None, text: str) -> None:
-    if path is None:
-        sys.stdout.write(text)
-        return
+    """Write text to the file at path, or to stdout (flushed here, so that a
+    stdout that cannot be written fails now, not at interpreter exit)."""
     try:
-        Path(path).write_text(text)
+        if path is None:
+            sys.stdout.write(text)
+            sys.stdout.flush()
+        else:
+            Path(path).write_text(text)
     except OSError as exc:
-        raise SchemaError(f"cannot write {path}: {exc}") from exc
+        if path is None:
+            _discard_stdout()
+        raise SchemaError(f"cannot write {path or 'stdout'}: {exc}") from exc
+
+
+def _discard_stdout() -> None:
+    """Point stdout's file descriptor at the null device. The text left in
+    stdout's buffer after a failed write would otherwise be written again
+    at interpreter exit, fail again, and add an "Exception ignored" report
+    and exit code 120 to the one-line error."""
+    try:
+        fd = sys.stdout.fileno()
+    except OSError:  # not backed by a file descriptor: nothing is retried
+        return
+    devnull = os.open(os.devnull, os.O_WRONLY)
+    os.dup2(devnull, fd)
+    os.close(devnull)
+
+
+def _print(line: str) -> None:
+    _write_text(None, line + "\n")
 
 
 def coloring_document(coloring: Coloring, meta: ConstructionMeta | None = None) -> str:
@@ -237,8 +261,8 @@ def _run_verify(opt: dict) -> int:
         if opt["report"]:
             _write_text(opt["report"], json_text(family.to_json_dict()))
         ok = count >= opt["k"]
-        print(f"pair ({u}, {v}): {count} internally disjoint rainbow paths "
-              f"({'pass' if ok else 'fail'} at k={opt['k']})")
+        _print(f"pair ({u}, {v}): {count} internally disjoint rainbow paths "
+               f"({'pass' if ok else 'fail'} at k={opt['k']})")
         return 0 if ok else 1
     report = verify_rainbow_k_connected(
         coloring, opt["k"], mode=opt["mode"], jobs=opt["jobs"]
@@ -246,13 +270,13 @@ def _run_verify(opt: dict) -> int:
     if opt["report"]:
         _write_text(opt["report"], json_text(report.to_json_dict()))
     if report.ok:
-        print(f"pass: rainbow {opt['k']}-connected "
-              f"({coloring.num_colors} colors, {coloring.spec.n} vertices)")
+        _print(f"pass: rainbow {opt['k']}-connected "
+               f"({coloring.num_colors} colors, {coloring.spec.n} vertices)")
         return 0
     u, v = report.failing_pair
     best = len(report.failing_family.paths)
-    print(f"fail: pair ({u}, {v}) has only {best} < {opt['k']} "
-          f"internally disjoint rainbow paths")
+    _print(f"fail: pair ({u}, {v}) has only {best} < {opt['k']} "
+           f"internally disjoint rainbow paths")
     return 1
 
 
@@ -288,7 +312,7 @@ def _run_lower_bound(opt: dict) -> int:
     }
     _write_text(opt["out"], json_text(doc))
     if opt["out"]:
-        print(f"{len(certs)} certificates written to {opt['out']}")
+        _print(f"{len(certs)} certificates written to {opt['out']}")
     return 0
 
 
@@ -298,7 +322,7 @@ def _run_rck_exact(opt: dict) -> int:
     if result.witness is not None and opt["out"]:
         _write_text(opt["out"], result.witness.to_json_text())
     label = f"rc_{opt['k']}({','.join(map(str, spec.sizes))})"
-    print(f"{label} {result}" if result.value is None else f"{label} = {result}")
+    _print(f"{label} {result}" if result.value is None else f"{label} = {result}")
     return 0
 
 
@@ -314,7 +338,7 @@ _DISPATCH = {
     "verify": _run_verify,
     "witness": _run_witness,
     "lower-bound": _run_lower_bound,
-    "fkt": lambda opt: print(f_formula(opt["k"], opt["t"])) or 0,
+    "fkt": lambda opt: _print(str(f_formula(opt["k"], opt["t"]))) or 0,
     "rck-exact": _run_rck_exact,
     "export-dot": _run_export_dot,
 }

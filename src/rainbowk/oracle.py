@@ -34,16 +34,40 @@ yields first.
 Relaxations are rejected fail-first: `first_failing_pair` maps the
 verifier's `pair_count` over the pairs, starting with the pair that sank
 the previous node.
+
+A pair is settled without a query when a family found earlier in the walk
+still proves it. `SettledFamilies`, one per palette size L, keeps for each
+pair the family that last settled it: k rainbow paths of at most L edges
+with pairwise disjoint interiors in some relaxation R' checked before. At
+a node of depth i (edges[:i] colored), R' agrees with the node on
+edges[:i-1]: the parent passed, so after its check every kept family is
+rainbow in the parent, and the relaxations checked since then lie below
+the node's earlier siblings, whose prefixes extend the node's edges[:i-1].
+Let e = edges[i-1], the edge the node colors. A kept family still settles
+its pair at the node when its path through e, if it has one, is rainbow:
+- Being rainbow depends only on which edges of a path share a color. At
+  the node every edge after e has a fresh color of its own, pairwise
+  distinct and above L, and every edge before e has its color in R'. So
+  two edges of a path that share a color are both in edges[:i], and one of
+  them is e, or they shared it in R' already. A path that avoids e stays
+  rainbow.
+- Vertices, interiors and lengths do not depend on the coloring, so the
+  interiors stay disjoint and the paths stay within the cap L.
+`family_holds` checks that one path against the node's `rows`. A pair
+settled so passes at the node, as its query would say, so the first
+failing pair in the hint-then-lex order is the same pair, and the hint
+sequence, the tree walk and the witness are those of querying every pair.
+A queried pair that passes keeps the family its query found instead.
 """
 
 from __future__ import annotations
 
 import logging
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from itertools import chain
 from typing import Iterator
 
-from .core import Coloring, InvariantError, PartitionSpec, all_pairs
+from .core import Coloring, InvariantError, PartitionSpec, VertexPath, all_pairs
 from .verifier import pair_count, structural_connectivity, verify_rainbow_k_connected
 
 logger = logging.getLogger(__name__)
@@ -115,29 +139,85 @@ class RckExactResult:
         return str(self.value) if self.value is not None else f"> {self.max_colors}"
 
 
+Edge = tuple[int, int]
+
+
+@dataclass
+class SettledFamilies:
+    """Per pair, the family that last settled it in the walk, by edge
+    (`path_by_edge`), and the numbers of pairs queried and of pairs settled
+    by an inherited family without a query (module docstring)."""
+
+    families: dict[tuple[int, int], dict[Edge, VertexPath]] = field(default_factory=dict)
+    queried: int = 0
+    inherited: int = 0
+
+
+def path_by_edge(paths: tuple[VertexPath, ...]) -> dict[Edge, VertexPath]:
+    """Each edge (x, y), x < y, of the paths, mapped to the path through it.
+    Paths with one pair of ends and disjoint interiors share no edge: an
+    edge at an interior vertex lies on the one path holding that vertex,
+    and the edge between the ends is a whole path."""
+    return {(x, y) if x < y else (y, x): p for p in paths for x, y in zip(p, p[1:])}
+
+
+def family_holds(
+    coloring: Coloring, family: dict[Edge, VertexPath], recolored: Edge
+) -> bool:
+    """Whether a family found in a relaxation that agrees with this one
+    before the edge `recolored` (module docstring) is still rainbow here.
+    Only a path through that edge can have lost it, so only that path, if
+    the family has one, is checked against the coloring's rows."""
+    path = family.get(recolored)
+    if path is None:
+        return True
+    rows = coloring.rows
+    colors = [rows[x][y] for x, y in zip(path, path[1:])]
+    return len(set(colors)) == len(colors)
+
+
 def first_failing_pair(
     coloring: Coloring, k: int, hint: tuple[int, int] | None = None,
-    max_len: int | None = None,
+    max_len: int | None = None, settled: SettledFamilies | None = None,
+    recolored: Edge | None = None,
 ) -> tuple[int, int] | None:
     """First pair with fewer than k internally disjoint rainbow paths of at
     most max_len edges, or None when there is none (with no cap: the
     coloring is rainbow k-connected). The hint is tried before the lex
     order: colorings that share a long prefix with the previous candidate
-    tend to fail at the same pair."""
+    tend to fail at the same pair.
+
+    With `settled` (the oracle's walk), a pair whose kept family still holds
+    (`family_holds`, `recolored` being the edge the coloring has just
+    colored) passes without a query, and a queried pair that passes keeps
+    the family that settled it (module docstring)."""
     pairs = all_pairs(coloring.spec)
     if hint is not None:
         pairs = chain([hint], (p for p in pairs if p != hint))
-    return next((p for p in pairs
-                 if pair_count(coloring, k, "decision", p, max_len)[0] < k), None)
+    for pair in pairs:
+        if settled is not None:
+            kept = settled.families.get(pair)
+            if kept is not None and family_holds(coloring, kept, recolored):
+                settled.inherited += 1
+                continue
+            settled.queried += 1
+        count, family = pair_count(coloring, k, "decision", pair, max_len)
+        if count < k:
+            return pair
+        if settled is not None:
+            settled.families[pair] = path_by_edge(family.paths)
+    return None
 
 
 def _first_passing(spec: PartitionSpec, k: int, num_colors: int) -> Coloring | None:
     """The first rainbow k-connected coloring with exactly num_colors colors
-    in restricted-growth order, or None. Walks the prefix tree and cuts
-    each prefix whose relaxation fails (module docstring)."""
+    in restricted-growth order, or None. Walks the prefix tree, cuts each
+    prefix whose relaxation fails and settles what pairs it can with the
+    families found before (module docstring)."""
     edges = list(spec.edges())
     assignment: dict[tuple[int, int], int] = {}
     hint: tuple[int, int] | None = None
+    settled = SettledFamilies()
     nodes = cut = leaves = 0
 
     def rec(i: int, used: int) -> Coloring | None:
@@ -147,7 +227,8 @@ def _first_passing(spec: PartitionSpec, k: int, num_colors: int) -> Coloring | N
             return None  # ends with fewer colors; rejected at a lower level
         fresh = dict(zip(edges[i:], range(num_colors + 1, num_colors + left + 1)))
         relaxation = Coloring(spec, num_colors + left, {**assignment, **fresh})
-        failing = first_failing_pair(relaxation, k, hint, max_len=num_colors)
+        failing = first_failing_pair(relaxation, k, hint, num_colors, settled,
+                                     edges[i - 1] if i else None)
         if nodes == 0:
             # Spot check: verdicts must be invariant under color bijections
             # (the root's palette, L plus one per edge, is never trivial).
@@ -173,7 +254,9 @@ def _first_passing(spec: PartitionSpec, k: int, num_colors: int) -> Coloring | N
 
     found = rec(0, 0)
     logger.debug("rck-exact: %d colors: %d nodes checked, %d subtrees cut, "
-                 "%d leaves reached", num_colors, nodes, cut, leaves)
+                 "%d leaves reached, %d pair queries, %d pairs settled by an "
+                 "inherited family", num_colors, nodes, cut, leaves, settled.queried,
+                 settled.inherited)
     return found
 
 

@@ -69,7 +69,6 @@ from __future__ import annotations
 
 import logging
 import os
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 from functools import partial
 
@@ -380,14 +379,26 @@ def max_disjoint_rainbow(
 def pair_count(
     coloring: Coloring, k: int, mode: str, pair: tuple[int, int],
     max_len: int | None = None,
-) -> tuple[int, WitnessFamily | None]:
+) -> tuple[int, WitnessFamily]:
     """Disjoint rainbow path count of one pair, over paths of at most
-    max_len edges: capped at k in decision mode, the maximum in maximize
-    mode. The family comes with it in maximize mode only, where it attains
-    the maximum; a decision-mode family may stop at k and is dropped (None)."""
+    max_len edges, with a family of that many paths: capped at k in
+    decision mode, the maximum in maximize mode. A decision-mode family
+    stops at k paths, so it attains the maximum only when the count is
+    below k; the oracle keeps a passing pair's family to settle the pair in
+    later relaxations without a query."""
     query = PairQuery(pair[0], pair[1], mode=mode, k=k if mode == "decision" else None,
                       max_len=max_len)
-    count, family = max_disjoint_rainbow(coloring, query)
+    return max_disjoint_rainbow(coloring, query)
+
+
+def _loop_query(
+    coloring: Coloring, k: int, mode: str, pair: tuple[int, int]
+) -> tuple[int, WitnessFamily | None]:
+    """`pair_count` as the verifier's pair loop needs it. A decision-mode
+    family may stop at k paths and the loop reads only the count, so the
+    family is dropped here rather than held (or sent back from a worker)
+    for every representative pair."""
+    count, family = pair_count(coloring, k, mode, pair)
     return count, family if mode == "maximize" else None
 
 
@@ -397,13 +408,17 @@ def fan_out(work, items, jobs: int) -> list:
     `work` must be picklable (a module-level function or a partial of one).
     Workers are capped at the item count and the CPU count: every item is
     computed the same way wherever it runs and results come back in item
-    order, so the list is identical for any jobs count."""
+    order, so the list is identical for any jobs count. The pool is
+    imported only when one starts: a process that never fans out does not
+    load `multiprocessing`, about a third of the CLI's import time."""
     if jobs < 1:
         raise ValueError(f"jobs must be >= 1, got {jobs}")
     items = list(items)
     workers = min(jobs, len(items), os.cpu_count() or 1)
     if workers <= 1:
         return list(map(work, items))
+    from concurrent.futures import ProcessPoolExecutor
+
     with ProcessPoolExecutor(max_workers=workers) as pool:
         return list(pool.map(work, items, chunksize=ceil_div(len(items), 4 * workers)))
 
@@ -429,7 +444,7 @@ def verify_rainbow_k_connected(
     logger.debug("verify: %d pairs, %d twin classes, %d representative pairs",
                  len(pairs), len(classes), len(reps))
     rep_pairs = list(reps.values())
-    work = partial(pair_count, coloring, k, mode)
+    work = partial(_loop_query, coloring, k, mode)
     results = dict(zip(rep_pairs, fan_out(work, rep_pairs, jobs)))
     counts = {p: results[r][0] for p, r in zip(pairs, rep_of)}
     failing = next((p for p in pairs if counts[p] < k), None)

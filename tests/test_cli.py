@@ -1,10 +1,12 @@
 import copy
 import hashlib
 import json
+import os
 import random
 import subprocess
 import sys
 from itertools import cycle, permutations
+from pathlib import Path
 
 import hypothesis.strategies as st
 import pytest
@@ -787,6 +789,44 @@ def test_unwritable_output_is_one_line_usage_error(tmp_path, capsys, argv):
     assert captured.out == "" and not bad.exists()
     assert captured.err.startswith(f"error: cannot write {bad}: ")
     assert captured.err.count("\n") == 1
+
+
+@pytest.mark.parametrize("target", ["full", "closed-pipe"])
+@pytest.mark.parametrize("argv", [
+    ["construct", "--family", "mnn", "--m", "60", "--n", "8"],
+    ["construct", *CONSTRUCT_ARGV["mnn"]],
+    ["fkt", "--k", "3", "--t", "2"],
+    ["rck-exact", "--sizes", "2,2", "--k", "1", "--max-colors", "4"],
+    ["verify", "--k", "2", "--pairs", "0,4"],
+], ids=["construct-long", "construct", "fkt", "rck-exact", "verify-pair"])
+def test_unwritable_stdout_is_one_line_usage_error(tmp_path, argv, target):
+    # /dev/full fails every write with ENOSPC. A pipe whose read end is
+    # closed fails with EPIPE, a short text only when it is flushed. Either
+    # is a usage error (exit 2, not the "verified fail" 1), and nothing is
+    # left for the interpreter to fail to write again at exit (exit 120 and
+    # an "Exception ignored" report).
+    if argv[0] == "verify":
+        argv = argv + ["--coloring", str(_construct(tmp_path, "mnn", CONSTRUCT_ARGV["mnn"]))]
+    command = [sys.executable, "-m", "rainbowk", *argv]
+    # Buffered stdout, as by default, so that a short text fails on flush.
+    env = {k: v for k, v in os.environ.items() if k != "PYTHONUNBUFFERED"}
+    if target == "full":
+        if not Path("/dev/full").exists():
+            pytest.skip("needs /dev/full")
+        with open("/dev/full", "w") as full:
+            proc = subprocess.run(command, stdout=full, stderr=subprocess.PIPE, text=True,
+                                  env=env)
+    else:
+        read_end, write_end = os.pipe()
+        os.close(read_end)
+        try:
+            proc = subprocess.run(command, stdout=write_end, stderr=subprocess.PIPE,
+                                  text=True, env=env)
+        finally:
+            os.close(write_end)
+    assert proc.returncode == 2
+    assert proc.stderr.startswith("error: cannot write stdout: ")
+    assert proc.stderr.count("\n") == 1
 
 
 def _main(argv):

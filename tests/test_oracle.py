@@ -8,11 +8,19 @@ from hypothesis import strategies as st
 
 from helpers import unpruned_rc_k_exact
 from rainbowk.constructions import color_ctk, color_mnn
-from rainbowk.core import Coloring, PartitionSpec, all_pairs
+from rainbowk.core import (
+    Coloring,
+    PartitionSpec,
+    all_pairs,
+    family_is_valid,
+    is_rainbow_path,
+)
 from rainbowk.oracle import (
     BudgetExceeded,
     canonical_form,
     enumerate_colorings_canonical,
+    family_holds,
+    path_by_edge,
     rc_k_exact,
 )
 from rainbowk.verifier import (
@@ -140,24 +148,63 @@ def colorings_with_a_prefix(draw):
     return Coloring(spec, num_colors, dict(zip(edges, colors))), prefix
 
 
+def _relaxation(coloring, prefix):
+    """The oracle's relaxation of a prefix of the coloring's lex edges: the
+    prefix keeps its colors, every later edge gets its own fresh color > L."""
+    num_colors = coloring.num_colors
+    edges = list(coloring.spec.edges())
+    colors = [coloring.color(*e) for e in edges[:prefix]]
+    colors += range(num_colors + 1, num_colors + 1 + len(edges) - prefix)
+    return Coloring(coloring.spec, num_colors + len(edges) - prefix,
+                    dict(zip(edges, colors)))
+
+
 @settings(max_examples=60)
 @given(colorings_with_a_prefix())
 def test_the_relaxation_bounds_every_completion(instance):
-    # The oracle's relaxation, built here from its definition: the prefix
+    # The oracle's relaxation, built from its definition: the prefix
     # keeps its colors, every later edge gets its own fresh color > L. Its
     # packing over paths of at most L edges is an upper bound for every
     # completion's, this coloring's among them.
     coloring, prefix = instance
     num_colors = coloring.num_colors
-    edges = list(coloring.spec.edges())
-    colors = [coloring.color(*e) for e in edges[:prefix]]
-    colors += range(num_colors + 1, num_colors + 1 + len(edges) - prefix)
-    relaxation = Coloring(coloring.spec, num_colors + len(edges) - prefix,
-                          dict(zip(edges, colors)))
+    relaxation = _relaxation(coloring, prefix)
     for pair in all_pairs(coloring.spec):
         full, _ = pair_count(coloring, 1, "maximize", pair)
         relaxed, _ = pair_count(relaxation, 1, "maximize", pair, max_len=num_colors)
         assert relaxed >= full, pair
+
+
+@settings(max_examples=150)
+@given(colorings_with_a_prefix(), st.data())
+def test_an_inherited_family_is_kept_only_while_it_settles_its_pair(instance, data):
+    # A node at depth i colors e = edges[i - 1]; the families it inherits
+    # were found in a relaxation that agrees with it on edges[:i - 1]: its
+    # parent (depth i - 1), or a node below an earlier sibling, which colors
+    # e and maybe later edges otherwise. A family the rule keeps must be a
+    # valid k-family within the cap at the node; one it rejects must have
+    # a path that is no longer rainbow there.
+    coloring, prefix = instance
+    edges = list(coloring.spec.edges())
+    i = max(prefix, 1)
+    num_colors = coloring.num_colors
+    node_color = data.draw(st.integers(1, num_colors), label="color of e at the node")
+    node = _relaxation(Coloring(coloring.spec, num_colors, {
+        **coloring.assignment, edges[i - 1]: node_color}), i)
+    found_at = data.draw(st.integers(i - 1, len(edges)), label="depth of the earlier node")
+    earlier = _relaxation(coloring, found_at)
+    for pair in all_pairs(coloring.spec):
+        for k in (1, 2, 3):
+            count, family = pair_count(earlier, k, "decision", pair, max_len=num_colors)
+            if count < k:
+                continue
+            by_edge = path_by_edge(family.paths)
+            assert len(by_edge) == sum(len(p) - 1 for p in family.paths)
+            if family_holds(node, by_edge, edges[i - 1]):
+                assert family_is_valid(node, family, k), (pair, k)
+                assert all(len(p) - 1 <= num_colors for p in family.paths)
+            else:
+                assert not all(is_rainbow_path(node, p) for p in family.paths), (pair, k)
 
 
 CROSS_CHECK = [
@@ -165,6 +212,10 @@ CROSS_CHECK = [
     for shape in [(1, 2, 3), (2, 2, 2), (3, 3), (1, 1, 1, 1, 1), (2, 2), (1, 1, 3)]
     for order in sorted(set(permutations(shape)))
     for k in range(1, structural_connectivity(PartitionSpec(order)) + 1)
+] + [
+    (order, 2)
+    for shape in [(2, 3), (1, 1, 4)]
+    for order in sorted(set(permutations(shape)))
 ]
 
 
@@ -201,8 +252,13 @@ def test_oracle_logs_its_search_per_palette_size(caplog):
     with caplog.at_level(logging.DEBUG, logger="rainbowk.oracle"):
         result = rc_k_exact(PartitionSpec((2, 2)), 2, 4)
     assert result.value == 4
+    # With 4 colors no node fails, so its 5 nodes look at all 6 pairs each:
+    # 6 queries (the root's) and 24 pairs settled by an inherited family.
     assert caplog.messages == [
         f"rck-exact: {L} colors: {nodes} nodes checked, {cut} subtrees cut, "
-        f"{leaves} leaves reached"
-        for L, nodes, cut, leaves in [(1, 1, 1, 0), (2, 1, 1, 0), (3, 10, 3, 3), (4, 5, 0, 1)]
+        f"{leaves} leaves reached, {queries} pair queries, {inherited} pairs "
+        f"settled by an inherited family"
+        for L, nodes, cut, leaves, queries, inherited in [
+            (1, 1, 1, 0, 1, 0), (2, 1, 1, 0, 2, 0), (3, 10, 3, 3, 12, 27),
+            (4, 5, 0, 1, 6, 24)]
     ]

@@ -29,14 +29,12 @@ from .core import (
     SchemaError,
     VerificationReport,
     WitnessFamily,
-    adjacent,
     family_is_valid,
     is_rainbow_path,
     path_colors,
 )
 from .oracle import (
     BudgetExceeded,
-    canonical_form,
     enumerate_colorings_canonical,
     rc_k_exact,
 )

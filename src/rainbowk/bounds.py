@@ -84,9 +84,7 @@ def _twin_certificate(
     twins = find_color_twins(coloring, big_part)
     if twins is None:
         raise InvariantError("pigeonhole guarantee violated: no color twins found")
-    count, _ = max_disjoint_rainbow(
-        coloring, PairQuery(twins[0], twins[1], mode="maximize")
-    )
+    count, _ = max_disjoint_rainbow(coloring, PairQuery(twins[0], twins[1]))
     if count >= k:
         raise InvariantError(
             f"certificate construction failed: twins {twins} admit {count} >= k paths"

@@ -18,6 +18,7 @@ import argparse
 import json
 import os
 import sys
+from contextlib import suppress
 from functools import cache
 from pathlib import Path
 
@@ -108,37 +109,52 @@ def _load_coloring(path: str) -> Coloring:
     return Coloring.from_json_dict(_load_document(path))
 
 
-def _write_text(path: str | None, text: str) -> None:
-    """Write text to the file at path, or to stdout (flushed here, so that a
-    stdout that cannot be written fails now, not at interpreter exit)."""
+def _write_stream(stream, text: str) -> None:
+    """Write text to stdout or stderr and flush it, so that a stream that
+    cannot be written fails here (SchemaError), not at interpreter exit. The
+    failed stream is pointed at the null device: the text left in its buffer
+    would otherwise fail again at exit, adding "Exception ignored" and 120."""
     try:
-        if path is None:
-            sys.stdout.write(text)
-            sys.stdout.flush()
-        else:
-            Path(path).write_text(text)
+        stream.write(text)
+        stream.flush()
     except OSError as exc:
-        if path is None:
-            _discard_stdout()
-        raise SchemaError(f"cannot write {path or 'stdout'}: {exc}") from exc
+        with suppress(OSError):  # no file descriptor: nothing is retried
+            fd = stream.fileno()
+            devnull = os.open(os.devnull, os.O_WRONLY)
+            os.dup2(devnull, fd)
+            os.close(devnull)
+        name = "stderr" if stream is sys.stderr else "stdout"
+        raise SchemaError(f"cannot write {name}: {exc}") from exc
 
 
-def _discard_stdout() -> None:
-    """Point stdout's file descriptor at the null device. The text left in
-    stdout's buffer after a failed write would otherwise be written again
-    at interpreter exit, fail again, and add an "Exception ignored" report
-    and exit code 120 to the one-line error."""
+def _write_text(path: str | None, text: str) -> None:
+    """Write text to the file at path, or to stdout (`_write_stream`)."""
+    if path is None:
+        return _write_stream(sys.stdout, text)
     try:
-        fd = sys.stdout.fileno()
-    except OSError:  # not backed by a file descriptor: nothing is retried
-        return
-    devnull = os.open(os.devnull, os.O_WRONLY)
-    os.dup2(devnull, fd)
-    os.close(devnull)
+        Path(path).write_text(text)
+    except OSError as exc:
+        raise SchemaError(f"cannot write {path}: {exc}") from exc
 
 
 def _print(line: str) -> None:
     _write_text(None, line + "\n")
+
+
+def _fail(line: str, code: int) -> int:
+    """Print an error line on stderr, if it can be written, and return code."""
+    with suppress(SchemaError):
+        _write_stream(sys.stderr, line + "\n")
+    return code
+
+
+class _Parser(argparse.ArgumentParser):
+    """Help, usage and error text go through `_write_stream`; argparse's own
+    writer ignores an OSError there or leaves the text to fail at exit."""
+
+    def _print_message(self, message: str, file=None) -> None:
+        if message:
+            _write_stream(file or sys.stderr, message)
 
 
 def coloring_document(coloring: Coloring, meta: ConstructionMeta | None = None) -> str:
@@ -153,7 +169,7 @@ def build_parser() -> argparse.ArgumentParser:
     """The CLI's parser, built on the first call and shared after that.
     Sharing is safe: `parse_args` never changes the parser, and every
     default is immutable."""
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="rainbowk",
         description="Rainbow k-connection colorings of complete multipartite graphs",
     )
@@ -254,10 +270,8 @@ def _run_verify(opt: dict) -> int:
         if opt["k"] < 1:
             raise ValueError("k must be >= 1")
         u, v = _parse_sizes(opt["pairs"], "--pairs", 2)
-        query = PairQuery(
-            u, v, mode=opt["mode"], k=opt["k"] if opt["mode"] == "decision" else None
-        )
-        count, family = max_disjoint_rainbow(coloring, query)
+        k = opt["k"] if opt["mode"] == "decision" else None
+        count, family = max_disjoint_rainbow(coloring, PairQuery(u, v, k=k))
         if opt["report"]:
             _write_text(opt["report"], json_text(family.to_json_dict()))
         ok = count >= opt["k"]
@@ -348,15 +362,16 @@ def run(command: str, options: dict) -> int:
     try:
         return _DISPATCH[command](options)
     except (SchemaError, ValueError, BudgetExceeded) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
+        return _fail(f"error: {exc}", 2)
     except InvariantError as exc:
-        print(f"internal error: {exc}", file=sys.stderr)
-        return 3
+        return _fail(f"internal error: {exc}", 3)
 
 
 def main(argv=None) -> None:
-    args = build_parser().parse_args(argv)
+    try:
+        args = build_parser().parse_args(argv)
+    except SchemaError as exc:  # help or usage text that cannot be written
+        sys.exit(_fail(f"error: {exc}", 2))
     options = vars(args)
     command = options.pop("command")
     sys.exit(run(command, options))

@@ -180,11 +180,6 @@ class PartitionSpec:
         return (self.n * self.n - sq) // 2
 
 
-def adjacent(spec: PartitionSpec, u: int, v: int) -> bool:
-    """True iff u and v lie in different parts (hence are joined by an edge)."""
-    return spec.part_of(u) != spec.part_of(v)
-
-
 def _color_table(
     spec: PartitionSpec, num_colors: int, entries, count: int
 ) -> tuple[tuple[int, ...], ...]:
@@ -424,11 +419,19 @@ class VerificationReport:
     """
 
     k: int
-    ok: bool
     counts: dict[tuple[int, int], int]
     capped: bool
-    failing_pair: tuple[int, int] | None = None
     failing_family: WitnessFamily | None = None
+
+    @cached_property
+    def failing_pair(self) -> tuple[int, int] | None:
+        """The lexicographically first pair with fewer than k paths; the
+        verdict `ok` is that there is none."""
+        return min((p for p, c in self.counts.items() if c < self.k), default=None)
+
+    @property
+    def ok(self) -> bool:
+        return self.failing_pair is None
 
     def to_json_dict(self) -> dict:
         doc: dict = {
@@ -437,7 +440,7 @@ class VerificationReport:
             "counts_capped_at_k": self.capped,
             "pairs": [[u, v, c] for (u, v), c in sorted(self.counts.items())],
         }
-        if not self.ok and self.failing_pair is not None:
+        if self.failing_pair is not None:
             doc["failing_pair"] = list(self.failing_pair)
             if self.failing_family is not None:
                 doc["failing_pair_best_family"] = self.failing_family.to_json_dict()

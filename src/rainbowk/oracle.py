@@ -32,8 +32,8 @@ restricted-growth order, the witness, is the one that enumerator, unpruned,
 yields first.
 
 Relaxations are rejected fail-first: `first_failing_pair` maps the
-verifier's `pair_count` over the pairs, starting with the pair that sank
-the previous node.
+verifier's `max_disjoint_rainbow` over the pairs, starting with the pair
+that sank the previous node.
 
 A pair is settled without a query when a family found earlier in the walk
 still proves it. `SettledFamilies`, one per palette size L, keeps for each
@@ -68,7 +68,12 @@ from itertools import chain
 from typing import Iterator
 
 from .core import Coloring, InvariantError, PartitionSpec, VertexPath, all_pairs
-from .verifier import pair_count, structural_connectivity, verify_rainbow_k_connected
+from .verifier import (
+    PairQuery,
+    max_disjoint_rainbow,
+    structural_connectivity,
+    verify_rainbow_k_connected,
+)
 
 logger = logging.getLogger(__name__)
 
@@ -112,28 +117,19 @@ def enumerate_colorings_canonical(
     return rec(0, 0, {})
 
 
-def canonical_form(coloring: Coloring) -> Coloring:
-    """Relabel colors by first appearance along the lex edge order (the
-    restricted-growth normal form of the coloring's orbit)."""
-    relabel: dict[int, int] = {}
-    assignment = {}
-    for e in coloring.spec.edges():
-        c = coloring.color(*e)
-        if c not in relabel:
-            relabel[c] = len(relabel) + 1
-        assignment[e] = relabel[c]
-    return Coloring(coloring.spec, len(relabel), assignment)
-
-
 @dataclass(frozen=True)
 class RckExactResult:
     """Smallest working palette size, or evidence the budget was exhausted."""
 
     spec: PartitionSpec
     k: int
-    value: int | None
     witness: Coloring | None
     max_colors: int
+
+    @property
+    def value(self) -> int | None:
+        """The witness's palette size, or None when there is no witness."""
+        return None if self.witness is None else self.witness.num_colors
 
     def __str__(self) -> str:
         return str(self.value) if self.value is not None else f"> {self.max_colors}"
@@ -201,7 +197,7 @@ def first_failing_pair(
                 settled.inherited += 1
                 continue
             settled.queried += 1
-        count, family = pair_count(coloring, k, "decision", pair, max_len)
+        count, family = max_disjoint_rainbow(coloring, PairQuery(*pair, k=k, max_len=max_len))
         if count < k:
             return pair
         if settled is not None:
@@ -284,5 +280,5 @@ def rc_k_exact(
                     "the fail-first pair check passed a coloring that "
                     "full verification rejects"
                 )
-            return RckExactResult(spec, k, num_colors, witness, max_colors)
-    return RckExactResult(spec, k, None, None, max_colors)
+            return RckExactResult(spec, k, witness, max_colors)
+    return RckExactResult(spec, k, None, max_colors)

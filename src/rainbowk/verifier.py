@@ -60,10 +60,9 @@ or the two smallest members of C, and its count is copied to the others.
 The first failing pair in lexicographic order is then a representative, so
 the report is the one the full pair loop gives, failing family included.
 
-`pair_count` is the one per-pair query (the oracle maps it over its own
-pair order, with its relaxations' path-length cap) and `fan_out` the one
-process fan-out (the lower-bound sampler maps its seeds through it).
-"""
+`max_disjoint_rainbow` is the one per-pair query (the oracle maps it over
+its pair order, with its relaxations' path-length cap) and `fan_out` the
+one process fan-out (the lower-bound sampler maps its seeds through it)."""
 
 from __future__ import annotations
 
@@ -88,25 +87,27 @@ logger = logging.getLogger(__name__)
 
 @dataclass(frozen=True)
 class PairQuery:
-    """One pair to check: decide `count >= k` or maximize the packing size.
-    `max_len` caps the path length below the palette size (None: no cap
-    beyond the palette's own, which pigeonhole makes safe)."""
+    """One pair to check: decide `count >= k`, or maximize the packing size
+    when k is None. `max_len` caps the path length below the palette size
+    (None: no cap beyond the palette's own, which pigeonhole makes safe)."""
 
     u: int
     v: int
-    mode: str = "decision"
     k: int | None = None
     max_len: int | None = None
 
     def __post_init__(self) -> None:
         if self.u == self.v:
             raise ValueError("pair endpoints must differ")
-        if self.mode not in ("decision", "maximize"):
-            raise ValueError(f"unknown mode {self.mode!r}")
-        if self.mode == "decision" and (self.k is None or self.k < 1):
+        if self.k is not None and self.k < 1:
             raise ValueError("decision mode needs k >= 1")
         if self.max_len is not None and self.max_len < 1:
             raise ValueError("max_len must be >= 1")
+
+    @property
+    def mode(self) -> str:
+        """"decision" with a k, "maximize" without one."""
+        return "maximize" if self.k is None else "decision"
 
 
 def _path_cap(coloring: Coloring, u: int, v: int, max_len: int | None) -> int:
@@ -260,9 +261,9 @@ def _max_packing(
 
     A greedy first-fit pass runs first. With a target, this function runs
     only as `max_disjoint_rainbow`'s fallback, after its first-fit walk fell
-    short of the target, so the pass picks the walk's paths again and the
-    search starts from them. Two root exits follow the pass before any work
-    quadratic in the path count:
+    short of the target, so the pass picks the walk's paths again, fewer
+    than the target, and the search starts from them. Two root exits follow
+    the pass before any work quadratic in the path count:
     - greedy took every path: no packing has more, so it is maximum;
     - greedy reached the capacity bound of the whole path set: the bound
       holds for every packing (module docstring), so none is larger.
@@ -288,8 +289,6 @@ def _max_packing(
         if masks[i] & used == 0:
             best.append(i)
             used |= masks[i]
-            if target is not None and len(best) >= target:
-                return best[:target]
     if len(best) == m:
         return best
     tables = _capacity_tables(masks, part_masks)
@@ -357,12 +356,11 @@ def max_disjoint_rainbow(
     coloring: Coloring, query: PairQuery
 ) -> tuple[int, WitnessFamily]:
     """Size of a maximum packing of internally disjoint rainbow u,v-paths,
-    plus a family attaining it. Decision mode caps the count at k: the
+    plus a family attaining it. A query with a k caps both at k: the
     first-fit walk settles it when it picks k paths, and only a walk that
     ends short of k enumerates the paths and searches them (module
     docstring); each such fallback is logged at debug level."""
-    u, v = query.u, query.v
-    target = query.k if query.mode == "decision" else None
+    u, v, target = query.u, query.v, query.k
     if target is not None:
         picked = first_fit_rainbow_paths(coloring, u, v, target, query.max_len)
     if target is None or len(picked) < target:
@@ -376,30 +374,15 @@ def max_disjoint_rainbow(
     return len(picked), family
 
 
-def pair_count(
-    coloring: Coloring, k: int, mode: str, pair: tuple[int, int],
-    max_len: int | None = None,
-) -> tuple[int, WitnessFamily]:
-    """Disjoint rainbow path count of one pair, over paths of at most
-    max_len edges, with a family of that many paths: capped at k in
-    decision mode, the maximum in maximize mode. A decision-mode family
-    stops at k paths, so it attains the maximum only when the count is
-    below k; the oracle keeps a passing pair's family to settle the pair in
-    later relaxations without a query."""
-    query = PairQuery(pair[0], pair[1], mode=mode, k=k if mode == "decision" else None,
-                      max_len=max_len)
-    return max_disjoint_rainbow(coloring, query)
-
-
 def _loop_query(
-    coloring: Coloring, k: int, mode: str, pair: tuple[int, int]
+    coloring: Coloring, k: int | None, pair: tuple[int, int]
 ) -> tuple[int, WitnessFamily | None]:
-    """`pair_count` as the verifier's pair loop needs it. A decision-mode
-    family may stop at k paths and the loop reads only the count, so the
-    family is dropped here rather than held (or sent back from a worker)
-    for every representative pair."""
-    count, family = pair_count(coloring, k, mode, pair)
-    return count, family if mode == "maximize" else None
+    """The pair loop's query: capped at k, or the maximum when k is None. A
+    decision-mode family may stop at k paths and the loop reads only the
+    count, so the family is dropped here rather than held (or sent back
+    from a worker) for every representative pair."""
+    count, family = max_disjoint_rainbow(coloring, PairQuery(*pair, k=k))
+    return count, family if k is None else None
 
 
 def fan_out(work, items, jobs: int) -> list:
@@ -431,6 +414,8 @@ def verify_rainbow_k_connected(
     docstring). Results are identical for any jobs count."""
     if k < 1:
         raise ValueError("k must be >= 1")
+    if mode not in ("decision", "maximize"):
+        raise ValueError(f"unknown mode {mode!r}")
     pairs = list(all_pairs(coloring.spec))
     classes = twin_classes(coloring)
     class_of = {a: i for i, members in enumerate(classes) for a in members}
@@ -444,25 +429,15 @@ def verify_rainbow_k_connected(
     logger.debug("verify: %d pairs, %d twin classes, %d representative pairs",
                  len(pairs), len(classes), len(reps))
     rep_pairs = list(reps.values())
-    work = partial(_loop_query, coloring, k, mode)
+    capped = mode == "decision"
+    work = partial(_loop_query, coloring, k if capped else None)
     results = dict(zip(rep_pairs, fan_out(work, rep_pairs, jobs)))
     counts = {p: results[r][0] for p, r in zip(pairs, rep_of)}
     failing = next((p for p in pairs if counts[p] < k), None)
-    best = None
-    if failing is not None:
-        best = results[failing][1]
-        if best is None:  # decision mode: search the failing pair's maximum
-            _, best = max_disjoint_rainbow(
-                coloring, PairQuery(failing[0], failing[1], mode="maximize")
-            )
-    return VerificationReport(
-        k=k,
-        ok=failing is None,
-        counts=counts,
-        capped=(mode == "decision"),
-        failing_pair=failing,
-        failing_family=best,
-    )
+    best = None if failing is None else results[failing][1]
+    if failing is not None and best is None:  # decision mode: search its maximum
+        _, best = max_disjoint_rainbow(coloring, PairQuery(*failing))
+    return VerificationReport(k=k, counts=counts, capped=capped, failing_family=best)
 
 
 def structural_connectivity(spec: PartitionSpec) -> int:

@@ -2,7 +2,9 @@
 definitions without reusing library internals, and unpruned references for
 the library's pruned loops (`unpruned_max_packing`, `full_pair_report`,
 `unpruned_rc_k_exact`), which reuse only the per-pair query or the
-enumerator they do not prune, and of its batched draw (`randrange_coloring`)."""
+enumerator they do not prune, and of its batched draw (`randrange_coloring`).
+`canonical_form` is the normal form that enumerator's orbits are checked
+against."""
 
 import random
 from itertools import combinations, permutations
@@ -133,15 +135,27 @@ def full_pair_report(coloring: Coloring, k: int, mode: str) -> VerificationRepor
     against. The failing pair's family comes from a maximize query."""
     counts = {}
     for u, v in all_pairs(coloring.spec):
-        query = PairQuery(u, v, mode=mode, k=k if mode == "decision" else None)
+        query = PairQuery(u, v, k=k if mode == "decision" else None)
         counts[(u, v)] = max_disjoint_rainbow(coloring, query)[0]
     failing = next((p for p in counts if counts[p] < k), None)
     best = None
     if failing is not None:
-        _, best = max_disjoint_rainbow(coloring, PairQuery(*failing, mode="maximize"))
-    return VerificationReport(k=k, ok=failing is None, counts=counts,
-                              capped=(mode == "decision"), failing_pair=failing,
+        _, best = max_disjoint_rainbow(coloring, PairQuery(*failing))
+    return VerificationReport(k=k, counts=counts, capped=(mode == "decision"),
                               failing_family=best)
+
+
+def canonical_form(coloring: Coloring) -> Coloring:
+    """Relabel colors by first appearance along the lex edge order (the
+    restricted-growth normal form of the coloring's orbit)."""
+    relabel: dict[int, int] = {}
+    assignment = {}
+    for e in coloring.spec.edges():
+        c = coloring.color(*e)
+        if c not in relabel:
+            relabel[c] = len(relabel) + 1
+        assignment[e] = relabel[c]
+    return Coloring(coloring.spec, len(relabel), assignment)
 
 
 def unpruned_rc_k_exact(spec: PartitionSpec, k: int, max_colors: int):

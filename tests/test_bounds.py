@@ -148,9 +148,7 @@ def test_certificates_confirmed_by_verifier():
     certs = sample_certificates("bipartite5", 2, (2, 17), 5, seed=100)
     for i, cert in enumerate(certs):
         coloring = random_coloring(PartitionSpec((2, 17)), 4, 100 + i)
-        count, _ = max_disjoint_rainbow(
-            coloring, PairQuery(*cert.twins, mode="maximize")
-        )
+        count, _ = max_disjoint_rainbow(coloring, PairQuery(*cert.twins))
         assert count == cert.count < 2
         assert not verify_rainbow_k_connected(coloring, 2).ok
 

@@ -829,6 +829,49 @@ def test_unwritable_stdout_is_one_line_usage_error(tmp_path, argv, target):
     assert proc.stderr.count("\n") == 1
 
 
+# A child whose self-check fails: full verification disagrees with the
+# oracle's pair loop, as in test_failed_self_check_is_reported_not_asserted.
+SELF_CHECK_FAILS = [
+    sys.executable, "-c",
+    "import sys, types, rainbowk.cli, rainbowk.oracle\n"
+    "rainbowk.oracle.verify_rainbow_k_connected = "
+    "lambda coloring, k: types.SimpleNamespace(ok=False)\n"
+    "rainbowk.cli.main(sys.argv[1:])",
+]
+RAINBOWK = [sys.executable, "-m", "rainbowk"]
+
+
+@pytest.mark.parametrize("unbuffered", [False, True], ids=["buffered", "unbuffered"])
+@pytest.mark.parametrize("command, full, code", [
+    (RAINBOWK + ["verify", "--coloring", "missing.json", "--k", "2"], "stderr", 2),
+    (RAINBOWK + ["verify"], "stderr", 2),  # argparse: --coloring and --k are required
+    (SELF_CHECK_FAILS + ["rck-exact", "--sizes", "2,2", "--k", "1", "--max-colors", "2"],
+     "stderr", 3),
+    (RAINBOWK + ["--help"], "stdout", 2),
+    (RAINBOWK + ["verify", "--help"], "stdout", 2),
+], ids=["missing-file", "usage", "self-check", "help", "verify-help"])
+def test_unwritable_stream_keeps_the_exit_code(command, full, code, unbuffered):
+    # An error line that cannot be written is lost, but the run still exits
+    # with the code of what went wrong, never 1 ("verified fail"), 120 (a
+    # buffer that fails again at exit) or 0 (help that argparse failed to
+    # print). Help that cannot be written is a usage error with the usual
+    # one line on stderr.
+    if not Path("/dev/full").exists():
+        pytest.skip("needs /dev/full")
+    env = {k: v for k, v in os.environ.items() if k != "PYTHONUNBUFFERED"}
+    if unbuffered:
+        env["PYTHONUNBUFFERED"] = "1"
+    with open("/dev/full", "w") as sink:
+        streams = {"stdout": subprocess.PIPE, "stderr": subprocess.PIPE, full: sink}
+        proc = subprocess.run(command, text=True, env=env, **streams)
+    assert proc.returncode == code
+    if full == "stderr":
+        assert proc.stdout == ""
+    else:
+        assert proc.stderr.startswith("error: cannot write stdout: ")
+        assert proc.stderr.count("\n") == 1
+
+
 def _main(argv):
     """Exit code of `main(argv)` in this process."""
     with pytest.raises(SystemExit) as exc:

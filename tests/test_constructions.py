@@ -408,9 +408,7 @@ def test_witness_dominance_verifier_never_undercounts():
     for coloring, meta in cases:
         for u, v in combinations(range(coloring.spec.n), 2):
             fam = witness_paths(meta, coloring, u, v, 2)
-            count, _ = max_disjoint_rainbow(
-                coloring, PairQuery(u, v, mode="maximize")
-            )
+            count, _ = max_disjoint_rainbow(coloring, PairQuery(u, v))
             assert count >= len(fam.paths)
 
 

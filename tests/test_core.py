@@ -13,8 +13,8 @@ from rainbowk.core import (
     Coloring,
     PartitionSpec,
     SchemaError,
+    VerificationReport,
     WitnessFamily,
-    adjacent,
     family_is_valid,
     is_rainbow_path,
     json_text,
@@ -44,14 +44,21 @@ def test_part_blocks():
     assert [spec.part_of(v) for v in range(6)] == [0, 0, 1, 1, 1, 2]
     assert list(spec.part_members(1)) == [2, 3, 4]
     assert spec.edge_count() == 2 * 3 + 2 * 1 + 3 * 1
+    with pytest.raises(ValueError, match="vertex 6 out of range 0..5"):
+        spec.part_of(6)
 
 
-def test_adjacent_examples():
-    assert adjacent(PartitionSpec((2, 2)), 0, 1) is False
-    assert adjacent(PartitionSpec((2, 2)), 0, 2) is True
-    assert adjacent(PartitionSpec((1, 1, 1)), 0, 2) is True
-    with pytest.raises(ValueError):
-        adjacent(PartitionSpec((2, 2)), 0, 7)
+def test_report_reads_its_verdict_off_the_counts():
+    # The failing pair is the lex-first short pair, whatever the dict order.
+    counts = {(1, 2): 1, (0, 3): 0, (0, 1): 2}
+    report = VerificationReport(k=2, counts=counts, capped=True)
+    assert report.failing_pair == (0, 3) and not report.ok
+    assert report.to_json_dict()["failing_pair"] == [0, 3]
+    report = VerificationReport(k=1, counts=counts, capped=False)
+    assert report.failing_pair == (0, 3)
+    passing = VerificationReport(k=1, counts={(0, 1): 1}, capped=True)
+    assert passing.ok and passing.failing_pair is None
+    assert "failing_pair" not in passing.to_json_dict()
 
 
 def test_same_part_color_query_is_error():

@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from helpers import unpruned_rc_k_exact
+from helpers import canonical_form, unpruned_rc_k_exact
 from rainbowk.constructions import color_ctk, color_mnn
 from rainbowk.core import (
     Coloring,
@@ -17,14 +17,14 @@ from rainbowk.core import (
 )
 from rainbowk.oracle import (
     BudgetExceeded,
-    canonical_form,
     enumerate_colorings_canonical,
     family_holds,
     path_by_edge,
     rc_k_exact,
 )
 from rainbowk.verifier import (
-    pair_count,
+    PairQuery,
+    max_disjoint_rainbow,
     structural_connectivity,
     verify_rainbow_k_connected,
 )
@@ -170,8 +170,8 @@ def test_the_relaxation_bounds_every_completion(instance):
     num_colors = coloring.num_colors
     relaxation = _relaxation(coloring, prefix)
     for pair in all_pairs(coloring.spec):
-        full, _ = pair_count(coloring, 1, "maximize", pair)
-        relaxed, _ = pair_count(relaxation, 1, "maximize", pair, max_len=num_colors)
+        full, _ = max_disjoint_rainbow(coloring, PairQuery(*pair))
+        relaxed, _ = max_disjoint_rainbow(relaxation, PairQuery(*pair, max_len=num_colors))
         assert relaxed >= full, pair
 
 
@@ -195,7 +195,8 @@ def test_an_inherited_family_is_kept_only_while_it_settles_its_pair(instance, da
     earlier = _relaxation(coloring, found_at)
     for pair in all_pairs(coloring.spec):
         for k in (1, 2, 3):
-            count, family = pair_count(earlier, k, "decision", pair, max_len=num_colors)
+            count, family = max_disjoint_rainbow(
+                earlier, PairQuery(*pair, k=k, max_len=num_colors))
             if count < k:
                 continue
             by_edge = path_by_edge(family.paths)

@@ -31,7 +31,6 @@ from rainbowk.verifier import (
     fan_out,
     first_fit_rainbow_paths,
     max_disjoint_rainbow,
-    pair_count,
     structural_connectivity,
     verify_rainbow_k_connected,
 )
@@ -99,9 +98,7 @@ def test_enumeration_cap_beyond_palette_changes_nothing(coloring):
 
 
 def test_max_disjoint_same_part_pair_with_one_color():
-    count, family = max_disjoint_rainbow(
-        ONE_COLOR_K22, PairQuery(0, 1, mode="maximize")
-    )
+    count, family = max_disjoint_rainbow(ONE_COLOR_K22, PairQuery(0, 1))
     assert count == 0
     assert family.paths == ()
 
@@ -124,25 +121,30 @@ def test_max_disjoint_k2416_pairs():
 def test_pair_query_validation():
     with pytest.raises(ValueError):
         PairQuery(1, 1)
-    with pytest.raises(ValueError):
-        PairQuery(0, 1, mode="decision", k=None)
-    with pytest.raises(ValueError):
-        PairQuery(0, 1, mode="guess")
+    with pytest.raises(ValueError, match="k >= 1"):
+        PairQuery(0, 1, k=0)
+    with pytest.raises(TypeError):
+        PairQuery(0, 1, mode="maximize")  # the mode is read off k
+
+
+def test_verify_refuses_an_unknown_mode():
+    with pytest.raises(ValueError, match="unknown mode 'guess'"):
+        verify_rainbow_k_connected(ONE_COLOR_K22, 1, mode="guess")
 
 
 def test_pair_query_rejects_a_cap_below_one_edge():
     with pytest.raises(ValueError, match="max_len"):
-        PairQuery(0, 1, mode="maximize", max_len=0)
-    assert PairQuery(0, 1, mode="maximize", max_len=1).max_len == 1
+        PairQuery(0, 1, max_len=0)
+    assert PairQuery(0, 1, max_len=1).max_len == 1
 
 
 def test_max_len_caps_the_paths_a_query_packs():
     # K_{2,2} rainbow: the cross pair (0, 2) has its edge and 0-3-1-2.
     coloring = Coloring.from_function(PartitionSpec((2, 2)), 4,
                                       lambda u, v: 2 * u + v - 1)
-    assert max_disjoint_rainbow(coloring, PairQuery(0, 2, mode="maximize"))[0] == 2
+    assert max_disjoint_rainbow(coloring, PairQuery(0, 2))[0] == 2
     count, family = max_disjoint_rainbow(
-        coloring, PairQuery(0, 2, mode="maximize", max_len=2))
+        coloring, PairQuery(0, 2, max_len=2))
     assert count == 1 and family.paths == ((0, 2),)
 
 
@@ -153,9 +155,7 @@ def test_exhaustive_oracle_agreement():
         spec = PartitionSpec(sizes)
         for coloring in all_colorings(spec, 3):
             for u, v in all_pairs(spec):
-                count, family = max_disjoint_rainbow(
-                    coloring, PairQuery(u, v, mode="maximize")
-                )
+                count, family = max_disjoint_rainbow(coloring, PairQuery(u, v))
                 paths = enumerate_rainbow_paths(coloring, u, v)
                 assert count == naive_max_disjoint(paths)
                 assert family_is_valid(coloring, family, count)
@@ -211,7 +211,7 @@ def test_color_permutation_invariance(coloring, rng):
 @settings(max_examples=30)
 def test_soundness_of_returned_families(coloring):
     u, v = 0, coloring.spec.n - 1
-    count, family = max_disjoint_rainbow(coloring, PairQuery(u, v, mode="maximize"))
+    count, family = max_disjoint_rainbow(coloring, PairQuery(u, v))
     assert family_is_valid(coloring, family, count)
 
 
@@ -276,7 +276,7 @@ def test_hint_first_search_agrees_with_full_verification(coloring, k, data):
     failing = first_failing_pair(coloring, k, hint)
     assert (failing is None) == verify_rainbow_k_connected(coloring, k).ok
     if failing is not None:
-        count, _ = max_disjoint_rainbow(coloring, PairQuery(*failing, mode="maximize"))
+        count, _ = max_disjoint_rainbow(coloring, PairQuery(*failing))
         assert count < k
 
 
@@ -309,9 +309,7 @@ def test_packing_matches_subset_oracle_on_random_instances():
         paths = enumerate_rainbow_paths(coloring, u, v)
         if len(paths) > 14:
             continue  # keep the subset oracle affordable
-        count, family = max_disjoint_rainbow(
-            coloring, PairQuery(u, v, mode="maximize")
-        )
+        count, family = max_disjoint_rainbow(coloring, PairQuery(u, v))
         assert count == naive_max_disjoint(paths)
         assert family_is_valid(coloring, family, count)
         # Decision mode builds the conflict matrix only when greedy falls
@@ -344,7 +342,7 @@ def test_bounded_search_matches_unpruned_search(instance):
     # packing, so count and family equal the unpruned search's, in both
     # modes and for every k up to one past the maximum.
     coloring, u, v, paths = instance
-    count, family = max_disjoint_rainbow(coloring, PairQuery(u, v, mode="maximize"))
+    count, family = max_disjoint_rainbow(coloring, PairQuery(u, v))
     assert family.paths == tuple(paths[i] for i in unpruned_max_packing(paths, None))
     for k in range(1, count + 2):
         got, family = max_disjoint_rainbow(coloring, PairQuery(u, v, k=k))
@@ -376,7 +374,6 @@ def test_first_fit_walk_matches_the_full_enumeration(sizes, num_colors, seed):
                     coloring, PairQuery(u, v, k=k, max_len=max_len))
                 assert count == len(picked)
                 assert family.paths == tuple(paths[i] for i in picked)
-                assert pair_count(coloring, k, "decision", (u, v), max_len) == (count, family)
 
 
 @pytest.mark.parametrize("mode", ["decision", "maximize"])
@@ -384,7 +381,7 @@ def test_first_fit_walk_matches_the_full_enumeration(sizes, num_colors, seed):
 def test_pair_query_refuses_ids_out_of_range(mode, u, v):
     # n = 6: rows[-1] would answer silently, rows[6] with an IndexError.
     coloring = random_coloring(PartitionSpec((2, 2, 2)), 3, seed=2)
-    query = PairQuery(u, v, mode=mode, k=2 if mode == "decision" else None)
+    query = PairQuery(u, v, k=2 if mode == "decision" else None)
     with pytest.raises(ValueError, match="out of range 0..5"):
         max_disjoint_rainbow(coloring, query)
 
@@ -411,7 +408,7 @@ def test_bipartite4_k10_10_maximize_at_k5():
     # (2-vCPU Xeon, Python 3.11); with it, well under a second.
     coloring, _ = color_bipartite4(10, 10, 5)
     for u, v in all_pairs(coloring.spec):
-        count, family = max_disjoint_rainbow(coloring, PairQuery(u, v, mode="maximize"))
+        count, family = max_disjoint_rainbow(coloring, PairQuery(u, v))
         assert count >= 5
         assert family_is_valid(coloring, family, count)
 
@@ -527,7 +524,7 @@ def test_each_representative_pair_is_queried_once(monkeypatch):
 ])
 def test_pair_queries_on_construction_instances(monkeypatch, build, k, queries):
     coloring, _ = build()
-    calls = _count_calls(monkeypatch, "pair_count")
+    calls = _count_calls(monkeypatch, "_loop_query")
     assert verify_rainbow_k_connected(coloring, k).ok
     assert len(calls) == queries
 

@@ -17,6 +17,7 @@ from __future__ import annotations
 import argparse
 import json
 import os
+import re
 import sys
 from contextlib import suppress
 from functools import cache
@@ -44,6 +45,8 @@ from .oracle import BudgetExceeded, rc_k_exact
 from .verifier import PairQuery, max_disjoint_rainbow, verify_rainbow_k_connected
 
 DEFAULT_PALETTE = {1: "blue", 2: "red", 3: "green", 4: "orange"}
+# What a name may not hold: it is written inside a quoted DOT attribute as is.
+_UNSAFE_NAME = re.compile(r'["\\\x00-\x1f\x7f-\x9f]')
 
 
 def export_dot(coloring: Coloring, palette: dict[int, str]) -> str:
@@ -53,6 +56,10 @@ def export_dot(coloring: Coloring, palette: dict[int, str]) -> str:
     missing = [c for c in range(1, coloring.num_colors + 1) if c not in palette]
     if missing:
         raise ValueError(f"palette has no names for colors {missing}")
+    for c, name in palette.items():
+        if _UNSAFE_NAME.search(name):
+            raise ValueError(f"bad palette entry {f'{c}={name}'!r}: a name may not contain "
+                             f"a quote, a backslash or a control character")
     lines = ["graph coloring {"]
     for i in range(coloring.spec.t):
         members = " ".join(f"v{w};" for w in coloring.spec.part_members(i))
@@ -80,16 +87,18 @@ def _parse_palette(text: str | None) -> dict[int, str]:
     if text is None:
         return dict(DEFAULT_PALETTE)
     palette = {}
-    try:
-        for item in text.split(","):
-            color, _, name = item.partition("=")
-            if not name:
-                raise ValueError
-            palette[int(color)] = name
-    except ValueError:
-        raise SchemaError(
-            f"bad --palette entry {item!r}: expected color=name with an integer color"
-        ) from None
+    for item in text.split(","):
+        color, _, name = item.partition("=")
+        try:
+            color = int(color) if name else None
+        except ValueError:
+            color = None
+        if color is None:
+            raise SchemaError(
+                f"bad --palette entry {item!r}: expected color=name with an integer color")
+        if color in palette:
+            raise SchemaError(f"bad --palette entry {item!r}: color {color} is named twice")
+        palette[color] = name
     return palette
 
 
@@ -269,6 +278,8 @@ def _run_verify(opt: dict) -> int:
     if opt["pairs"] != "all":
         if opt["k"] < 1:
             raise ValueError("k must be >= 1")
+        if opt["jobs"] < 1:  # unused by one pair, but refused as for all pairs
+            raise ValueError(f"jobs must be >= 1, got {opt['jobs']}")
         u, v = _parse_sizes(opt["pairs"], "--pairs", 2)
         k = opt["k"] if opt["mode"] == "decision" else None
         count, family = max_disjoint_rainbow(coloring, PairQuery(u, v, k=k))

@@ -22,11 +22,11 @@ tagged with the case that produced it. Positions equivalent to a canonical
 one are reduced either through a genuine color automorphism (recorded in the
 meta) or through the mirror-symmetric case body; both preserve rainbowness.
 
-Each labeling is a pure function of the part sizes, so a witness builder
-recomputes it with the helper its constructor calls. Builders read only the
-meta's ``tag``, ``labeling.sizes`` (checked against the coloring) and, for
-``extension``, ``params.p``/``params.q`` and ``labeling.base_meta``; every
-other meta field is descriptive.
+Each labeling is a pure function of the part sizes, stated once in a role or
+labeling helper that both the color rule and the witness builder read.
+Builders read only the meta's ``tag``, ``labeling.sizes`` (checked against
+the coloring) and, for ``extension``, ``params.p``/``params.q`` and
+``labeling.base_meta``; every other meta field is descriptive.
 
 Bit-valued palettes {0,1} are stored as {1,2} (0 -> 1, 1 -> 2), recorded in
 the meta as ``bit_colors``.
@@ -39,7 +39,6 @@ from itertools import islice, product
 
 from .core import (
     Coloring,
-    InvariantError,
     PartitionSpec,
     SchemaError,
     VertexPath,
@@ -87,8 +86,12 @@ class ConstructionMeta:
 # ---------------------------------------------------------------------------
 
 
-def _bipartite4_blocks(spec: PartitionSpec) -> dict[str, list[int]]:
-    """Balanced halves A1/A2 of part 0 and B1/B2 of part 1, larger half first."""
+def _bipartite4_labeling(
+    spec: PartitionSpec, k: int
+) -> tuple[dict[str, list[int]], dict[int, str], dict[str, list[int]]]:
+    """The blocks (balanced halves A1/A2 of part 0 and B1/B2 of part 1,
+    larger half first), each vertex's block, and each block's first k
+    vertices: the designated ones."""
     if spec.t != 2:
         raise ValueError(f"bipartite4 needs two parts, got {spec.t}")
     blocks = {}
@@ -96,7 +99,8 @@ def _bipartite4_blocks(spec: PartitionSpec) -> dict[str, list[int]]:
         ids = list(spec.part_members(part))
         half = ceil_div(len(ids), 2)
         blocks[side + "1"], blocks[side + "2"] = ids[:half], ids[half:]
-    return blocks
+    block_of = {w: name for name, ids in blocks.items() for w in ids}
+    return blocks, block_of, {name: ids[:k] for name, ids in blocks.items()}
 
 
 def color_bipartite4(a: int, b: int, k: int) -> tuple[Coloring, ConstructionMeta]:
@@ -107,24 +111,17 @@ def color_bipartite4(a: int, b: int, k: int) -> tuple[Coloring, ConstructionMeta
     if a < 2 * k or b < 2 * k:
         raise ValueError(f"need a, b >= 2k = {2 * k}, got a={a}, b={b}")
     spec = PartitionSpec((a, b))
-    blocks = _bipartite4_blocks(spec)
-    block_of = {w: name for name, ids in blocks.items() for w in ids}
-    color_table = {("A1", "B1"): 1, ("A1", "B2"): 2, ("A2", "B1"): 3, ("A2", "B2"): 4}
-
-    def rule(u: int, v: int) -> int:
-        bu, bv = block_of[u], block_of[v]
-        if bu.startswith("B"):
-            bu, bv = bv, bu
-        return color_table[(bu, bv)]
-
-    coloring = Coloring.from_function(spec, 4, rule)
+    blocks, block_of, designated = _bipartite4_labeling(spec, k)
+    colors = {("A1", "B1"): 1, ("A1", "B2"): 2, ("A2", "B1"): 3, ("A2", "B2"): 4}
+    # from_function passes u < v, so u lies in side A.
+    coloring = Coloring.from_function(spec, 4, lambda u, v: colors[block_of[u], block_of[v]])
     meta = ConstructionMeta(
         tag="bipartite4",
         params={"a": a, "b": b, "k": k},
         labeling={
             "sizes": list(spec.sizes),
             "blocks": blocks,
-            "designated": {name: ids[:k] for name, ids in blocks.items()},
+            "designated": designated,
             # The symmetries used for WLOG dispatch, as color transpositions.
             "automorphisms": {"A1<->A2": [[1, 3], [2, 4]], "A<->B": [[2, 3]]},
         },
@@ -137,50 +134,49 @@ def color_bipartite4(a: int, b: int, k: int) -> tuple[Coloring, ConstructionMeta
 # ---------------------------------------------------------------------------
 
 
-def _ctk_labeling(t: int) -> tuple[list[tuple[int, int]], int | None]:
-    """Deterministic part labeling: the last part plays X when t is odd;
-    the rest are paired in input order, part 2i -> A_{i+1}, part 2i+1 -> B_{i+1}."""
-    x_part = t - 1 if t % 2 == 1 else None
-    paired = t - 1 if t % 2 == 1 else t
-    pairs = [(2 * i, 2 * i + 1) for i in range(paired // 2)]
-    return pairs, x_part
+def _ctk_role(t: int, part: int) -> tuple[str, int]:
+    """The role of a part among t: ("A", i) or ("B", i) for the two sides of
+    pair i, or ("X", -1). The last part plays X when t is odd; the rest are
+    paired in input order, part 2i -> A_{i+1}, part 2i+1 -> B_{i+1}."""
+    if t % 2 == 1 and part == t - 1:
+        return ("X", -1)
+    return ("AB"[part % 2], part // 2)
+
+
+def _ctk_parts(t: int) -> dict[tuple[str, int], int]:
+    """The part that plays each role: the inverse of `_ctk_role`."""
+    return {_ctk_role(t, part): part for part in range(t)}
 
 
 def color_ctk(spec: PartitionSpec, k: int) -> tuple[Coloring, ConstructionMeta]:
-    """The recursive 3-coloring: same-side edges 1, matched pairs 2, crossed
-    pairs 3; with odd t the extra part X sends color 1 into side A and color
-    3 into side B. Defined for any part sizes; witness generation at level k
-    additionally needs every part size >= ceil(2k/(t-1))."""
-    if not isinstance(spec, PartitionSpec):
-        spec = PartitionSpec(tuple(spec))
+    """The recursive 3-coloring of the parts of `spec`: same-side edges 1,
+    matched pairs 2, crossed pairs 3; with odd t the extra part X sends
+    color 1 into side A and color 3 into side B. Defined for any part sizes;
+    witness generation at level k additionally needs every part size
+    >= ceil(2k/(t-1))."""
     if k < 1:
         raise ValueError("k must be >= 1")
     t = spec.t
-    pairs, x_part = _ctk_labeling(t)
-    side = {}
-    pair_index = {}
-    for i, (pa, pb) in enumerate(pairs):
-        side[pa], side[pb] = "A", "B"
-        pair_index[pa] = pair_index[pb] = i
+    roles = [_ctk_role(t, part) for part in range(t)]
 
     def rule(u: int, v: int) -> int:
-        pu, pv = spec.part_of(u), spec.part_of(v)
-        if x_part in (pu, pv):
-            other = pv if pu == x_part else pu
-            return 1 if side[other] == "A" else 3
-        if side[pu] == side[pv]:
+        (su, iu), (sv, iv) = roles[spec.part_of(u)], roles[spec.part_of(v)]
+        if su == sv:
             return 1
-        return 2 if pair_index[pu] == pair_index[pv] else 3
+        if "X" in (su, sv):
+            return 1 if "A" in (su, sv) else 3
+        return 2 if iu == iv else 3
 
     s = ceil_div(2 * k, t - 1)
+    parts = _ctk_parts(t)
     coloring = Coloring.from_function(spec, 3, rule)
     meta = ConstructionMeta(
         tag="ctk",
         params={"t": t, "k": k, "s": s, "s1": ceil_div(s, 2), "s2": s // 2},
         labeling={
             "sizes": list(spec.sizes),
-            "pairs": [list(p) for p in pairs],
-            "x_part": x_part,
+            "pairs": [[parts["A", i], parts["B", i]] for i in range(t // 2)],
+            "x_part": parts.get(("X", -1)),
         },
     )
     return coloring, meta
@@ -204,6 +200,13 @@ def _mnn_strings(m: int, n: int) -> list[str]:
     return [lead, *islice((b for b in rest if b != lead), m - 1)]
 
 
+def _mnn_role(spec: PartitionSpec, w: int) -> tuple[int, int]:
+    """Vertex w's part (0 = A, 1 = B, 2 = C) and its 1-based index there:
+    w is a_i, b_j or c_j."""
+    part = spec.part_of(w)
+    return part, w - spec.offsets[part] + 1
+
+
 def _mnn_group(j: int, s: int) -> int:
     """Index pair group of b_j / c_j (1-based): {1,2} -> 1, {3,4} -> 2, ...;
     with odd n the last group absorbs the extra index."""
@@ -225,17 +228,14 @@ def color_mnn(m: int, n: int) -> tuple[Coloring, ConstructionMeta]:
     strings = _mnn_strings(m, n)
     s = n // 2
     spec = PartitionSpec((m, n, n))
-    b0, c0 = m, m + n
 
     def rule(u: int, v: int) -> int:
-        u, v = min(u, v), max(u, v)
-        pu, pv = spec.part_of(u), spec.part_of(v)
-        if (pu, pv) == (1, 2):
-            return BIT_COLORS[0 if u - b0 == v - c0 else 1]
-        j = v - b0 + 1 if pv == 1 else v - c0 + 1
-        t = _mnn_group(j, s)
-        bit_pos = t if pv == 1 else s + t
-        return BIT_COLORS[int(strings[u][bit_pos - 1])]
+        # from_function passes u < v, so u's part comes first.
+        (pu, i), (pv, j) = _mnn_role(spec, u), _mnn_role(spec, v)
+        if pu == 1:
+            return BIT_COLORS[0 if i == j else 1]
+        # a_i's bit for j's group, in the B or the C half of its string.
+        return BIT_COLORS[int(strings[i - 1][(pv - 1) * s + _mnn_group(j, s) - 1])]
 
     coloring = Coloring.from_function(spec, 2, rule)
     meta = ConstructionMeta(
@@ -260,6 +260,18 @@ def _odd_zero_strings() -> list[str]:
     return [f"{i:04b}" for i in range(16) if f"{i:04b}".count("0") % 2 == 1]
 
 
+def _k2416_role(w: int) -> tuple[int, int]:
+    """Vertex w's class (0 = A, 1 = B, 2 = C_L, 3 = C_R) and its 1-based
+    index there: w is a_i, b_j, c_i or c_i'."""
+    if w < 2:
+        return (0, w + 1)
+    if w < 6:
+        return (1, w - 1)
+    if w < 14:
+        return (2, w - 5)
+    return (3, w - 13)
+
+
 def color_2_4_16() -> tuple[Coloring, ConstructionMeta]:
     """The 2-coloring of K_{2,4,16} with rc_2 = 2. C splits into halves C_L
     and C_R indexed by the eight odd-zero-count length-4 bit strings; B-C
@@ -269,17 +281,11 @@ def color_2_4_16() -> tuple[Coloring, ConstructionMeta]:
     strings = _odd_zero_strings()
 
     def rule(u: int, v: int) -> int:
-        u, v = min(u, v), max(u, v)
-        pu, pv = spec.part_of(u), spec.part_of(v)
-        if (pu, pv) == (0, 1):
-            return BIT_COLORS[0]
-        if (pu, pv) == (0, 2):
-            left = v < 14
-            return BIT_COLORS[0 if (u == 0) == left else 1]
-        # B-C edge: bit j of string i, where b_j = vertex 1+j, c_i / c_i'.
-        j = u - 1
-        i = v - 5 if v < 14 else v - 13
-        return BIT_COLORS[int(strings[i - 1][j - 1])]
+        # from_function passes u < v, so u's class comes first.
+        (cu, i), (cv, j) = _k2416_role(u), _k2416_role(v)
+        if cu == 1:  # b_i against c_j or c_j': bit i of string j
+            return BIT_COLORS[int(strings[j - 1][i - 1])]
+        return BIT_COLORS[0 if cv == 1 or (i == 1) == (cv == 2) else 1]
 
     coloring = Coloring.from_function(spec, 2, rule)
     meta = ConstructionMeta(
@@ -425,40 +431,35 @@ def _reverse(family: WitnessFamily) -> WitnessFamily:
     )
 
 
+def _via(u: int, v: int, *blocks) -> list[VertexPath]:
+    """The paths u -> blocks[0][j] -> blocks[1][j] -> ... -> v, one for each
+    j up to the length of the shortest block."""
+    return [(u, *mids, v) for mids in zip(*blocks)]
+
+
 # -- bipartite4 -------------------------------------------------------------
 
 
 def _bipartite_witness(meta: ConstructionMeta, spec: PartitionSpec,
                        u: int, v: int, k: int) -> WitnessFamily:
-    blocks = _bipartite4_blocks(spec)
+    blocks, block_of, desig = _bipartite4_labeling(spec, k)
     if k < 1:
         raise ValueError("k must be >= 1")
     short = [name for name, ids in blocks.items() if len(ids) < k]
     if short:
         raise ValueError(f"blocks {short} smaller than k={k}; outside the construction's bounds")
-    desig = {name: ids[:k] for name, ids in blocks.items()}
-    block_of = {w: name for name, ids in blocks.items() for w in ids}
     bu, bv = block_of[u], block_of[v]
     sibling = {"A1": "A2", "A2": "A1", "B1": "B2", "B2": "B1"}
-    other_side = lambda name: ["B1", "B2"] if name.startswith("A") else ["A1", "A2"]
+    far1, far2 = ("B1", "B2") if bu[0] == "A" else ("A1", "A2")
+    via = lambda *names: tuple(_via(u, v, *(desig[name] for name in names)))
 
     if bu == bv:
         # Route through the sibling block between the two opposite blocks.
-        q1, q2 = other_side(bu)
-        p2 = sibling[bu]
-        paths = tuple(
-            (u, desig[q1][j], desig[p2][j], desig[q2][j], v) for j in range(k)
-        )
-        case = "bipartite4 Case 1"
+        case, paths = "bipartite4 Case 1", via(far1, sibling[bu], far2)
     elif bu[0] == bv[0]:
-        q1 = other_side(bu)[0]
-        paths = tuple((u, desig[q1][j], v) for j in range(k))
-        case = "bipartite4 Case 2"
+        case, paths = "bipartite4 Case 2", via(far1)
     else:
-        q2 = sibling[bv]
-        p2 = sibling[bu]
-        paths = tuple((u, desig[q2][j], desig[p2][j], v) for j in range(k))
-        case = "bipartite4 Case 3"
+        case, paths = "bipartite4 Case 3", via(sibling[bv], sibling[bu])
     return WitnessFamily(u, v, paths, f"{case} [{bu},{bv}]")
 
 
@@ -477,121 +478,52 @@ def _ctk_witness(meta: ConstructionMeta, spec: PartitionSpec,
         raise ValueError(
             f"witnesses at level k={k} need every part size >= {s}, got {spec.sizes}"
         )
-    pairs, x_part = _ctk_labeling(t)
-
-    def desig(part: int) -> list[int]:
-        return list(spec.part_members(part))[:s]
-
-    def classify(w: int) -> tuple[str, int]:
-        part = spec.part_of(w)
-        if part == x_part:
-            return ("X", -1)
-        for i, (pa, pb) in enumerate(pairs):
-            if part == pa:
-                return ("A", i)
-            if part == pb:
-                return ("B", i)
-        raise InvariantError("unlabeled part")
-
-    rank = {"A": 0, "B": 1, "X": 2}
-    cu, cv = classify(u), classify(v)
-    if rank[cu[0]] > rank[cv[0]]:
+    pu, pv = spec.part_of(u), spec.part_of(v)
+    (su, p), (sv, q) = _ctk_role(t, pu), _ctk_role(t, pv)
+    if "ABX".index(su) > "ABX".index(sv):
         return _reverse(_ctk_witness(meta, spec, v, u, k))
 
-    # Designated vertex lists seen from u's side: same(i) is on u's side of
-    # pair i, opp(i) on the other. The mirrored bodies below stay rainbow
-    # because the color pattern is symmetric between the two sides (only the
-    # X-edge colors flip, and no mirrored body repeats them).
-    mirrored = cu[0] == "B"
+    # Designated vertices seen from u's side: same(i) is on u's side of pair
+    # i, opp(i) on the other. The mirrored cases stay rainbow because the
+    # color pattern is symmetric between the two sides (only the X-edge
+    # colors flip, and no mirrored case repeats them).
+    near, far = ("B", "A") if su == "B" else ("A", "B")
+    parts = _ctk_parts(t)
+    desig = lambda role: spec.part_members(parts[role])[:s]
+    same = lambda i: desig((near, i))
+    opp = lambda i: desig((far, i))
+    x = lambda: desig(("X", -1))
+    via = lambda *blocks: _via(u, v, *blocks)
+    # every pair not in skip, through its two sides
+    across = lambda *skip: [path for i in range(t // 2) if i not in skip
+                            for path in via(same(i), opp(i))]
+    # the designated vertices on one side of every pair not in skip
+    side = lambda of, *skip: [w for i in range(t // 2) if i not in skip for w in of(i)]
+    other = lambda i: 1 if i == 0 else 0  # the lowest pair index but i
+    r, s1, s2 = other(p), ceil_div(s, 2), s // 2
 
-    def same(i: int) -> list[int]:
-        pa, pb = pairs[i]
-        return desig(pb if mirrored else pa)
-
-    def opp(i: int) -> list[int]:
-        pa, pb = pairs[i]
-        return desig(pa if mirrored else pb)
-
-    x_desig = desig(x_part) if x_part is not None else []
-    npairs = len(pairs)
-    paths: list[VertexPath] = []
-
-    if x_part is None:
-        paths_case = _ctk_even_body(cu, cv, s, npairs, same, opp, paths, u, v)
-    else:
-        paths_case = _ctk_odd_body(cu, cv, s, npairs, same, opp, x_desig, paths, u, v)
-    side_note = " (side-mirrored)" if mirrored and cu[0] == cv[0] == "B" else ""
-    return WitnessFamily(u, v, tuple(paths), paths_case + side_note)
-
-
-def _ctk_odd_body(cu, cv, s, npairs, same, opp, x_desig, paths, u, v) -> str:
-    p = cu[1]
-    if cu[0] == "A" or cu[0] == "B":
-        if cv[0] == cu[0] and cv[1] == p:
-            for i in range(npairs):
-                if i != p:
-                    paths.extend((u, same(i)[j], opp(i)[j], v) for j in range(s))
-            paths.extend((u, x_desig[j], opp(p)[j], v) for j in range(s))
-            return "odd-t Case 1.1"
-        if cv[0] == cu[0]:
-            q = cv[1]
-            for i in range(npairs):
-                if i not in (p, q):
-                    paths.extend((u, same(i)[j], opp(i)[j], v) for j in range(s))
-            paths.extend((u, x_desig[j], opp(q)[j], v) for j in range(s))
-            paths.extend((u, opp(p)[j], v) for j in range(s))
-            return "odd-t Case 1.2"
-        if cv[0] == "B":
-            # u in A, v in B (class order put A first).
-            for i in range(npairs):
-                if i != p:
-                    paths.extend((u, same(i)[j], v) for j in range(s))
-            paths.extend((u, x_desig[j], v) for j in range(s))
-            return "odd-t Case 1.3"
-        if cv[0] == "X" and cu[0] == "A":
-            for i in range(npairs):
-                if i != p:
-                    paths.extend((u, same(i)[j], opp(i)[j], v) for j in range(s))
-            paths.extend((u, opp(p)[j], v) for j in range(s))
-            return "odd-t Case 1.4"
-        # u in B, v in X: the mirror of Case 1.4 is not rainbow (its A-X leg
-        # repeats color 1), so route through every A-side block directly.
-        paths.extend((u, opp(i)[j], v) for i in range(npairs) for j in range(s))
-        return "odd-t Case 1.4 (B-side reroute)"
-    # Both endpoints in X.
-    for i in range(npairs):
-        paths.extend((u, same(i)[j], opp(i)[j], v) for j in range(s))
-    return "odd-t Case 2"
-
-
-def _ctk_even_body(cu, cv, s, npairs, same, opp, paths, u, v) -> str:
-    s1, s2 = ceil_div(s, 2), s // 2
-    p = cu[1]
-    if cu[0] == cv[0] and cu[1] == cv[1]:
-        q = min(i for i in range(npairs) if i != p)
-        paths.extend((u, same(q)[j], opp(q)[j], v) for j in range(s1))
-        paths.extend((u, same(q)[s1 + j], opp(p)[s1 + j], v) for j in range(s2))
-        paths.extend((u, opp(p)[j], opp(q)[s1 + j], v) for j in range(s2))
-        for i in range(npairs):
-            if i not in (p, q):
-                paths.extend((u, same(i)[j], opp(i)[j], v) for j in range(s))
-        return "even-t Case 1"
-    if cu[0] == cv[0]:
-        q = cv[1]
-        for i in range(npairs):
-            if i not in (p, q):
-                paths.extend((u, same(i)[j], opp(i)[j], v) for j in range(s))
-        paths.extend((u, opp(p)[j], v) for j in range(s))
-        paths.extend((u, opp(q)[j], v) for j in range(s))
-        return "even-t Case 2"
-    # u on side A of pair p, v on the opposite side in pair m.
-    m = cv[1]
-    istar = min(i for i in range(npairs) if i != m)
-    for i in range(npairs):
-        if i != p:
-            paths.extend((u, same(i)[j], v) for j in range(s))
-    paths.extend((u, opp(istar)[j], v) for j in range(s))
-    return "even-t Case 3"
+    # Keyed by parity, the two roles' sides (u's first, BB read as AA) and
+    # "=" when u and v share a part.
+    cases = {
+        "odd AA=": ("odd-t Case 1.1", lambda: across(p) + via(x(), opp(p))),
+        "odd AA": ("odd-t Case 1.2", lambda: across(p, q) + via(x(), opp(q)) + via(opp(p))),
+        "odd AB": ("odd-t Case 1.3", lambda: via(side(same, p)) + via(x())),
+        "odd AX": ("odd-t Case 1.4", lambda: across(p) + via(opp(p))),
+        # The mirror of Case 1.4 is not rainbow (its A-X leg repeats color
+        # 1), so route through every A-side block directly.
+        "odd BX": ("odd-t Case 1.4 (B-side reroute)", lambda: via(side(opp))),
+        "odd XX=": ("odd-t Case 2", lambda: across()),
+        # With s odd, the s_1-th vertex of opp(p) is the one left out.
+        "even AA=": ("even-t Case 1", lambda: via(same(r)[:s1], opp(r)[:s1])
+                     + via(same(r)[s1:], opp(p)[s1:]) + via(opp(p)[:s2], opp(r)[s1:])
+                     + across(p, r)),
+        "even AA": ("even-t Case 2", lambda: across(p, q) + via(opp(p)) + via(opp(q))),
+        "even AB": ("even-t Case 3", lambda: via(side(same, p)) + via(opp(other(q)))),
+    }
+    parity = "odd" if t % 2 else "even"
+    case, paths = cases[f"{parity} {(su + sv).replace('BB', 'AA')}{'=' * (pu == pv)}"]
+    side_note = " (side-mirrored)" if su == sv == "B" else ""
+    return WitnessFamily(u, v, tuple(paths()), case + side_note)
 
 
 # -- mnn ---------------------------------------------------------------------
@@ -605,15 +537,7 @@ def _mnn_witness(meta: ConstructionMeta, spec: PartitionSpec,
     m, n, _ = spec.sizes
     s, strings = n // 2, _mnn_strings(m, n)
     b0, c0 = m, m + n
-
-    def classify(w: int) -> tuple[int, int]:
-        if w < b0:
-            return (0, w + 1)  # (class, 1-based index)
-        if w < c0:
-            return (1, w - b0 + 1)
-        return (2, w - c0 + 1)
-
-    cu, cv = classify(u), classify(v)
+    cu, cv = _mnn_role(spec, u), _mnn_role(spec, v)
     if cu[0] > cv[0]:
         return _reverse(_mnn_witness(meta, spec, v, u, k))
     b_vertex = lambda j: b0 + j - 1
@@ -670,17 +594,7 @@ def _k2416_witness(meta: ConstructionMeta, spec: PartitionSpec,
     if spec.sizes != (2, 4, 16):
         raise ValueError(f"k2416 needs parts (2, 4, 16), got {spec.sizes}")
     strings = _odd_zero_strings()
-
-    def classify(w: int) -> tuple[int, int]:
-        if w < 2:
-            return (0, w + 1)
-        if w < 6:
-            return (1, w - 1)
-        if w < 14:
-            return (2, w - 5)  # C_L
-        return (3, w - 13)  # C_R
-
-    cu, cv = classify(u), classify(v)
+    cu, cv = _k2416_role(u), _k2416_role(v)
     if cu[0] > cv[0] or (cu[0] == cv[0] and u > v):
         return _reverse(_k2416_witness(meta, spec, v, u, k))
     b_vertex = lambda j: 1 + j

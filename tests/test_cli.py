@@ -574,6 +574,7 @@ def test_rck_exact_max_edges_flag(capsys):
      "--seed", "0", "--jobs", "0"],
     ["verify", "--k", "0", "--pairs", "0,1", "--mode", "maximize"],
     ["rck-exact", "--sizes", "1,1", "--k", "1", "--max-colors", "0"],
+    ["verify", "--k", "2", "--pairs", "0,5", "--jobs", "0"],
 ])
 def test_counts_below_one_are_usage_errors(tmp_path, capsys, argv):
     coloring, _ = color_bipartite4(4, 4, 2)
@@ -631,6 +632,29 @@ def test_export_dot_palette_entry_needs_a_name(tmp_path, capsys):
                    "1=blue,2=red,3=green,4", "-o", str(out)]) == 2
     err = capsys.readouterr().err
     assert "palette" in err and err.count("\n") == 1 and not out.exists()
+
+
+@pytest.mark.parametrize("palette, entry", [
+    ('1=red"]; v9 [label="x,2=b,3=c,4=d', '1=red"]; v9 [label="x'),
+    ("1=blue,2=re\\d,3=green,4=orange", "2=re\\d"),
+    ("1=blue,2=red,3=gr\neen,4=orange", "3=gr\neen"),
+    ("1=blue,2=red,3=green,4=orange\x7f", "4=orange\x7f"),
+    ("1=a,2=b,3=c,4=d,1=e", "1=e"),
+], ids=["quote", "backslash", "newline", "delete", "color-twice"])
+def test_export_dot_refuses_a_bad_palette_entry(tmp_path, capsys, palette, entry):
+    # A name is written inside a quoted DOT attribute as it is: a quote would
+    # end the attribute and inject statements of its own. A color named twice
+    # would silently keep its last name.
+    coloring, _ = color_bipartite4(2, 2, 1)
+    src = tmp_path / "c.json"
+    src.write_text(coloring.to_json_text())
+    out = tmp_path / "c.dot"
+    assert invoke(["export-dot", "--coloring", str(src), "--palette", palette,
+                   "-o", str(out)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == "" and not out.exists()
+    assert captured.err.startswith("error: ") and captured.err.count("\n") == 1
+    assert repr(entry) in captured.err
 
 
 @pytest.mark.parametrize("argv, flag", [

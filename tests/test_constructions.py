@@ -1,8 +1,10 @@
-from itertools import combinations
+import hashlib
+from itertools import combinations, permutations
 
 import pytest
 
 from rainbowk.bounds import f_formula
+from rainbowk.cli import coloring_document
 from rainbowk.constructions import (
     ConstructionMeta,
     color_2_4_16,
@@ -16,6 +18,7 @@ from rainbowk.core import (
     PartitionSpec,
     ceil_div,
     family_is_valid,
+    json_text,
     path_colors,
 )
 from rainbowk.verifier import PairQuery, max_disjoint_rainbow
@@ -428,3 +431,49 @@ def test_witnesses_at_lower_k_than_construction():
     for k in (1, 2, 3):
         fam = witness_paths(meta, coloring, 0, 1, k)
         assert family_is_valid(coloring, fam, k)
+
+
+# -- pinned bytes ---------------------------------------------------------------
+
+
+def _extension_chain():
+    coloring, meta = color_mnn(3, 2)
+    coloring, meta = color_extension(coloring, 0, 1, base_meta=meta)
+    return color_extension(coloring, 2, 1, base_meta=meta)
+
+
+# (instance, the k values its witnesses are asked for): ctk with odd and even
+# t and unequal parts, both bipartite4 shapes, mnn with odd and even n, k2416
+# and a two-step extension chain.
+PINNED_INSTANCES = [
+    (lambda: color_ctk(PartitionSpec((2, 3, 2)), 2), (1, 2)),
+    (lambda: color_ctk(PartitionSpec((3, 3, 4)), 3), (1, 2, 3)),
+    (lambda: color_ctk(PartitionSpec((2, 2, 3, 2)), 3), (1, 2, 3)),
+    (lambda: color_ctk(PartitionSpec((1, 2, 1, 1, 2)), 2), (1, 2)),
+    (lambda: color_ctk(PartitionSpec((2, 2, 2, 2, 2, 3)), 4), (1, 2, 3, 4)),
+    (lambda: color_bipartite4(4, 5, 2), (1, 2)),
+    (lambda: color_bipartite4(7, 6, 3), (1, 2, 3)),
+    (lambda: color_mnn(3, 2), (2,)),
+    (lambda: color_mnn(5, 4), (2,)),
+    (lambda: color_mnn(4, 5), (2,)),
+    (color_2_4_16, (2,)),
+    (_extension_chain, (2,)),
+]
+
+
+def test_construction_and_witness_bytes_are_pinned():
+    # Every construct document, then the witness family of every ordered pair
+    # at each k, as the `construct` and `witness` commands write them. A
+    # change to any labeling, case order or provenance string moves the
+    # digest; the value was recorded before the labelings were refactored.
+    digest = hashlib.sha256()
+    for build, ks in PINNED_INSTANCES:
+        coloring, meta = build()
+        digest.update(coloring_document(coloring, meta).encode())
+        for u, v in permutations(coloring.spec.vertices(), 2):
+            for k in ks:
+                family = witness_paths(meta, coloring, u, v, k)
+                assert family_is_valid(coloring, family, k), (meta.tag, u, v, k)
+                digest.update(json_text(family.to_json_dict()).encode())
+    assert digest.hexdigest() == (
+        "f568ebeeaac64e5df0a01239bf3c4e1f7d31c9ef37345ef45ad872d0867b74f1")

@@ -4,9 +4,11 @@ k-connected.
 
 The lower-bound statements quantify over all colorings; exhausting them is
 infeasible (4^34 colorings already for K_{2,17}), so this module certifies
-supplied colorings instead and reads every hypothesis (part sizes, palette)
-off the coloring itself. The pigeonhole and path-length arguments hold per
-coloring, which makes each certificate a complete proof for its input.
+supplied colorings instead and reads every hypothesis off the coloring
+itself. `SCENARIOS` states each scenario once: its palette size, and the
+check of its part sizes that names the big part. The pigeonhole and
+path-length arguments hold per coloring, which makes each certificate a
+complete proof for its input.
 """
 
 from __future__ import annotations
@@ -48,7 +50,7 @@ class LowerBoundCertificate:
     """Proof that one coloring is not rainbow k-connected: a twin pair whose
     maximum disjoint rainbow path count falls below k by counting interiors."""
 
-    scenario: str  # "bipartite5" | "multipartite4"
+    scenario: str  # a key of SCENARIOS
     params: dict
     twins: tuple[int, int]
     count: int
@@ -64,46 +66,10 @@ class LowerBoundCertificate:
         }
 
 
-def _twin_certificate(
-    coloring: Coloring, big_part: int, k: int, scenario: str, params: dict, bound: int
-) -> LowerBoundCertificate:
-    """Certificate from the first twin pair in big_part.
-
-    Twins a1, a2 see each outside vertex w in one color, so no a1-w-a2 path
-    is rainbow. A rainbow twin path therefore has length 4 with 4 colors on
-    K_{s,m} and length 3 with 3 colors on t >= 3 parts, and either way two
-    of its interior vertices lie in the small parts. Paths with disjoint
-    interiors number at most `bound` = (small-part vertices) // 2, so a
-    count above it means the search or this argument is wrong.
-
-    `bound` equals one region's term of the verifier's interior-capacity
-    bound (see `rainbowk.verifier`) on the twin pair's paths whenever every
-    small-part vertex lies on one of them: the small part on K_{s,m}, the
-    whole vertex set on t >= 3 parts (interiors avoid the big part). Each
-    twin path weighs 2 in that region."""
-    twins = find_color_twins(coloring, big_part)
-    if twins is None:
-        raise InvariantError("pigeonhole guarantee violated: no color twins found")
-    count, _ = max_disjoint_rainbow(coloring, PairQuery(twins[0], twins[1]))
-    if count >= k:
-        raise InvariantError(
-            f"certificate construction failed: twins {twins} admit {count} >= k paths"
-        )
-    if count > bound:
-        raise InvariantError(
-            f"twins {twins} admit {count} paths, above the interior bound {bound}"
-        )
-    return LowerBoundCertificate(scenario, params, twins, count, bound)
-
-
-# Palette size per scenario: the certifier's hypothesis and the sampler's draw.
-_PALETTE = {"bipartite5": 4, "multipartite4": 3}
-
-
-def _bipartite_hypotheses(k: int, spec: PartitionSpec) -> tuple[int, int]:
-    """(s, m) of K_{s,m}, s <= m, after checking the bipartite5 hypotheses
-    k >= 2, k <= s <= 2k-1 and m >= 4^s + 1; ValueError names the first
-    that fails."""
+def _bipartite5(k: int, spec: PartitionSpec) -> tuple[int, dict]:
+    """Big part index and params {k, s, m} of K_{s,m}, s <= m, after
+    checking the bipartite5 hypotheses k >= 2, k <= s <= 2k-1 and
+    m >= 4^s + 1; ValueError names the first that fails."""
     if spec.t != 2:
         raise ValueError(f"bipartite5 needs 2 parts, got {spec.t}")
     if k < 2:
@@ -113,14 +79,14 @@ def _bipartite_hypotheses(k: int, spec: PartitionSpec) -> tuple[int, int]:
         raise ValueError(f"need k <= s <= 2k-1, got k={k}, s={s}")
     if m < 4**s + 1:
         raise ValueError(f"need m >= 4^s + 1 = {4 ** s + 1}, got m={m}")
-    return s, m
+    return spec.sizes.index(m), {"k": k, "s": s, "m": m}
 
 
-def _multipartite_hypotheses(k: int, spec: PartitionSpec) -> int:
-    """Index of the big part after checking the multipartite4 hypotheses
-    t >= 3, k >= 2, every other part's size in [ceil(k/(t-1)),
-    ceil(2k/(t-1)) - 1] and the big part above 3^(their sum); ValueError
-    names the first that fails."""
+def _multipartite4(k: int, spec: PartitionSpec) -> tuple[int, dict]:
+    """Big part index and params {k, t, sizes, m} after checking the
+    multipartite4 hypotheses t >= 3, k >= 2, every other part's size in
+    [ceil(k/(t-1)), ceil(2k/(t-1)) - 1] and the big part above 3^(their
+    sum); ValueError names the first that fails."""
     sizes, t = spec.sizes, spec.t
     if t < 3:
         raise ValueError(f"multipartite4 needs t >= 3 parts, got {t}")
@@ -137,7 +103,47 @@ def _multipartite_hypotheses(k: int, spec: PartitionSpec) -> int:
             f"big part must have >= 3^{sum(small)} + 1 = {3 ** sum(small) + 1} "
             f"vertices, got {sizes[big]}"
         )
-    return big
+    return big, {"k": k, "t": t, "sizes": list(sizes), "m": sizes[big]}
+
+
+# Palette size (the certifier's hypothesis and the sampler's draw) and check.
+SCENARIOS = {"bipartite5": (4, _bipartite5), "multipartite4": (3, _multipartite4)}
+
+
+def _twin_certificate(scenario: str, k: int, coloring: Coloring) -> LowerBoundCertificate:
+    """Certificate from the first twin pair in the scenario's big part.
+
+    Twins a1, a2 see each outside vertex w in one color, so no a1-w-a2 path
+    is rainbow. A rainbow twin path therefore has length 4 with 4 colors on
+    K_{s,m} and length 3 with 3 colors on t >= 3 parts, and either way two
+    of its interior vertices lie in the small parts. Paths with disjoint
+    interiors number at most `bound` = S // 2, S the small-part vertex
+    count, so a count above it means the search or this argument is wrong.
+
+    `bound` equals one region's term of the verifier's interior-capacity
+    bound (see `rainbowk.verifier`) on the twin pair's paths whenever every
+    small-part vertex lies on one of them: the small part on K_{s,m}, the
+    whole vertex set on t >= 3 parts (interiors avoid the big part). Each
+    twin path weighs 2 in that region."""
+    palette, check = SCENARIOS[scenario]
+    spec = coloring.spec
+    big, params = check(k, spec)
+    if coloring.num_colors > palette:
+        raise ValueError(f"coloring must use at most {palette} colors")
+    bound = (spec.n - spec.sizes[big]) // 2
+    twins = find_color_twins(coloring, big)
+    if twins is None:
+        raise InvariantError("pigeonhole guarantee violated: no color twins found")
+    count, _ = max_disjoint_rainbow(coloring, PairQuery(twins[0], twins[1]))
+    if count >= k:
+        raise InvariantError(
+            f"certificate construction failed: twins {twins} admit {count} >= k paths"
+        )
+    if count > bound:
+        raise InvariantError(
+            f"twins {twins} admit {count} paths, above the interior bound {bound}"
+        )
+    return LowerBoundCertificate(scenario, params, twins, count, bound)
 
 
 def certify_bipartite_lower(k: int, coloring: Coloring) -> LowerBoundCertificate:
@@ -145,14 +151,7 @@ def certify_bipartite_lower(k: int, coloring: Coloring) -> LowerBoundCertificate
     rainbow k-connected: the big part carries color twins, every rainbow twin
     path has length 4 and uses two small-part interiors, and the small part
     is too small to host k of them. s and m are read off coloring.spec."""
-    spec = coloring.spec
-    s, m = _bipartite_hypotheses(k, spec)
-    if coloring.num_colors > _PALETTE["bipartite5"]:
-        raise ValueError(f"coloring must use at most {_PALETTE['bipartite5']} colors")
-    big = spec.sizes.index(m)
-    return _twin_certificate(
-        coloring, big, k, "bipartite5", {"k": k, "s": s, "m": m}, bound=s // 2
-    )
+    return _twin_certificate("bipartite5", k, coloring)
 
 
 def certify_multipartite_lower(k: int, coloring: Coloring) -> LowerBoundCertificate:
@@ -161,13 +160,7 @@ def certify_multipartite_lower(k: int, coloring: Coloring) -> LowerBoundCertific
     ceil(2k/(t-1)) - 1] is not rainbow k-connected. Twin paths have length 3
     with both interiors among the small parts. t and the part sizes are read
     off coloring.spec."""
-    sizes, t = coloring.spec.sizes, coloring.spec.t
-    big = _multipartite_hypotheses(k, coloring.spec)
-    if coloring.num_colors > _PALETTE["multipartite4"]:
-        raise ValueError(f"coloring must use at most {_PALETTE['multipartite4']} colors")
-    params = {"k": k, "t": t, "sizes": list(sizes), "m": sizes[big]}
-    return _twin_certificate(coloring, big, k, "multipartite4", params,
-                             bound=(coloring.spec.n - sizes[big]) // 2)
+    return _twin_certificate("multipartite4", k, coloring)
 
 
 @lru_cache(maxsize=None)
@@ -220,7 +213,7 @@ def random_coloring(
 def _certify_seed(
     scenario: str, k: int, spec: PartitionSpec, seed: int
 ) -> LowerBoundCertificate:
-    coloring = random_coloring(spec, _PALETTE[scenario], seed)
+    coloring = random_coloring(spec, SCENARIOS[scenario][0], seed)
     # The certifiers are looked up by module name at each call, so wrappers
     # set on the module attributes (perfbench/tracing.py) see every call.
     if scenario == "bipartite5":
@@ -246,13 +239,10 @@ def sample_certificates(
     # repeat samples.
     if seed < 0:
         raise ValueError(f"--seed must be >= 0, got {seed}")
-    if scenario not in _PALETTE:
+    if scenario not in SCENARIOS:
         raise ValueError(f"unknown scenario {scenario!r}")
     spec = PartitionSpec(tuple(sizes))
     # Usage errors surface before any coloring is drawn.
-    if scenario == "bipartite5":
-        _bipartite_hypotheses(k, spec)
-    else:
-        _multipartite_hypotheses(k, spec)
+    SCENARIOS[scenario][1](k, spec)
     work = partial(_certify_seed, scenario, k, spec)
     return fan_out(work, range(seed, seed + samples), jobs)

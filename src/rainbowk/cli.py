@@ -23,7 +23,7 @@ from contextlib import suppress
 from functools import cache
 from pathlib import Path
 
-from .bounds import f_formula, sample_certificates
+from .bounds import SCENARIOS, f_formula, sample_certificates
 from .constructions import (
     ConstructionMeta,
     color_2_4_16,
@@ -216,7 +216,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("-o", "--out")
 
     p = sub.add_parser("lower-bound", help="certify sampled colorings below the bound")
-    p.add_argument("--scenario", required=True, choices=["bipartite5", "multipartite4"])
+    p.add_argument("--scenario", required=True, choices=list(SCENARIOS))
     p.add_argument("--k", type=int, required=True)
     p.add_argument("--sizes", required=True)
     p.add_argument("--samples", type=int, default=1)

@@ -121,8 +121,6 @@ def enumerate_colorings_canonical(
 class RckExactResult:
     """Smallest working palette size, or evidence the budget was exhausted."""
 
-    spec: PartitionSpec
-    k: int
     witness: Coloring | None
     max_colors: int
 
@@ -280,5 +278,5 @@ def rc_k_exact(
                     "the fail-first pair check passed a coloring that "
                     "full verification rejects"
                 )
-            return RckExactResult(spec, k, witness, max_colors)
-    return RckExactResult(spec, k, None, max_colors)
+            return RckExactResult(witness, max_colors)
+    return RckExactResult(None, max_colors)

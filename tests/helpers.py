@@ -4,14 +4,27 @@ the library's pruned loops (`unpruned_max_packing`, `full_pair_report`,
 `unpruned_rc_k_exact`), which reuse only the per-pair query or the
 enumerator they do not prune, and of its batched draw (`randrange_coloring`).
 `canonical_form` is the normal form that enumerator's orbits are checked
-against."""
+against. `child_env` is the environment for tests that run a child process."""
 
+import os
 import random
 from itertools import combinations, permutations
+from pathlib import Path
 
 from rainbowk.core import Coloring, PartitionSpec, VerificationReport, all_pairs
 from rainbowk.oracle import enumerate_colorings_canonical, first_failing_pair
 from rainbowk.verifier import PairQuery, max_disjoint_rainbow
+
+SRC = Path(__file__).resolve().parents[1] / "src"
+
+
+def child_env(drop=()):
+    """os.environ without the names in `drop`, with this checkout's `src`
+    first on PYTHONPATH, so a child process imports the rainbowk under test
+    whether or not the package is installed."""
+    env = {k: v for k, v in os.environ.items() if k not in drop}
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(SRC), env.get("PYTHONPATH")]))
+    return env
 
 
 def brute_force_rainbow_paths(coloring: Coloring, u: int, v: int, max_len: int):

@@ -57,12 +57,12 @@ def test_find_color_twins_none_when_profiles_distinct():
 def test_twin_certificate_failures_raise_invariant_error(monkeypatch):
     import rainbowk.bounds
 
-    # bipartite4 on K_{4,4} is rainbow 2-connected, so its twins (0, 1)
-    # admit k = 2 paths and no certificate exists.
-    coloring, _ = color_bipartite4(4, 4, 2)
-    with pytest.raises(InvariantError, match="certificate construction failed"):
-        rainbowk.bounds._twin_certificate(coloring, 0, 2, "bipartite5", {}, 1)
+    # A search that finds k = 2 disjoint twin paths leaves nothing to certify.
     coloring = random_coloring(PartitionSpec((2, 17)), 4, seed=0)
+    monkeypatch.setattr(rainbowk.bounds, "max_disjoint_rainbow", lambda c, q: (2, None))
+    with pytest.raises(InvariantError, match="certificate construction failed"):
+        certify_bipartite_lower(2, coloring)
+    monkeypatch.undo()
     monkeypatch.setattr(rainbowk.bounds, "find_color_twins", lambda c, part: None)
     with pytest.raises(InvariantError, match="no color twins"):
         certify_bipartite_lower(2, coloring)

@@ -12,7 +12,7 @@ import hypothesis.strategies as st
 import pytest
 from hypothesis import given, settings
 
-from helpers import randrange_coloring
+from helpers import child_env, randrange_coloring
 from rainbowk.cli import build_parser, coloring_document, export_dot, main, run
 from rainbowk.constructions import (
     ConstructionMeta,
@@ -508,6 +508,14 @@ def test_lower_bound_refuses_a_negative_seed_before_drawing_a_coloring(
     assert captured.out == "" and not out.exists()
 
 
+def lower_bound_digest(tmp_path, capsys, scenario, k, sizes):
+    out = tmp_path / "certs.json"
+    assert invoke(["lower-bound", "--scenario", scenario, "--k", str(k), "--sizes", sizes,
+                   "--samples", "50", "--seed", "7", "-o", str(out)]) == 0
+    capsys.readouterr()
+    return hashlib.sha256(out.read_bytes()).hexdigest()
+
+
 @pytest.mark.parametrize("scenario, sizes, digest", [
     ("bipartite5", "2,17", "51912d9dcfde7d4d9c7eb3aa4d6632c4afc7c9ccaf2873c698bb2e99e0874c47"),
     ("multipartite4", "10,1,1",
@@ -517,11 +525,26 @@ def test_lower_bound_certificates_keep_their_bytes(tmp_path, capsys, scenario, s
     # Pinned when each sample drew one randrange call per edge: any change
     # to the colors a seed draws (or an interpreter whose random stream
     # differs) changes these files.
-    out = tmp_path / "certs.json"
-    assert invoke(["lower-bound", "--scenario", scenario, "--k", "2", "--sizes", sizes,
-                   "--samples", "50", "--seed", "7", "-o", str(out)]) == 0
-    capsys.readouterr()
-    assert hashlib.sha256(out.read_bytes()).hexdigest() == digest
+    assert lower_bound_digest(tmp_path, capsys, scenario, 2, sizes) == digest
+
+
+@pytest.mark.parametrize("scenario, k, sizes, digest", [
+    ("bipartite5", 2, "17,2", "a3dd191d98b014f2f38a0e6ebbcd0c5d593f2df8662c02a1f188149e5cbe976b"),
+    ("bipartite5", 3, "65,3", "0705d2e72f5d0c233dc09e8ced2532a2cfdf6dc5b25939bcdb022cebdfc547be"),
+    ("multipartite4", 2, "1,10,1",
+     "e0ee0cf96f73a71418ec39979322433d27ec56668814ad97b2a71b0ac3de4065"),
+    ("multipartite4", 3, "2,2,82",
+     "c81e0de49c8cb14b09c31ee353e469012431e21f67afdd6d4f3b23900d08106c"),
+    ("multipartite4", 4, "2,2,82",
+     "71b2af6ba7f3bf8a51b77e41ee6ac4d686e8974510498c149985d49d9d1871f5"),
+    ("multipartite4", 3, "28,1,1,1",
+     "10c6c85a414a125d5dbbf07ea962a545a9f32a62f6c74fae6606f585cafed87f"),
+])
+def test_lower_bound_certificates_keep_their_bytes_for_any_big_part_and_k(
+        tmp_path, capsys, scenario, k, sizes, digest):
+    # The big part first, in the middle and last, and k above 2, pin the
+    # big part, params and bound each certificate derives from the sizes.
+    assert lower_bound_digest(tmp_path, capsys, scenario, k, sizes) == digest
 
 
 def test_rck_exact_subcommand(tmp_path, capsys):
@@ -697,6 +720,7 @@ def test_module_entry_point_runs():
         [sys.executable, "-m", "rainbowk.cli", "fkt", "--k", "3", "--t", "2"],
         capture_output=True,
         text=True,
+        env=child_env(),
     )
     assert proc.returncode == 0
     assert proc.stdout.strip() == "6"
@@ -833,7 +857,7 @@ def test_unwritable_stdout_is_one_line_usage_error(tmp_path, argv, target):
         argv = argv + ["--coloring", str(_construct(tmp_path, "mnn", CONSTRUCT_ARGV["mnn"]))]
     command = [sys.executable, "-m", "rainbowk", *argv]
     # Buffered stdout, as by default, so that a short text fails on flush.
-    env = {k: v for k, v in os.environ.items() if k != "PYTHONUNBUFFERED"}
+    env = child_env(drop=("PYTHONUNBUFFERED",))
     if target == "full":
         if not Path("/dev/full").exists():
             pytest.skip("needs /dev/full")
@@ -882,7 +906,7 @@ def test_unwritable_stream_keeps_the_exit_code(command, full, code, unbuffered):
     # one line on stderr.
     if not Path("/dev/full").exists():
         pytest.skip("needs /dev/full")
-    env = {k: v for k, v in os.environ.items() if k != "PYTHONUNBUFFERED"}
+    env = child_env(drop=("PYTHONUNBUFFERED",))
     if unbuffered:
         env["PYTHONUNBUFFERED"] = "1"
     with open("/dev/full", "w") as sink:

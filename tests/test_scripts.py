@@ -1,11 +1,11 @@
 """Smoke tests for the scripts in scripts/, each run as its own process."""
 
-import os
 import re
 import subprocess
 import sys
 from pathlib import Path
 
+from helpers import child_env
 from rainbowk.cli import DEFAULT_PALETTE, export_dot
 from rainbowk.constructions import color_2_4_16, color_bipartite4, color_ctk, color_mnn
 from rainbowk.core import PartitionSpec
@@ -14,11 +14,8 @@ ROOT = Path(__file__).resolve().parents[1]
 
 
 def run_script(name, *args):
-    env = dict(os.environ)
-    env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(ROOT / "src"),
-                                                      env.get("PYTHONPATH")]))
     return subprocess.run([sys.executable, str(ROOT / "scripts" / name), *args],
-                          capture_output=True, text=True, env=env, cwd=ROOT)
+                          capture_output=True, text=True, env=child_env(), cwd=ROOT)
 
 
 def test_run_grid_passes_every_row():

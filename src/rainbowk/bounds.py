@@ -13,12 +13,16 @@ complete proof for its input.
 
 from __future__ import annotations
 
+import logging
 import random
+from collections import Counter
 from dataclasses import dataclass
 from functools import lru_cache, partial
 
 from .core import Coloring, InvariantError, PartitionSpec, ceil_div, twin_classes
 from .verifier import PairQuery, fan_out, max_disjoint_rainbow
+
+logger = logging.getLogger(__name__)
 
 
 def f_formula(k: int, t: int) -> int:
@@ -232,7 +236,9 @@ def sample_certificates(
     """Certify `samples` seeded random colorings (seeds seed..seed+samples-1).
 
     Per-seed determinism makes the loop embarrassingly parallel; the result
-    list is identical for any jobs count."""
+    list is identical for any jobs count. One debug log line gives the run's
+    scenario, sizes, k and sample count, and how many certificates have
+    each twin path count."""
     if samples < 1:
         raise ValueError(f"samples must be >= 1, got {samples}")
     # random.Random(-s) seeds like Random(s), so a negative range would
@@ -245,4 +251,8 @@ def sample_certificates(
     # Usage errors surface before any coloring is drawn.
     SCENARIOS[scenario][1](k, spec)
     work = partial(_certify_seed, scenario, k, spec)
-    return fan_out(work, range(seed, seed + samples), jobs)
+    certs = fan_out(work, range(seed, seed + samples), jobs)
+    counts = dict(sorted(Counter(cert.count for cert in certs).items()))
+    logger.debug("lower-bound: %s on %s at k = %d: %d samples, twin counts %s",
+                 scenario, spec.sizes, k, samples, counts)
+    return certs

@@ -28,6 +28,20 @@ them, the family the enumerate-and-pack route returns (the packing stops at
 its greedy seed); when it ends short of k, the query falls back to that
 route, whose search may still find k.
 
+Both walks close a path at the last step the cap allows: from a partial
+path two edges short of the cap, each step x is tested together with its
+edge xv. That step scans only `_close_steps`, v and the vertices outside
+v's part, not the whole row of the path's last vertex, and the result is
+the same:
+- Colorings are total, so the edge xv exists exactly when x lies outside
+  v's part; no other x != v can close the path.
+- v lies inside its own part's block of ids, so the direct step onto v
+  keeps its place between the steps x < v and x > v.
+So the narrowed scan meets the same candidates in the same ascending order,
+both walks return the same lists in the same order, and the first-fit walk
+picks the same paths. On K_{2,2,82} a path toward a big-part vertex has 5
+such candidates where its row has 86 entries.
+
 The search prunes with an interior-capacity bound, the verifier's form of
 the paper's interior-counting argument. A region R is one part of the
 coloring's spec or the whole vertex set; a path's weight in R is the number
@@ -112,12 +126,31 @@ class PairQuery:
 
 def _path_cap(coloring: Coloring, u: int, v: int, max_len: int | None) -> int:
     """Edge cap of the rainbow u->v paths to search: the palette size, or
-    max_len when smaller. Raises ValueError on an id out of range or u == v."""
+    max_len when smaller. Raises ValueError unless u and v are distinct
+    vertex ids and max_len is None or at least 1. Ids and max_len must be
+    plain ints (`type(x) is int`, as in `core._color_table`): a bool would
+    pass for vertex 0 or 1, and a float fails only inside the walk."""
+    if type(u) is not int or type(v) is not int:
+        raise ValueError(f"pair endpoints must be integers, got ({u!r}, {v!r})")
     if u == v:
         raise ValueError("pair endpoints must differ")
     coloring.spec.part_of(u), coloring.spec.part_of(v)  # id validation
     cap = coloring.num_colors
-    return cap if max_len is None else min(max_len, cap)
+    if max_len is None:
+        return cap
+    if type(max_len) is not int or max_len < 1:
+        raise ValueError(f"max_len must be an integer >= 1, got {max_len!r}")
+    return min(max_len, cap)
+
+
+def _close_steps(coloring: Coloring, v: int) -> list[int]:
+    """The vertices that can end the last step of a path toward v, in
+    ascending order: v itself and every vertex outside v's part (module
+    docstring)."""
+    spec = coloring.spec
+    part = spec.part_of(v)
+    start = spec.offsets[part]
+    return [*range(start), v, *range(start + spec.sizes[part], spec.n)]
 
 
 def enumerate_rainbow_paths(
@@ -129,32 +162,44 @@ def enumerate_rainbow_paths(
 
     Colors come from `coloring.rows` by index. The last step the cap allows
     is closed in place: from a partial path two edges short of the cap, each
-    step x is kept only together with its edge xv, which must exist and
-    differ from every color before it, and no call is made for P + (x,).
-    Steps from a partial path P go in ascending x, so P + (v,) follows the
-    paths through P + (x,) for x < v and precedes those for x > v; no path
-    runs past v, so the output is lexicographic without a sort."""
+    step x is kept only together with its edge xv, which must differ from
+    every color before it, and no call is made for P + (x,). That step
+    scans only `_close_steps`, v and the vertices outside v's part, as the
+    module docstring shows. Steps from a partial path P go in ascending x,
+    so P + (v,) follows the paths through P + (x,) for x < v and precedes
+    those for x > v; no path runs past v, so the output is lexicographic
+    without a sort."""
     cap = _path_cap(coloring, u, v, max_len)
     rows = coloring.rows
     if cap < 2:
         # At most one edge: only the direct one can qualify.
         return [(u, v)] if cap == 1 and rows[u][v] else []
     to_v = rows[v]
+    closers = _close_steps(coloring, v)
     out: list[VertexPath] = []
 
     def extend(path: tuple[int, ...], used_colors: frozenset[int]) -> None:
-        close = len(path) == cap - 1
+        row = rows[path[-1]]
+        if len(path) == cap - 1:
+            # The edge xv is the last one allowed: test it here. x != v lies
+            # outside v's part, so the edge exists.
+            for x in closers:
+                col = row[x]
+                if not col or col in used_colors or x in path:
+                    continue
+                if x == v:
+                    out.append(path + (x,))
+                else:
+                    end = to_v[x]
+                    if end != col and end not in used_colors:
+                        out.append(path + (x, v))
+            return
         # Color 0 marks same-part pairs, the step back to path[-1] included.
-        for x, col in enumerate(rows[path[-1]]):
+        for x, col in enumerate(row):
             if not col or col in used_colors or x in path:
                 continue
             if x == v:
                 out.append(path + (x,))
-            elif close:
-                # The edge xv is the last one allowed: test it here.
-                end = to_v[x]
-                if end and end != col and end not in used_colors:
-                    out.append(path + (x, v))
             else:
                 extend(path + (x,), used_colors | {col})
 
@@ -170,29 +215,41 @@ def first_fit_rainbow_paths(
     interior misses the interiors picked before it, in list order. The
     paths are not listed: the walk of the module docstring searches
     depth-first for the lexicographically first path that avoids the picked
-    interiors, one neighbour of u after another, and stops at k picks."""
+    interiors, one neighbour of u after another, and stops at k picks.
+    Raises ValueError for k < 1, as `PairQuery` does."""
+    if k < 1:
+        raise ValueError("decision mode needs k >= 1")
     cap = _path_cap(coloring, u, v, max_len)
     rows = coloring.rows
     if cap < 2:
         return [(u, v)] if cap == 1 and rows[u][v] else []
     to_v = rows[v]
+    # The cap-2 root closes in place, over all of rows[u]: only deeper
+    # walks reach the close level.
+    closers = _close_steps(coloring, v) if cap > 2 else ()
     used: set[int] = set()  # interiors of the picked paths
 
     def first(path: tuple[int, ...], used_colors: frozenset[int]) -> VertexPath | None:
-        close = len(path) == cap - 1
-        for x, col in enumerate(rows[path[-1]]):
+        row = rows[path[-1]]
+        if len(path) == cap - 1:
+            for x in closers:
+                col = row[x]
+                if not col or col in used_colors or x in path or x in used:
+                    continue
+                if x == v:
+                    return path + (x,)
+                end = to_v[x]
+                if end != col and end not in used_colors:
+                    return path + (x, v)
+            return None
+        for x, col in enumerate(row):
             if not col or col in used_colors or x in path or x in used:
                 continue
             if x == v:
                 return path + (x,)
-            if close:
-                end = to_v[x]
-                if end and end != col and end not in used_colors:
-                    return path + (x, v)
-            else:
-                found = first(path + (x,), used_colors | {col})
-                if found:
-                    return found
+            found = first(path + (x,), used_colors | {col})
+            if found:
+                return found
         return None
 
     picked: list[VertexPath] = []

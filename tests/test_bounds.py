@@ -1,9 +1,12 @@
+import logging
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from helpers import randrange_coloring
+from helpers import brute_force_rainbow_paths, randrange_coloring, unpruned_max_packing
 from rainbowk.bounds import (
+    SCENARIOS,
     certify_bipartite_lower,
     certify_multipartite_lower,
     f_formula,
@@ -233,3 +236,27 @@ def test_sample_certificates_parallel_matches_sequential():
     seq = sample_certificates("multipartite4", 2, (10, 1, 1), 6, seed=3)
     par = sample_certificates("multipartite4", 2, (10, 1, 1), 6, seed=3, jobs=2)
     assert seq == par
+
+
+@pytest.mark.parametrize("scenario, k, sizes", [
+    ("bipartite5", 2, (2, 17)),
+    ("multipartite4", 2, (10, 1, 1)),
+])
+def test_twin_certificates_match_the_unpruned_brute_force_count(scenario, k, sizes):
+    # The twin query closes each path through the vertices outside the
+    # big part only; its count must still be the maximum packing of every
+    # rainbow twin path.
+    palette = SCENARIOS[scenario][0]
+    spec = PartitionSpec(sizes)
+    certs = sample_certificates(scenario, k, sizes, 20, seed=7)
+    for seed, cert in enumerate(certs, start=7):
+        coloring = random_coloring(spec, palette, seed)
+        paths = brute_force_rainbow_paths(coloring, *cert.twins, palette)
+        assert cert.count == len(unpruned_max_packing(paths, None))
+
+
+def test_sample_certificates_logs_its_run(caplog):
+    with caplog.at_level(logging.DEBUG, logger="rainbowk.bounds"):
+        sample_certificates("bipartite5", 2, (2, 17), 20, seed=0)
+    assert caplog.messages == [
+        "lower-bound: bipartite5 on (2, 17) at k = 2: 20 samples, twin counts {0: 6, 1: 14}"]

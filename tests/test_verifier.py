@@ -2,6 +2,7 @@ import concurrent.futures
 import json
 import logging
 import os
+from functools import partial
 from itertools import combinations
 from pathlib import Path
 
@@ -84,7 +85,7 @@ def test_enumeration_matches_brute_force(coloring):
         )
         # Every smaller cap too, and 1..3 at least: the last edge the cap
         # allows is closed in place, and that must hold at each depth.
-        for max_len in range(max(coloring.num_colors, 4)):
+        for max_len in range(1, max(coloring.num_colors, 4)):
             got = enumerate_rainbow_paths(coloring, u, v, max_len)
             assert got == brute_force_rainbow_paths(coloring, u, v, max_len)
 
@@ -350,16 +351,11 @@ def test_bounded_search_matches_unpruned_search(instance):
         assert family.paths == tuple(paths[i] for i in unpruned_max_packing(paths, k))
 
 
-@given(st.lists(st.integers(1, 4), min_size=2, max_size=4), st.integers(1, 5),
-       st.integers(0, 2**32))
-@settings(max_examples=250)
-def test_first_fit_walk_matches_the_full_enumeration(sizes, num_colors, seed):
-    # The walk picks what greedy first-fit picks from the full path list
-    # (module docstring), so decision counts and families, fallback
-    # included, equal enumeration plus the unpruned search. Palettes of 1
-    # and 2 and max_len 2 reach the walk's cap < 2 and cap = 2 branches.
-    coloring = random_coloring(PartitionSpec(tuple(sizes)), num_colors, seed)
-    for u, v in all_pairs(coloring.spec):
+def _assert_first_fit_is_greedy(coloring, pairs):
+    """The walk picks what greedy first-fit picks from the full path list
+    (module docstring), so decision counts and families, fallback included,
+    equal enumeration plus the unpruned search, at every cap and k."""
+    for u, v in pairs:
         for max_len in (None, 2, 3):
             paths = enumerate_rainbow_paths(coloring, u, v, max_len)
             for k in (1, 2, 3):
@@ -374,6 +370,67 @@ def test_first_fit_walk_matches_the_full_enumeration(sizes, num_colors, seed):
                     coloring, PairQuery(u, v, k=k, max_len=max_len))
                 assert count == len(picked)
                 assert family.paths == tuple(paths[i] for i in picked)
+
+
+@given(st.lists(st.integers(1, 4), min_size=2, max_size=4), st.integers(1, 5),
+       st.integers(0, 2**32))
+@settings(max_examples=250)
+def test_first_fit_walk_matches_the_full_enumeration(sizes, num_colors, seed):
+    # Palettes of 1 and 2 and max_len 2 reach the walk's cap < 2 and
+    # cap = 2 branches.
+    coloring = random_coloring(PartitionSpec(tuple(sizes)), num_colors, seed)
+    _assert_first_fit_is_greedy(coloring, all_pairs(coloring.spec))
+
+
+@given(st.one_of(
+    lopsided_colorings(),
+    st.builds(random_coloring, st.just(PartitionSpec((2, 17))), st.just(4),
+              st.integers(0, 2**32)),
+    st.builds(random_coloring, st.just(PartitionSpec((10, 1, 1))), st.just(3),
+              st.integers(0, 2**32)),
+))
+@settings(max_examples=60, deadline=None)
+def test_first_fit_walk_matches_the_full_enumeration_on_lopsided_graphs(coloring):
+    # The lower-bound shapes: the close step toward a big-part vertex scans
+    # only the vertices outside its part, and twin queries join two of them.
+    spec = coloring.spec
+    big = max(range(spec.t), key=lambda i: spec.sizes[i])
+    members = spec.part_members(big)
+    inside = [(a, b) for a in members for b in members if a < b]
+    across = [(0, spec.n - 1), (spec.n - 1, 0)]
+    _assert_first_fit_is_greedy(coloring, inside + across)
+
+
+@pytest.mark.parametrize("k", [0, -1])
+def test_first_fit_refuses_k_below_one(k):
+    # Unchecked, k = 0 lets the walk pick two paths for this pair.
+    coloring = random_coloring(PartitionSpec((2, 2, 2)), 3, 1)
+    with pytest.raises(ValueError, match="decision mode needs k >= 1"):
+        first_fit_rainbow_paths(coloring, 0, 1, k)
+
+
+WALKS = [
+    pytest.param(enumerate_rainbow_paths, id="enumerate"),
+    pytest.param(partial(first_fit_rainbow_paths, k=2), id="first-fit"),
+]
+
+
+@pytest.mark.parametrize("walk", WALKS)
+@pytest.mark.parametrize("u, v", [(0, True), (True, 3), (5.0, 0), (0, 5.0), (0, "1")])
+def test_walks_refuse_ids_that_are_not_ints(walk, u, v):
+    # Unchecked, True indexes rows as vertex 1 and 5.0 fails in tuple indexing.
+    coloring = random_coloring(PartitionSpec((2, 2, 2)), 3, seed=2)
+    with pytest.raises(ValueError, match="must be integers"):
+        walk(coloring, u, v)
+
+
+@pytest.mark.parametrize("walk", WALKS)
+@pytest.mark.parametrize("max_len", [0, -2, 2.0, True])
+def test_walks_refuse_caps_that_are_not_positive_ints(walk, max_len):
+    # Unchecked, max_len = 0 lists no path, a cap `PairQuery` refuses.
+    coloring = random_coloring(PartitionSpec((2, 2, 2)), 3, seed=2)
+    with pytest.raises(ValueError, match="max_len must be an integer >= 1"):
+        walk(coloring, 0, 3, max_len=max_len)
 
 
 @pytest.mark.parametrize("mode", ["decision", "maximize"])

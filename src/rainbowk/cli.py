@@ -118,6 +118,12 @@ def _load_coloring(path: str) -> Coloring:
     return Coloring.from_json_dict(_load_document(path))
 
 
+def _load_construction(path: str) -> tuple[Coloring, ConstructionMeta | None]:
+    doc = _load_document(path)
+    coloring = Coloring.from_json_dict(doc)
+    return coloring, ConstructionMeta.from_json_dict(doc["meta"]) if "meta" in doc else None
+
+
 def _write_stream(stream, text: str) -> None:
     """Write text to stdout or stderr and flush it, so that a stream that
     cannot be written fails here (SchemaError), not at interpreter exit. The
@@ -262,11 +268,7 @@ def _run_construct(opt: dict) -> int:
     else:  # extension
         if opt["base"] is None or opt["grow"] is None:
             raise SchemaError("extension needs --base and --grow p,q")
-        doc = _load_document(opt["base"])
-        base = Coloring.from_json_dict(doc)
-        base_meta = (
-            ConstructionMeta.from_json_dict(doc["meta"]) if "meta" in doc else None
-        )
+        base, base_meta = _load_construction(opt["base"])
         p, q = _parse_sizes(opt["grow"], "--grow", 2)
         coloring, meta = color_extension(base, p, q, base_meta=base_meta)
     _write_text(opt["out"], coloring_document(coloring, meta))
@@ -306,11 +308,9 @@ def _run_verify(opt: dict) -> int:
 
 
 def _run_witness(opt: dict) -> int:
-    doc = _load_document(opt["coloring"])
-    coloring = Coloring.from_json_dict(doc)
-    if "meta" not in doc:
+    coloring, meta = _load_construction(opt["coloring"])
+    if meta is None:
         raise SchemaError("witness generation needs a construction meta block")
-    meta = ConstructionMeta.from_json_dict(doc["meta"])
     family = witness_paths(meta, coloring, opt["u"], opt["v"], opt["k"])
     ok = family_is_valid(coloring, family, opt["k"])
     out = family.to_json_dict()

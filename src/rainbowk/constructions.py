@@ -23,7 +23,13 @@ one are reduced either through a genuine color automorphism (recorded in the
 meta) or through the mirror-symmetric case body; both preserve rainbowness.
 
 Each labeling is a pure function of the part sizes, stated once in a role or
-labeling helper that both the color rule and the witness builder read.
+labeling helper that both the color rule and the witness builder read. The
+2-colorings state each vertex map once with its inverse: ``_mnn_vertex`` and
+``_k2416_vertex`` turn a (part or class, index) role back into a vertex id,
+and ``_extension_ids`` returns the projection onto the base, which maps each
+old vertex to its base id and each new vertex to its anchor, whose color row
+it copies. The extension's color rule reads every edge off the base at its
+projection, and its witness builder carries base families back through it.
 Builders read only the meta's ``tag``, ``labeling.sizes`` (checked against
 the coloring) and, for ``extension``, ``params.p``/``params.q`` and
 ``labeling.base_meta``; every other meta field is descriptive.
@@ -207,17 +213,21 @@ def _mnn_role(spec: PartitionSpec, w: int) -> tuple[int, int]:
     return part, w - spec.offsets[part] + 1
 
 
+def _mnn_vertex(spec: PartitionSpec, part: int, j: int) -> int:
+    """The inverse of `_mnn_role`: the id of a_j, b_j or c_j."""
+    return spec.offsets[part] + j - 1
+
+
 def _mnn_group(j: int, s: int) -> int:
     """Index pair group of b_j / c_j (1-based): {1,2} -> 1, {3,4} -> 2, ...;
     with odd n the last group absorbs the extra index."""
     return min((j + 1) // 2, s)
 
 
-def _mnn_group_members(t: int, s: int, n: int) -> list[int]:
-    members = [2 * t - 1, 2 * t]
-    if t == s and n % 2 == 1:
-        members.append(2 * s + 1)
-    return members
+def _mnn_bit(strings: list[str], s: int, i: int, part: int, j: int) -> int:
+    """a_i's bit toward the j-th vertex of B (part 1) or C (part 2): the bit
+    of j's group in the B or the C half of a_i's string."""
+    return int(strings[i - 1][(part - 1) * s + _mnn_group(j, s) - 1])
 
 
 def color_mnn(m: int, n: int) -> tuple[Coloring, ConstructionMeta]:
@@ -234,8 +244,7 @@ def color_mnn(m: int, n: int) -> tuple[Coloring, ConstructionMeta]:
         (pu, i), (pv, j) = _mnn_role(spec, u), _mnn_role(spec, v)
         if pu == 1:
             return BIT_COLORS[0 if i == j else 1]
-        # a_i's bit for j's group, in the B or the C half of its string.
-        return BIT_COLORS[int(strings[i - 1][(pv - 1) * s + _mnn_group(j, s) - 1])]
+        return BIT_COLORS[_mnn_bit(strings, s, i, pv, j)]
 
     coloring = Coloring.from_function(spec, 2, rule)
     meta = ConstructionMeta(
@@ -260,16 +269,20 @@ def _odd_zero_strings() -> list[str]:
     return [f"{i:04b}" for i in range(16) if f"{i:04b}".count("0") % 2 == 1]
 
 
+# The first id of each class: A, B, C_L, C_R.
+_K2416_STARTS = (0, 2, 6, 14)
+
+
 def _k2416_role(w: int) -> tuple[int, int]:
     """Vertex w's class (0 = A, 1 = B, 2 = C_L, 3 = C_R) and its 1-based
     index there: w is a_i, b_j, c_i or c_i'."""
-    if w < 2:
-        return (0, w + 1)
-    if w < 6:
-        return (1, w - 1)
-    if w < 14:
-        return (2, w - 5)
-    return (3, w - 13)
+    cls = sum(w >= start for start in _K2416_STARTS) - 1
+    return cls, w - _K2416_STARTS[cls] + 1
+
+
+def _k2416_vertex(cls: int, i: int) -> int:
+    """The inverse of `_k2416_role`: the id of the i-th vertex of class cls."""
+    return _K2416_STARTS[cls] + i - 1
 
 
 def color_2_4_16() -> tuple[Coloring, ConstructionMeta]:
@@ -294,8 +307,8 @@ def color_2_4_16() -> tuple[Coloring, ConstructionMeta]:
         labeling={
             "sizes": [2, 4, 16],
             "strings": strings,
-            "c_left": list(range(6, 14)),
-            "c_right": list(range(14, 22)),
+            "c_left": [_k2416_vertex(2, i) for i in range(1, 9)],
+            "c_right": [_k2416_vertex(3, i) for i in range(1, 9)],
             "bit_colors": {str(b): c for b, c in BIT_COLORS.items()},
             # Genuine color automorphism used for WLOG dispatch.
             "automorphism": "swap a1<->a2 together with C_L<->C_R",
@@ -311,11 +324,13 @@ def color_2_4_16() -> tuple[Coloring, ConstructionMeta]:
 
 def _extension_ids(
     bspec: PartitionSpec, p: int, q: int
-) -> tuple[PartitionSpec, list[int], list[int], list[int], list[int]]:
+) -> tuple[PartitionSpec, list[int], list[int], list[int], list[int], list[int]]:
     """Grow parts p and q of bspec by one vertex each: the grown spec, the
-    old -> new id map, the two new vertices, and the anchors (the lowest id of
-    each grown part) as new and as old ids. Old vertices keep their
-    within-part index; each new vertex lands at the end of its part's block."""
+    old -> new id map, the two new vertices, the anchors (the lowest id of
+    each grown part) as new and as old ids, and the projection onto the base:
+    each grown id's old id, and each new vertex's anchor. Old vertices keep
+    their within-part index; each new vertex lands at the end of its part's
+    block."""
     if (type(p) is not int or type(q) is not int or p == q
             or not (0 <= p < bspec.t and 0 <= q < bspec.t)):
         raise ValueError(f"grown parts must be two distinct part indices, got {p!r}, {q!r}")
@@ -329,7 +344,10 @@ def _extension_ids(
     ]
     news = [spec.offsets[p] + bspec.sizes[p], spec.offsets[q] + bspec.sizes[q]]
     anchors_old = [bspec.offsets[p], bspec.offsets[q]]
-    return spec, id_map, news, [id_map[w] for w in anchors_old], anchors_old
+    proj = [0] * spec.n
+    for old, new in [*enumerate(id_map), *zip(anchors_old, news)]:
+        proj[new] = old
+    return spec, id_map, news, [id_map[w] for w in anchors_old], anchors_old, proj
 
 
 def color_extension(
@@ -356,25 +374,16 @@ def color_extension(
         raise ValueError("extension needs a 2-colored base")
     if base_meta is not None and base_meta.labeling.get("sizes") != list(bspec.sizes):
         raise ValueError(f"base meta's labeling.sizes are not the base's {list(bspec.sizes)}")
-    spec, id_map, (new_a1, new_a2), (anchor1, anchor2), (anchor1_old, anchor2_old) = (
+    spec, id_map, (new_a1, new_a2), (anchor1, anchor2), (anchor1_old, anchor2_old), proj = (
         _extension_ids(bspec, p, q))
     transposed = base.color(anchor1_old, anchor2_old) == 2
     base_colors = base.permuted({1: 2, 2: 1}) if transposed else base
-    inverse = {new: old for old, new in enumerate(id_map)}
+    recolored = ({new_a1, anchor2}, {new_a2, anchor1})
 
     def rule(u: int, v: int) -> int:
-        pair = {u, v}
-        if pair == {new_a1, new_a2}:
-            return 1
-        if pair == {new_a1, anchor2} or pair == {new_a2, anchor1}:
-            return 2
-        if new_a1 in pair:
-            w = (pair - {new_a1}).pop()
-            return base_colors.color(anchor1_old, inverse[w])
-        if new_a2 in pair:
-            w = (pair - {new_a2}).pop()
-            return base_colors.color(anchor2_old, inverse[w])
-        return base_colors.color(inverse[u], inverse[v])
+        # Every other edge copies the base edge it projects onto. a_1 a_2
+        # projects onto the anchor edge, which the transposition made 1.
+        return 2 if {u, v} in recolored else base_colors.color(proj[u], proj[v])
 
     coloring = Coloring.from_function(spec, 2, rule)
     meta = ConstructionMeta(
@@ -536,42 +545,32 @@ def _mnn_witness(meta: ConstructionMeta, spec: PartitionSpec,
         raise ValueError(f"mnn needs parts (m, n, n), got {spec.sizes}")
     m, n, _ = spec.sizes
     s, strings = n // 2, _mnn_strings(m, n)
-    b0, c0 = m, m + n
     cu, cv = _mnn_role(spec, u), _mnn_role(spec, v)
     if cu[0] > cv[0]:
         return _reverse(_mnn_witness(meta, spec, v, u, k))
-    b_vertex = lambda j: b0 + j - 1
-    c_vertex = lambda j: c0 + j - 1
 
     if cu[0] == 0 and cv[0] == 0:
         si, sj = strings[cu[1] - 1], strings[cv[1] - 1]
-        tpos = next(x + 1 for x in range(2 * s) if si[x] != sj[x])
-        if tpos <= s:
-            mids = (b_vertex(2 * tpos - 1), b_vertex(2 * tpos))
-        else:
-            r = tpos - s
-            mids = (c_vertex(2 * r - 1), c_vertex(2 * r))
-        return WitnessFamily(
-            u, v, ((u, mids[0], v), (u, mids[1], v)), "mnn Case 4"
-        )
+        # The first differing bit: its half names the part, its place the group.
+        half, g = divmod(next(x for x in range(2 * s) if si[x] != sj[x]), s)
+        mids = [_mnn_vertex(spec, half + 1, 2 * g + x) for x in (1, 2)]
+        return WitnessFamily(u, v, tuple(_via(u, v, mids)), "mnn Case 4")
+    other = 3 - cv[0]  # B (1) or C (2), whichever v is not in
     if cu[0] == 0:
+        # Through c_j or b_j, whose edge to v is matched (bit 0), when a_i's
+        # bit toward it is 1; else through the lowest other index of j's
+        # group, toward which a_i has the same bit 0 and whose edge to v is
+        # unmatched (bit 1).
         i, j = cu[1], cv[1]
-        grp = _mnn_group(j, s)
-        members = _mnn_group_members(grp, s, n)
-        if cv[0] == 1:
-            bit = strings[i - 1][s + grp - 1]
-            w = c_vertex(j) if bit == "1" else c_vertex(min(x for x in members if x != j))
-            case = "mnn Case 3"
-        else:
-            bit = strings[i - 1][grp - 1]
-            w = b_vertex(j) if bit == "1" else b_vertex(min(x for x in members if x != j))
-            case = "mnn Case 3 (C-side)"
-        return WitnessFamily(u, v, ((u, v), (u, w, v)), case)
+        if not _mnn_bit(strings, s, i, other, j):
+            group = _mnn_group(j, s)
+            j = min(x for x in range(1, n + 1) if x != j and _mnn_group(x, s) == group)
+        case = "mnn Case 3" if cv[0] == 1 else "mnn Case 3 (C-side)"
+        return WitnessFamily(u, v, ((u, v), (u, _mnn_vertex(spec, other, j), v)), case)
     if cu[0] == cv[0]:
-        i, j = cu[1], cv[1]
-        mid = c_vertex if cu[0] == 1 else b_vertex
+        mids = [_mnn_vertex(spec, other, j) for j in (cu[1], cv[1])]
         case = "mnn Case 1" if cu[0] == 1 else "mnn Case 1 (C-side)"
-        return WitnessFamily(u, v, ((u, mid(i), v), (u, mid(j), v)), case)
+        return WitnessFamily(u, v, tuple(_via(u, v, mids)), case)
     # u in B, v in C.
     return WitnessFamily(u, v, ((u, v), (u, 0, v)), "mnn Case 2")
 
@@ -581,11 +580,9 @@ def _mnn_witness(meta: ConstructionMeta, spec: PartitionSpec,
 
 def _k2416_tau(w: int) -> int:
     """The coloring automorphism: swap a_1 with a_2 and C_L with C_R."""
-    if w < 2:
-        return 1 - w
-    if w < 6:
-        return w
-    return w + 8 if w < 14 else w - 8
+    cls, i = _k2416_role(w)
+    # a_i goes to a_(3-i), B stays, C_L and C_R trade places index for index.
+    return _k2416_vertex((0, 1, 3, 2)[cls], 3 - i if cls == 0 else i)
 
 
 def _k2416_witness(meta: ConstructionMeta, spec: PartitionSpec,
@@ -597,12 +594,10 @@ def _k2416_witness(meta: ConstructionMeta, spec: PartitionSpec,
     cu, cv = _k2416_role(u), _k2416_role(v)
     if cu[0] > cv[0] or (cu[0] == cv[0] and u > v):
         return _reverse(_k2416_witness(meta, spec, v, u, k))
-    b_vertex = lambda j: 1 + j
-    cl = lambda i: 5 + i
-    cr = lambda i: 13 + i
 
     if cu[0] == 0 and cv[0] == 0:
-        return WitnessFamily(u, v, ((u, cl(1), v), (u, cl(2), v)), "k2416 Case 1")
+        mids = [_k2416_vertex(2, 1), _k2416_vertex(2, 2)]
+        return WitnessFamily(u, v, tuple(_via(u, v, mids)), "k2416 Case 1")
     if cu[0] == 0:
         if u == 1:
             inner = _k2416_witness(meta, spec, _k2416_tau(u), _k2416_tau(v), k)
@@ -615,16 +610,17 @@ def _k2416_witness(meta: ConstructionMeta, spec: PartitionSpec,
         if cv[0] == 1:
             j = cv[1]
             i = next(x + 1 for x in range(8) if strings[x][j - 1] == "1")
-            return WitnessFamily(u, v, ((u, v), (u, cl(i), v)), "k2416 Case 2")
+            return WitnessFamily(u, v, ((u, v), (u, _k2416_vertex(2, i), v)), "k2416 Case 2")
         i = cv[1]
         j = next(x + 1 for x in range(4) if strings[i - 1][x] == "1")
-        return WitnessFamily(u, v, ((u, v), (u, b_vertex(j), v)), "k2416 Case 2")
+        return WitnessFamily(u, v, ((u, v), (u, _k2416_vertex(1, j), v)), "k2416 Case 2")
     if cu[0] == 1 and cv[0] == 1:
         bp, bq = cu[1], cv[1]
         i = next(
             x + 1 for x in range(8) if strings[x][bp - 1] != strings[x][bq - 1]
         )
-        return WitnessFamily(u, v, ((u, cl(i), v), (u, cr(i), v)), "k2416 Case 4")
+        mids = [_k2416_vertex(2, i), _k2416_vertex(3, i)]
+        return WitnessFamily(u, v, tuple(_via(u, v, mids)), "k2416 Case 4")
     if cu[0] == 1:
         helper = 1 if cv[0] == 2 else 0  # a_2 covers C_L, a_1 covers C_R
         return WitnessFamily(u, v, ((u, v), (u, helper, v)), "k2416 Case 3")
@@ -632,10 +628,8 @@ def _k2416_witness(meta: ConstructionMeta, spec: PartitionSpec,
         return WitnessFamily(u, v, ((u, 0, v), (u, 1, v)), "k2416 Case 5")
     # Same C half: the two strings differ in at least two bit positions.
     si, sj = strings[cu[1] - 1], strings[cv[1] - 1]
-    diffs = [x + 1 for x in range(4) if si[x] != sj[x]]
-    return WitnessFamily(
-        u, v, ((u, b_vertex(diffs[0]), v), (u, b_vertex(diffs[1]), v)), "k2416 Case 6"
-    )
+    mids = [_k2416_vertex(1, x + 1) for x in range(4) if si[x] != sj[x]][:2]
+    return WitnessFamily(u, v, tuple(_via(u, v, mids)), "k2416 Case 6")
 
 
 # -- extension ----------------------------------------------------------------
@@ -648,9 +642,8 @@ def _extension_witness(meta: ConstructionMeta, spec: PartitionSpec,
     # The base has parts p and q one vertex smaller; _extension_ids rejects
     # any p, q other than two distinct part indices.
     bspec = PartitionSpec(tuple(size - (i in (p, q)) for i, size in enumerate(spec.sizes)))
-    _, id_map, (new_a1, new_a2), (anchor1, anchor2), (anchor1_old, anchor2_old) = (
+    _, id_map, (new_a1, new_a2), (anchor1, anchor2), (anchor1_old, anchor2_old), proj = (
         _extension_ids(bspec, p, q))
-    inverse = {new: old for old, new in enumerate(id_map)}
     news = {new_a1, new_a2}
 
     def base_family(u0: int, v0: int) -> WitnessFamily:
@@ -672,7 +665,7 @@ def _extension_witness(meta: ConstructionMeta, spec: PartitionSpec,
         return out
 
     if u not in news and v not in news:
-        return lift(base_family(inverse[u], inverse[v]), {}, "extension via base coloring")
+        return lift(base_family(proj[u], proj[v]), {}, "extension via base coloring")
     pair = {u, v}
     if pair == {new_a1, anchor1}:
         paths = ((u, new_a2, v), (u, anchor2, v))
@@ -688,10 +681,7 @@ def _extension_witness(meta: ConstructionMeta, spec: PartitionSpec,
         return lift(fam, {anchor2: new_a2}, "extension via recolored-edge embedding")
     # At least one endpoint is new and its partner is not an anchor: embed
     # through the isomorphic copy that swaps each new vertex with its anchor.
-    psi = {new_a1: anchor1_old, new_a2: anchor2_old}
-    u0 = psi.get(u, inverse.get(u))
-    v0 = psi.get(v, inverse.get(v))
-    fam = base_family(u0, v0)
+    fam = base_family(proj[u], proj[v])
     return lift(
         fam, {anchor1: new_a1, anchor2: new_a2}, "extension via anchor-swap embedding"
     )

@@ -122,9 +122,13 @@ class PartitionSpec:
     sizes: tuple[int, ...]
 
     def __post_init__(self) -> None:
-        object.__setattr__(self, "sizes", tuple(int(s) for s in self.sizes))
+        object.__setattr__(self, "sizes", tuple(self.sizes))
         if len(self.sizes) < 2:
             raise ValueError("a complete multipartite graph needs t >= 2 parts")
+        # A plain int only, as in `_color_table`: int() would turn 2.7 into
+        # 2, True into 1 and "2" into 2 without a word.
+        if any(type(s) is not int for s in self.sizes):
+            raise ValueError(f"part sizes must be integers, got {self.sizes}")
         if any(s < 1 for s in self.sizes):
             raise ValueError(f"part sizes must be positive, got {self.sizes}")
 

@@ -99,6 +99,13 @@ from .core import (
 logger = logging.getLogger(__name__)
 
 
+def _check_k(k: int, message: str) -> None:
+    """Raise ValueError(message) for an int k below 1, and name any k that
+    is not a plain int: a float cap is never reached, and a bool is no k."""
+    if type(k) is not int or k < 1:
+        raise ValueError(message if type(k) is int else f"k must be an integer, got {k!r}")
+
+
 @dataclass(frozen=True)
 class PairQuery:
     """One pair to check: decide `count >= k`, or maximize the packing size
@@ -113,8 +120,8 @@ class PairQuery:
     def __post_init__(self) -> None:
         if self.u == self.v:
             raise ValueError("pair endpoints must differ")
-        if self.k is not None and self.k < 1:
-            raise ValueError("decision mode needs k >= 1")
+        if self.k is not None:
+            _check_k(self.k, "decision mode needs k >= 1")
         if self.max_len is not None and self.max_len < 1:
             raise ValueError("max_len must be >= 1")
 
@@ -216,9 +223,8 @@ def first_fit_rainbow_paths(
     paths are not listed: the walk of the module docstring searches
     depth-first for the lexicographically first path that avoids the picked
     interiors, one neighbour of u after another, and stops at k picks.
-    Raises ValueError for k < 1, as `PairQuery` does."""
-    if k < 1:
-        raise ValueError("decision mode needs k >= 1")
+    Raises ValueError unless k is an int >= 1, as `PairQuery` does."""
+    _check_k(k, "decision mode needs k >= 1")
     cap = _path_cap(coloring, u, v, max_len)
     rows = coloring.rows
     if cap < 2:
@@ -320,12 +326,14 @@ def _max_packing(
     only as `max_disjoint_rainbow`'s fallback, after its first-fit walk fell
     short of the target, so the pass picks the walk's paths again, fewer
     than the target, and the search starts from them. Two root exits follow
-    the pass before any work quadratic in the path count:
+    the pass, so that queries greedy settles build no search tables:
     - greedy took every path: no packing has more, so it is maximum;
     - greedy reached the capacity bound of the whole path set: the bound
       holds for every packing (module docstring), so none is larger.
-    Otherwise the conflict matrix, the per-vertex path sets and the pivot
-    order are built, and each search node is cut when the paths it has
+    Otherwise the per-vertex path sets are built, and from them each path's
+    conflicts: the paths through its interior, itself included unless the
+    interior is empty, which no branched path's is (each comes from a
+    vertex's path set). Each search node is cut when the paths it has
     chosen plus the capacity bound of its candidates cannot beat the best
     packing found so far. Every packing reachable from a node is its chosen
     paths plus a packing drawn from its candidates, so a cut subtree holds
@@ -356,16 +364,14 @@ def _max_packing(
     if _capacity_bound(tables, avail, everything) <= len(best):
         return best
 
-    conflicts = [0] * m
-    for i in range(m):
-        for j in range(i + 1, m):
-            if masks[i] & masks[j]:
-                conflicts[i] |= 1 << j
-                conflicts[j] |= 1 << i
     through: dict[int, int] = {}
     for i, p in enumerate(paths):
         for w in p[1:-1]:
             through[w] = through.get(w, 0) | 1 << i
+    conflicts = [0] * m
+    for i, p in enumerate(paths):
+        for w in p[1:-1]:
+            conflicts[i] |= through[w]
     contended = [(w, 1 << w, through[w]) for w in sorted(through)]
 
     def bits(mask: int):
@@ -398,7 +404,7 @@ def _max_packing(
             return
         tm = through[pivot] & cand
         for i in bits(tm):
-            search(cand & ~conflicts[i] & ~(1 << i), chosen + [i])
+            search(cand & ~conflicts[i], chosen + [i])
             if target is not None and len(best) >= target:
                 return
         search(cand & ~tm, chosen)
@@ -469,8 +475,7 @@ def verify_rainbow_k_connected(
     """Check that every unordered vertex pair admits k pairwise internally
     disjoint rainbow paths, querying one pair per twin orbit (module
     docstring). Results are identical for any jobs count."""
-    if k < 1:
-        raise ValueError("k must be >= 1")
+    _check_k(k, "k must be >= 1")
     if mode not in ("decision", "maximize"):
         raise ValueError(f"unknown mode {mode!r}")
     pairs = list(all_pairs(coloring.spec))

@@ -598,6 +598,7 @@ def test_rck_exact_max_edges_flag(capsys):
     ["verify", "--k", "0", "--pairs", "0,1", "--mode", "maximize"],
     ["rck-exact", "--sizes", "1,1", "--k", "1", "--max-colors", "0"],
     ["verify", "--k", "2", "--pairs", "0,5", "--jobs", "0"],
+    ["verify", "--k", "0"],
 ])
 def test_counts_below_one_are_usage_errors(tmp_path, capsys, argv):
     coloring, _ = color_bipartite4(4, 4, 2)

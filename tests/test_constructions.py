@@ -7,6 +7,7 @@ from rainbowk.bounds import f_formula
 from rainbowk.cli import coloring_document
 from rainbowk.constructions import (
     ConstructionMeta,
+    _k2416_tau,
     color_2_4_16,
     color_bipartite4,
     color_ctk,
@@ -477,3 +478,76 @@ def test_construction_and_witness_bytes_are_pinned():
                 digest.update(json_text(family.to_json_dict()).encode())
     assert digest.hexdigest() == (
         "f568ebeeaac64e5df0a01239bf3c4e1f7d31c9ef37345ef45ad872d0867b74f1")
+
+
+def _grown(build, p, q, with_meta=True):
+    base, base_meta = build()
+    return color_extension(base, p, q, base_meta=base_meta if with_meta else None)
+
+
+# (instance, the k values its witnesses are asked for): the extension shapes
+# the pinned digest above does not reach, and a larger mnn. k = 1 and k = 3
+# are refused on every 2-colouring; their one-line refusals are pinned too.
+PINNED_REFUSALS = [
+    (lambda: _grown(lambda: color_mnn(3, 2), 0, 2), (1, 2, 3)),  # untransposed
+    (lambda: _grown(color_2_4_16, 2, 0), (2,)),  # p > q
+    # No base meta: only the two anchor pairs (both ways) have families.
+    (lambda: _grown(lambda: color_mnn(3, 2), 0, 1, with_meta=False), (2,)),
+    (lambda: color_mnn(12, 5), (2,)),
+    (lambda: color_mnn(3, 3), (1, 3)),
+    (color_2_4_16, (1, 3)),
+]
+
+
+def test_extension_and_refusal_bytes_are_pinned():
+    # As the digest above, with each refused pair's one-line error in place
+    # of its family. The value was recorded before the vertex maps of the
+    # 2-colourings were restated as one map each.
+    digest = hashlib.sha256()
+    for build, ks in PINNED_REFUSALS:
+        coloring, meta = build()
+        digest.update(coloring_document(coloring, meta).encode())
+        for u, v in permutations(coloring.spec.vertices(), 2):
+            for k in ks:
+                try:
+                    family = witness_paths(meta, coloring, u, v, k)
+                except ValueError as exc:
+                    digest.update(f"refused: {exc}\n".encode())
+                    continue
+                assert family_is_valid(coloring, family, k), (meta.tag, u, v, k)
+                digest.update(json_text(family.to_json_dict()).encode())
+    assert digest.hexdigest() == (
+        "1b649c95fa76efe50e877d8076a656f030244022ec61756c67ce0a33b8331134")
+
+
+def test_k2416_tau_is_a_colour_automorphism():
+    coloring, _ = color_2_4_16()
+    vertices = coloring.spec.vertices()
+    assert [_k2416_tau(_k2416_tau(w)) for w in vertices] == list(vertices)
+    assert len(coloring.assignment) == 104
+    for (u, v), c in coloring.assignment.items():
+        assert coloring.color(_k2416_tau(u), _k2416_tau(v)) == c
+
+
+@pytest.mark.parametrize("build, p, q", [
+    (lambda: color_mnn(3, 2), 0, 2),
+    (lambda: color_mnn(2, 2), 0, 1),
+    (lambda: color_mnn(4, 3), 1, 0),
+    (color_2_4_16, 2, 0),
+    (color_2_4_16, 0, 1),
+])
+def test_extension_edges_copy_the_base_at_their_projection(build, p, q):
+    base, _ = build()
+    new, meta = color_extension(base, p, q)
+    lab = meta.labeling
+    reference = base.permuted({1: 2, 2: 1}) if lab["transposed"] else base
+    # Old vertices project to their base ids, each new vertex to its anchor.
+    proj = {w: old for old, w in enumerate(lab["id_map"])}
+    proj.update(zip(lab["new_vertices"], lab["anchors_old"]))
+    a1, a2 = lab["new_vertices"]
+    anchor1, anchor2 = lab["anchors"]
+    recolored = [{a1, anchor2}, {a2, anchor1}]
+    assert len(new.assignment) == new.spec.edge_count()
+    for (u, v), c in new.assignment.items():
+        expected = 2 if {u, v} in recolored else reference.color(proj[u], proj[v])
+        assert c == expected, (u, v)

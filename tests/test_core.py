@@ -37,6 +37,10 @@ def test_partition_spec_validation():
         PartitionSpec((5,))
     with pytest.raises(ValueError):
         PartitionSpec((2, 0))
+    # int() would read these as (2, 3), (1, 2) and (2, 3).
+    for sizes in ((2.7, 3), (True, 2), ("2", 3)):
+        with pytest.raises(ValueError, match="part sizes must be integers"):
+            PartitionSpec(sizes)
 
 
 def test_part_blocks():

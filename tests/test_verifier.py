@@ -124,6 +124,10 @@ def test_pair_query_validation():
         PairQuery(1, 1)
     with pytest.raises(ValueError, match="k >= 1"):
         PairQuery(0, 1, k=0)
+    # A float k was never reached as a cap, and a bool is no k.
+    for k in (2.5, True):
+        with pytest.raises(ValueError, match=f"k must be an integer, got {k}"):
+            PairQuery(0, 1, k=k)
     with pytest.raises(TypeError):
         PairQuery(0, 1, mode="maximize")  # the mode is read off k
 
@@ -401,12 +405,19 @@ def test_first_fit_walk_matches_the_full_enumeration_on_lopsided_graphs(coloring
     _assert_first_fit_is_greedy(coloring, inside + across)
 
 
-@pytest.mark.parametrize("k", [0, -1])
+@pytest.mark.parametrize("k", [0, -1, 2.5, True])
 def test_first_fit_refuses_k_below_one(k):
-    # Unchecked, k = 0 lets the walk pick two paths for this pair.
+    # Unchecked, k = 0 lets the walk pick two paths for this pair, and
+    # k = 2.5 lets it pick three for the pair (0, 2).
     coloring = random_coloring(PartitionSpec((2, 2, 2)), 3, 1)
-    with pytest.raises(ValueError, match="decision mode needs k >= 1"):
+    integer = type(k) is int
+    with pytest.raises(ValueError, match="decision mode needs k >= 1" if integer
+                       else f"k must be an integer, got {k}"):
         first_fit_rainbow_paths(coloring, 0, 1, k)
+    # verify's own line for an integer k is the one the CLI prints.
+    with pytest.raises(ValueError, match="^k must be >= 1$" if integer
+                       else f"k must be an integer, got {k}"):
+        verify_rainbow_k_connected(coloring, k)
 
 
 WALKS = [

@@ -19,7 +19,7 @@ from collections import Counter
 from dataclasses import dataclass
 from functools import lru_cache, partial
 
-from .core import Coloring, InvariantError, PartitionSpec, ceil_div, twin_classes
+from .core import Coloring, InvariantError, PartitionSpec, ceil_div, check_int, twin_classes
 from .verifier import PairQuery, fan_out, max_disjoint_rainbow
 
 logger = logging.getLogger(__name__)
@@ -28,8 +28,8 @@ logger = logging.getLogger(__name__)
 def f_formula(k: int, t: int) -> int:
     """Minimum part size forcing rc_k <= 4 (t = 2) resp. <= 3 (t >= 3):
     ceil(2k / (t-1))."""
-    if k < 2 or t < 2:
-        raise ValueError("f(k, t) is defined for k, t >= 2")
+    domain = "f(k, t) is defined for k, t >= 2"
+    check_int(k, "k", 2, below=domain), check_int(t, "t", 2, below=domain)
     return ceil_div(2 * k, t - 1)
 
 
@@ -43,8 +43,9 @@ def find_color_twins(coloring: Coloring, big_part: int) -> tuple[int, int] | Non
     ordered by their smallest member, so the first class with two members
     starts with the lexicographically first twin pair."""
     spec = coloring.spec
-    if not 0 <= big_part < spec.t:
-        raise ValueError(f"part index {big_part} out of range")
+    out = f"part index {big_part} out of range"
+    if check_int(big_part, "big_part", 0, below=out) >= spec.t:
+        raise ValueError(out)
     classes = twin_classes(coloring, spec.part_members(big_part))
     return next(((ids[0], ids[1]) for ids in classes if len(ids) >= 2), None)
 
@@ -76,8 +77,7 @@ def _bipartite5(k: int, spec: PartitionSpec) -> tuple[int, dict]:
     m >= 4^s + 1; ValueError names the first that fails."""
     if spec.t != 2:
         raise ValueError(f"bipartite5 needs 2 parts, got {spec.t}")
-    if k < 2:
-        raise ValueError("k must be >= 2")
+    check_int(k, "k", 2, below="k must be >= 2")
     s, m = sorted(spec.sizes)
     if not k <= s <= 2 * k - 1:
         raise ValueError(f"need k <= s <= 2k-1, got k={k}, s={s}")
@@ -94,8 +94,7 @@ def _multipartite4(k: int, spec: PartitionSpec) -> tuple[int, dict]:
     sizes, t = spec.sizes, spec.t
     if t < 3:
         raise ValueError(f"multipartite4 needs t >= 3 parts, got {t}")
-    if k < 2:
-        raise ValueError("k must be >= 2")
+    check_int(k, "k", 2, below="k must be >= 2")
     big = max(range(t), key=lambda i: sizes[i])
     small = [sizes[i] for i in range(t) if i != big]
     lo, hi = ceil_div(k, t - 1), ceil_div(2 * k, t - 1) - 1
@@ -197,10 +196,10 @@ def random_coloring(
     right by 8 - b: `_byte_tables` drops the rejected ones and maps the
     rest to 1 + r. Each round draws one word per color still missing, so
     the last word drawn is always kept and no word randrange would not draw
-    is taken. Larger palettes draw with randrange itself."""
-    if num_colors < 1:
-        raise ValueError("num_colors must be >= 1")
-    rng = random.Random(seed)
+    is taken. Larger palettes draw with randrange itself. The seed must be
+    an integer >= 0: random.Random(-s) seeds like Random(s)."""
+    check_int(num_colors, "num_colors", below="num_colors must be >= 1")
+    rng = random.Random(check_int(seed, "seed", 0))
     edges = spec.edge_list
     if num_colors <= 255:
         table, reject = _byte_tables(num_colors)
@@ -239,12 +238,10 @@ def sample_certificates(
     list is identical for any jobs count. One debug log line gives the run's
     scenario, sizes, k and sample count, and how many certificates have
     each twin path count."""
-    if samples < 1:
-        raise ValueError(f"samples must be >= 1, got {samples}")
+    check_int(samples, "samples", below=f"samples must be >= 1, got {samples}")
     # random.Random(-s) seeds like Random(s), so a negative range would
     # repeat samples.
-    if seed < 0:
-        raise ValueError(f"--seed must be >= 0, got {seed}")
+    check_int(seed, "seed", 0, below=f"--seed must be >= 0, got {seed}")
     if scenario not in SCENARIOS:
         raise ValueError(f"unknown scenario {scenario!r}")
     spec = PartitionSpec(tuple(sizes))

@@ -38,6 +38,7 @@ from .core import (
     InvariantError,
     PartitionSpec,
     SchemaError,
+    check_int,
     family_is_valid,
     json_text,
 )
@@ -278,10 +279,9 @@ def _run_construct(opt: dict) -> int:
 def _run_verify(opt: dict) -> int:
     coloring = _load_coloring(opt["coloring"])
     if opt["pairs"] != "all":
-        if opt["k"] < 1:
-            raise ValueError("k must be >= 1")
-        if opt["jobs"] < 1:  # unused by one pair, but refused as for all pairs
-            raise ValueError(f"jobs must be >= 1, got {opt['jobs']}")
+        check_int(opt["k"], "k", below="k must be >= 1")
+        # Unused by one pair, but refused as for all pairs.
+        check_int(opt["jobs"], "jobs", below=f"jobs must be >= 1, got {opt['jobs']}")
         u, v = _parse_sizes(opt["pairs"], "--pairs", 2)
         k = opt["k"] if opt["mode"] == "decision" else None
         count, family = max_disjoint_rainbow(coloring, PairQuery(u, v, k=k))

@@ -50,6 +50,8 @@ from .core import (
     VertexPath,
     WitnessFamily,
     ceil_div,
+    check_int,
+    check_pair,
 )
 
 BIT_COLORS = {0: 1, 1: 2}
@@ -98,8 +100,6 @@ def _bipartite4_labeling(
     """The blocks (balanced halves A1/A2 of part 0 and B1/B2 of part 1,
     larger half first), each vertex's block, and each block's first k
     vertices: the designated ones."""
-    if spec.t != 2:
-        raise ValueError(f"bipartite4 needs two parts, got {spec.t}")
     blocks = {}
     for side, part in (("A", 0), ("B", 1)):
         ids = list(spec.part_members(part))
@@ -112,10 +112,9 @@ def _bipartite4_labeling(
 def color_bipartite4(a: int, b: int, k: int) -> tuple[Coloring, ConstructionMeta]:
     """4-coloring of K_{a,b} (a, b >= 2k): split each side into balanced
     halves A1/A2 and B1/B2 and color A_i-B_j edges with four distinct colors."""
-    if k < 1:
-        raise ValueError("k must be >= 1")
-    if a < 2 * k or b < 2 * k:
-        raise ValueError(f"need a, b >= 2k = {2 * k}, got a={a}, b={b}")
+    check_int(k, "k", below="k must be >= 1")
+    short = f"need a, b >= 2k = {2 * k}, got a={a}, b={b}"
+    check_int(a, "a", 2 * k, below=short), check_int(b, "b", 2 * k, below=short)
     spec = PartitionSpec((a, b))
     blocks, block_of, designated = _bipartite4_labeling(spec, k)
     colors = {("A1", "B1"): 1, ("A1", "B2"): 2, ("A2", "B1"): 3, ("A2", "B2"): 4}
@@ -160,8 +159,7 @@ def color_ctk(spec: PartitionSpec, k: int) -> tuple[Coloring, ConstructionMeta]:
     color 1 into side A and color 3 into side B. Defined for any part sizes;
     witness generation at level k additionally needs every part size
     >= ceil(2k/(t-1))."""
-    if k < 1:
-        raise ValueError("k must be >= 1")
+    check_int(k, "k", below="k must be >= 1")
     t = spec.t
     roles = [_ctk_role(t, part) for part in range(t)]
 
@@ -196,11 +194,10 @@ def color_ctk(spec: PartitionSpec, k: int) -> tuple[Coloring, ConstructionMeta]:
 def _mnn_strings(m: int, n: int) -> list[str]:
     """The m designated bit strings of length 2s, s = floor(n/2): 1^s 0^s
     first, then the remaining ones in lexicographic order."""
-    if n < 2:
-        raise ValueError("n must be >= 2")
-    s = n // 2
-    if not 1 <= m <= 4**s:
-        raise ValueError(f"need 1 <= m <= 4^floor(n/2) = {4 ** s}, got m={m}")
+    s = check_int(n, "n", 2, below="n must be >= 2") // 2
+    bounds = f"need 1 <= m <= 4^floor(n/2) = {4 ** s}, got m={m}"
+    if check_int(m, "m", below=bounds) > 4**s:
+        raise ValueError(bounds)
     lead = "1" * s + "0" * s
     rest = ("".join(bits) for bits in product("01", repeat=2 * s))
     return [lead, *islice((b for b in rest if b != lead), m - 1)]
@@ -412,9 +409,11 @@ def witness_paths(
     meta: ConstructionMeta, coloring: Coloring, u: int, v: int, k: int
 ) -> WitnessFamily:
     """The explicit family of k pairwise internally disjoint rainbow paths
-    from the construction's own argument for the pair's position class."""
-    if u == v:
-        raise ValueError("pair endpoints must differ")
+    from the construction's own argument for the pair's position class.
+    Raises ValueError unless u, v is a pair of the coloring
+    (`core.check_pair`) and k an integer the construction has witnesses for:
+    any k >= 1, or the one k of its `_BUILDERS` entry."""
+    check_pair(u, v)
     return _witness(meta, coloring.spec, u, v, k)
 
 
@@ -423,12 +422,21 @@ def _witness(meta: ConstructionMeta, spec: PartitionSpec,
     if meta.labeling.get("sizes") != list(spec.sizes):
         raise ValueError("coloring does not match the construction meta")
     spec.part_of(u), spec.part_of(v)  # id validation
-    return _BUILDERS[meta.tag](meta, spec, u, v, k)
+    return _BUILDERS[meta.tag][0](meta, spec, u, v, k)
 
 
-def _require_k2(meta: ConstructionMeta, k: int) -> None:
-    if k != 2:
-        raise ValueError(f"{meta.tag} witnesses exist for k = 2 only, got k={k}")
+def _witness_k(meta: ConstructionMeta, k: int) -> None:
+    """The one witness k rule: k is an integer >= 1, or the one k of the
+    construction's `_BUILDERS` entry. Each builder calls it once, before it
+    reads k: bipartite4 and ctk after checking their part count, the k = 2
+    constructions first."""
+    only = _BUILDERS[meta.tag][1]
+    if only is None:
+        check_int(k, "k", below="k must be >= 1")
+        return
+    wrong = f"{meta.tag} witnesses exist for k = {only} only, got k={k}"
+    if check_int(k, "k", only, below=wrong) != only:
+        raise ValueError(wrong)
 
 
 def _reverse(family: WitnessFamily) -> WitnessFamily:
@@ -451,9 +459,10 @@ def _via(u: int, v: int, *blocks) -> list[VertexPath]:
 
 def _bipartite_witness(meta: ConstructionMeta, spec: PartitionSpec,
                        u: int, v: int, k: int) -> WitnessFamily:
+    if spec.t != 2:
+        raise ValueError(f"bipartite4 needs two parts, got {spec.t}")
+    _witness_k(meta, k)
     blocks, block_of, desig = _bipartite4_labeling(spec, k)
-    if k < 1:
-        raise ValueError("k must be >= 1")
     short = [name for name, ids in blocks.items() if len(ids) < k]
     if short:
         raise ValueError(f"blocks {short} smaller than k={k}; outside the construction's bounds")
@@ -480,8 +489,7 @@ def _ctk_witness(meta: ConstructionMeta, spec: PartitionSpec,
     t = spec.t
     if t < 3:
         raise ValueError("ctk witnesses need t >= 3")
-    if k < 1:
-        raise ValueError("k must be >= 1")
+    _witness_k(meta, k)
     s = ceil_div(2 * k, t - 1)
     if min(spec.sizes) < s:
         raise ValueError(
@@ -540,7 +548,7 @@ def _ctk_witness(meta: ConstructionMeta, spec: PartitionSpec,
 
 def _mnn_witness(meta: ConstructionMeta, spec: PartitionSpec,
                  u: int, v: int, k: int) -> WitnessFamily:
-    _require_k2(meta, k)
+    _witness_k(meta, k)
     if spec.t != 3 or spec.sizes[1] != spec.sizes[2]:
         raise ValueError(f"mnn needs parts (m, n, n), got {spec.sizes}")
     m, n, _ = spec.sizes
@@ -587,7 +595,7 @@ def _k2416_tau(w: int) -> int:
 
 def _k2416_witness(meta: ConstructionMeta, spec: PartitionSpec,
                    u: int, v: int, k: int) -> WitnessFamily:
-    _require_k2(meta, k)
+    _witness_k(meta, k)
     if spec.sizes != (2, 4, 16):
         raise ValueError(f"k2416 needs parts (2, 4, 16), got {spec.sizes}")
     strings = _odd_zero_strings()
@@ -637,7 +645,7 @@ def _k2416_witness(meta: ConstructionMeta, spec: PartitionSpec,
 
 def _extension_witness(meta: ConstructionMeta, spec: PartitionSpec,
                        u: int, v: int, k: int) -> WitnessFamily:
-    _require_k2(meta, k)
+    _witness_k(meta, k)
     p, q = meta.params.get("p"), meta.params.get("q")
     # The base has parts p and q one vertex smaller; _extension_ids rejects
     # any p, q other than two distinct part indices.
@@ -687,6 +695,8 @@ def _extension_witness(meta: ConstructionMeta, spec: PartitionSpec,
     )
 
 
-# tag -> witness builder; also the tags a meta block may carry.
-_BUILDERS = {"bipartite4": _bipartite_witness, "ctk": _ctk_witness, "mnn": _mnn_witness,
-             "k2416": _k2416_witness, "extension": _extension_witness}
+# tag -> (witness builder, the one k its witnesses exist for, or None for
+# every k >= 1); also the tags a meta block may carry.
+_BUILDERS = {"bipartite4": (_bipartite_witness, None), "ctk": (_ctk_witness, None),
+             "mnn": (_mnn_witness, 2), "k2416": (_k2416_witness, 2),
+             "extension": (_extension_witness, 2)}

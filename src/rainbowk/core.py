@@ -16,6 +16,11 @@ raises `SchemaError` naming the offending edge's position. Nothing else is
 stored: `tight` (every palette color occurs) is derived from `rows` too, and a
 document's `"tight"` must agree with it.
 
+Beside `_color_table`, `check_int` states the package's one rule for an
+integer argument (k, t, a cap, a count, a seed), and `check_pair` the one rule
+for a vertex pair's endpoints. Both test `type(x) is int`, as `_color_table`
+does, so a bool, a float or a string never passes for an integer.
+
 All types here are immutable after construction and safe to share across
 threads; all operations are pure.
 """
@@ -45,6 +50,31 @@ class InvariantError(RuntimeError):
 
 def ceil_div(a: int, b: int) -> int:
     return -(-a // b)
+
+
+def check_int(value, name: str, low: int = 1, below: str | None = None) -> int:
+    """Return value if it is a plain int (`type(value) is int`) of at least
+    low; raise ValueError otherwise. Any other value gets the one line
+    `NAME must be an integer >= LOW, got VALUE`: int() would turn 2.7 into
+    2, True into 1 and "2" into 2 without a word, and a float cap is never
+    reached. An int below low gets `below` when given (an argument's
+    established line), else that same line."""
+    if type(value) is int:
+        if value >= low:
+            return value
+        if below is not None:
+            raise ValueError(below)
+    raise ValueError(f"{name} must be an integer >= {low}, got {value!r}")
+
+
+def check_pair(u, v) -> None:
+    """Raise ValueError unless u and v are plain ints that differ: a vertex
+    pair's endpoints. Whether they are in range is the spec's to say
+    (`PartitionSpec.part_of`)."""
+    if type(u) is not int or type(v) is not int:
+        raise ValueError(f"pair endpoints must be integers, got ({u!r}, {v!r})")
+    if u == v:
+        raise ValueError("pair endpoints must differ")
 
 
 _encode_str = json.encoder.encode_basestring_ascii  # what json.dumps uses
@@ -168,16 +198,13 @@ class PartitionSpec:
 
     def edges(self) -> Iterator[tuple[int, int]]:
         """All cross-part pairs (u, v) with u < v, in lexicographic order."""
-        table = self._part_table
-        for u in range(self.n):
-            for v in range(u + 1, self.n):
-                if table[u] != table[v]:
-                    yield (u, v)
+        return iter(self.edge_list)
 
     @cached_property
     def edge_list(self) -> tuple[tuple[int, int], ...]:
         """`edges()` as a tuple, built once per spec."""
-        return tuple(self.edges())
+        table, n = self._part_table, self.n
+        return tuple((u, v) for u in range(n) for v in range(u + 1, n) if table[u] != table[v])
 
     def edge_count(self) -> int:
         sq = sum(s * s for s in self.sizes)
@@ -187,8 +214,8 @@ class PartitionSpec:
 def _color_table(
     spec: PartitionSpec, num_colors: int, entries, count: int
 ) -> tuple[tuple[int, ...], ...]:
-    """The one coloring validator: check `count` [u, v, color] entries and
-    fill the row table in the same pass.
+    """The one coloring validator: check num_colors (an integer >= 1) and
+    `count` [u, v, color] entries, and fill the row table in the same pass.
 
     Each entry needs integer ids in range on different parts, a pair not
     seen before and a color in 1..num_colors; together the entries must
@@ -196,6 +223,8 @@ def _color_table(
     entry's position. Fewer than spec.edge_count() entries (`count`) can
     never be total: they are checked against sparse rows, so a short
     document is rejected without allocating the n x n table."""
+    if type(num_colors) is not int or num_colors < 1:
+        raise SchemaError(f"num_colors must be an integer >= 1, got {num_colors!r}")
     n = spec.n
     part = spec._part_table
     edge_count = spec.edge_count()
@@ -248,8 +277,6 @@ class Coloring:
 
     def __init__(self, spec: PartitionSpec, num_colors: int,
                  assignment: dict[tuple[int, int], int] | list) -> None:
-        if type(num_colors) is not int or num_colors < 1:
-            raise SchemaError(f"num_colors must be an integer >= 1, got {num_colors!r}")
         entries = assignment
         if isinstance(entries, dict):
             # A non-tuple key stays one item, which the validator rejects.
@@ -362,7 +389,7 @@ def is_rainbow_path(coloring: Coloring, vertices) -> bool:
     n = coloring.spec.n
     if len(seq) < 2 or len(set(seq)) != len(seq):
         return False
-    if any(not isinstance(w, int) or not 0 <= w < n for w in seq):
+    if any(type(w) is not int or not 0 <= w < n for w in seq):
         return False
     rows = coloring.rows
     colors = [rows[a][b] for a, b in zip(seq, seq[1:])]
@@ -397,6 +424,7 @@ class WitnessFamily:
 def family_is_valid(coloring: Coloring, family: WitnessFamily, k: int) -> bool:
     """Check a witness family: >= k distinct rainbow u,v-paths with pairwise
     disjoint interiors, none of which touch the endpoints."""
+    check_int(k, "k", 0)
     paths = family.paths
     if len(paths) < k or len(set(paths)) != len(paths):
         return False

@@ -67,7 +67,7 @@ from dataclasses import dataclass, field
 from itertools import chain
 from typing import Iterator
 
-from .core import Coloring, InvariantError, PartitionSpec, VertexPath, all_pairs
+from .core import Coloring, InvariantError, PartitionSpec, VertexPath, all_pairs, check_int
 from .verifier import (
     PairQuery,
     max_disjoint_rainbow,
@@ -83,10 +83,12 @@ class BudgetExceeded(RuntimeError):
 
 
 def _check_budget(spec: PartitionSpec, max_edges: int) -> None:
-    if spec.edge_count() > max_edges:
-        raise BudgetExceeded(
-            f"{spec.edge_count()} edges exceed the budget of {max_edges}"
-        )
+    """Raise BudgetExceeded when the graph has more than max_edges edges.
+    Every graph has an edge, so a budget below 1 is refused as a usage
+    error (ValueError), with the same line."""
+    over = f"{spec.edge_count()} edges exceed the budget of {max_edges}"
+    if spec.edge_count() > check_int(max_edges, "max_edges", below=over):
+        raise BudgetExceeded(over)
 
 
 def enumerate_colorings_canonical(
@@ -101,6 +103,7 @@ def enumerate_colorings_canonical(
     `used` colors with `left` edges to go ends with at most used + left;
     below min_colors its branch is cut before any coloring is built."""
     _check_budget(spec, max_edges)
+    check_int(max_colors, "max_colors"), check_int(min_colors, "min_colors")
     edges = list(spec.edges())
 
     def rec(i: int, used: int, assignment: dict) -> Iterator[Coloring]:
@@ -260,10 +263,8 @@ def rc_k_exact(
     """Smallest palette size <= max_colors for which some coloring is
     rainbow k-connected, with one witness coloring. Graphs with more than
     max_edges edges raise BudgetExceeded."""
-    if k < 1:
-        raise ValueError("k must be >= 1")
-    if max_colors < 1:
-        raise ValueError("max_colors must be >= 1")
+    check_int(k, "k", below="k must be >= 1")
+    check_int(max_colors, "max_colors", below="max_colors must be >= 1")
     if structural_connectivity(spec) < k:
         raise ValueError(
             f"rc_{k} undefined: {spec.sizes} has vertex connectivity "

@@ -93,17 +93,12 @@ from .core import (
     WitnessFamily,
     all_pairs,
     ceil_div,
+    check_int,
+    check_pair,
     twin_classes,
 )
 
 logger = logging.getLogger(__name__)
-
-
-def _check_k(k: int, message: str) -> None:
-    """Raise ValueError(message) for an int k below 1, and name any k that
-    is not a plain int: a float cap is never reached, and a bool is no k."""
-    if type(k) is not int or k < 1:
-        raise ValueError(message if type(k) is int else f"k must be an integer, got {k!r}")
 
 
 @dataclass(frozen=True)
@@ -118,12 +113,11 @@ class PairQuery:
     max_len: int | None = None
 
     def __post_init__(self) -> None:
-        if self.u == self.v:
-            raise ValueError("pair endpoints must differ")
+        check_pair(self.u, self.v)
         if self.k is not None:
-            _check_k(self.k, "decision mode needs k >= 1")
-        if self.max_len is not None and self.max_len < 1:
-            raise ValueError("max_len must be >= 1")
+            check_int(self.k, "k", below="decision mode needs k >= 1")
+        if self.max_len is not None:
+            check_int(self.max_len, "max_len")
 
     @property
     def mode(self) -> str:
@@ -134,20 +128,14 @@ class PairQuery:
 def _path_cap(coloring: Coloring, u: int, v: int, max_len: int | None) -> int:
     """Edge cap of the rainbow u->v paths to search: the palette size, or
     max_len when smaller. Raises ValueError unless u and v are distinct
-    vertex ids and max_len is None or at least 1. Ids and max_len must be
-    plain ints (`type(x) is int`, as in `core._color_table`): a bool would
-    pass for vertex 0 or 1, and a float fails only inside the walk."""
-    if type(u) is not int or type(v) is not int:
-        raise ValueError(f"pair endpoints must be integers, got ({u!r}, {v!r})")
-    if u == v:
-        raise ValueError("pair endpoints must differ")
+    vertex ids (`core.check_pair`, then the spec's range) and max_len is
+    None or an integer >= 1 (`core.check_int`, the line `PairQuery` gives
+    too): a bool would pass for vertex 0 or 1, and a float fails only
+    inside the walk."""
+    check_pair(u, v)
     coloring.spec.part_of(u), coloring.spec.part_of(v)  # id validation
     cap = coloring.num_colors
-    if max_len is None:
-        return cap
-    if type(max_len) is not int or max_len < 1:
-        raise ValueError(f"max_len must be an integer >= 1, got {max_len!r}")
-    return min(max_len, cap)
+    return cap if max_len is None else min(check_int(max_len, "max_len"), cap)
 
 
 def _close_steps(coloring: Coloring, v: int) -> list[int]:
@@ -224,7 +212,7 @@ def first_fit_rainbow_paths(
     depth-first for the lexicographically first path that avoids the picked
     interiors, one neighbour of u after another, and stops at k picks.
     Raises ValueError unless k is an int >= 1, as `PairQuery` does."""
-    _check_k(k, "decision mode needs k >= 1")
+    check_int(k, "k", below="decision mode needs k >= 1")
     cap = _path_cap(coloring, u, v, max_len)
     rows = coloring.rows
     if cap < 2:
@@ -457,8 +445,7 @@ def fan_out(work, items, jobs: int) -> list:
     order, so the list is identical for any jobs count. The pool is
     imported only when one starts: a process that never fans out does not
     load `multiprocessing`, about a third of the CLI's import time."""
-    if jobs < 1:
-        raise ValueError(f"jobs must be >= 1, got {jobs}")
+    check_int(jobs, "jobs", below=f"jobs must be >= 1, got {jobs}")
     items = list(items)
     workers = min(jobs, len(items), os.cpu_count() or 1)
     if workers <= 1:
@@ -475,7 +462,7 @@ def verify_rainbow_k_connected(
     """Check that every unordered vertex pair admits k pairwise internally
     disjoint rainbow paths, querying one pair per twin orbit (module
     docstring). Results are identical for any jobs count."""
-    _check_k(k, "k must be >= 1")
+    check_int(k, "k", below="k must be >= 1")
     if mode not in ("decision", "maximize"):
         raise ValueError(f"unknown mode {mode!r}")
     pairs = list(all_pairs(coloring.spec))

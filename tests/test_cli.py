@@ -588,31 +588,48 @@ def test_rck_exact_max_edges_flag(capsys):
     capsys.readouterr()
 
 
-@pytest.mark.parametrize("argv", [
-    ["verify", "--k", "2", "--jobs", "0"],
-    ["verify", "--k", "2", "--jobs", "-3"],
-    ["lower-bound", "--scenario", "bipartite5", "--k", "2", "--sizes", "2,17",
-     "--seed", "0", "--samples", "-5"],
-    ["lower-bound", "--scenario", "bipartite5", "--k", "2", "--sizes", "2,17",
-     "--seed", "0", "--jobs", "0"],
-    ["verify", "--k", "0", "--pairs", "0,1", "--mode", "maximize"],
-    ["rck-exact", "--sizes", "1,1", "--k", "1", "--max-colors", "0"],
-    ["verify", "--k", "2", "--pairs", "0,5", "--jobs", "0"],
-    ["verify", "--k", "0"],
-])
-def test_counts_below_one_are_usage_errors(tmp_path, capsys, argv):
+# The full stderr line of each refused count. The lines predate
+# `core.check_int`, which keeps them byte for byte.
+COUNT_REFUSALS = [
+    (["verify", "--k", "2", "--jobs", "0"], "jobs must be >= 1, got 0"),
+    (["verify", "--k", "2", "--jobs", "-3"], "jobs must be >= 1, got -3"),
+    (["lower-bound", "--scenario", "bipartite5", "--k", "2", "--sizes", "2,17",
+      "--seed", "0", "--samples", "-5"], "samples must be >= 1, got -5"),
+    (["lower-bound", "--scenario", "bipartite5", "--k", "2", "--sizes", "2,17",
+      "--seed", "0", "--jobs", "0"], "jobs must be >= 1, got 0"),
+    (["verify", "--k", "0", "--pairs", "0,1", "--mode", "maximize"], "k must be >= 1"),
+    (["rck-exact", "--sizes", "1,1", "--k", "1", "--max-colors", "0"],
+     "max_colors must be >= 1"),
+    (["verify", "--k", "2", "--pairs", "0,5", "--jobs", "0"], "jobs must be >= 1, got 0"),
+    (["verify", "--k", "0"], "k must be >= 1"),
+    (["witness", "--coloring", "mnn", "--u", "0", "--v", "1", "--k", "0"],
+     "mnn witnesses exist for k = 2 only, got k=0"),
+    (["witness", "--coloring", "bipartite4", "--u", "0", "--v", "1", "--k", "0"],
+     "k must be >= 1"),
+    (["fkt", "--k", "1", "--t", "3"], "f(k, t) is defined for k, t >= 2"),
+    (["construct", "--family", "mnn", "--m", "1", "--n", "1"], "n must be >= 2"),
+]
+
+
+@pytest.mark.parametrize("argv, line", COUNT_REFUSALS,
+                         ids=[f"argv{i}" for i in range(len(COUNT_REFUSALS))])
+def test_counts_below_one_are_usage_errors(tmp_path, capsys, argv, line):
     coloring, _ = color_bipartite4(4, 4, 2)
     path = tmp_path / "c.json"
     path.write_text(coloring.to_json_text())
     out = tmp_path / "out.json"
     if argv[0] == "verify":
         argv = argv + ["--coloring", str(path), "--report", str(out)]
-    else:
+    elif argv[0] == "witness":
+        doc = tmp_path / "doc.json"
+        doc.write_text(json.dumps(DOCUMENTS[argv[2]]))
+        argv = [*argv[:2], str(doc), *argv[3:], "-o", str(out)]
+    elif argv[0] != "fkt":  # fkt prints to stdout only
         argv = argv + ["-o", str(out)]
     assert invoke(argv) == 2
     captured = capsys.readouterr()
     assert captured.out == "" and not out.exists()
-    assert captured.err.startswith("error: ") and captured.err.count("\n") == 1
+    assert captured.err == f"error: {line}\n"
 
 
 def test_export_dot(tmp_path):

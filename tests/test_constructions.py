@@ -17,6 +17,7 @@ from rainbowk.constructions import (
 )
 from rainbowk.core import (
     PartitionSpec,
+    WitnessFamily,
     ceil_div,
     family_is_valid,
     json_text,
@@ -401,6 +402,20 @@ def test_witness_paths_validates_inputs():
     other, _ = color_bipartite4(4, 5, 2)
     with pytest.raises(ValueError, match="does not match"):
         witness_paths(meta, other, 0, 1, 2)
+    for k in (2.5, True, "2"):
+        with pytest.raises(ValueError, match=f"k must be an integer >= 1, got {k!r}"):
+            witness_paths(meta, coloring, 0, 4, k)
+
+
+def test_a_bool_endpoint_is_neither_a_witness_pair_nor_a_valid_family():
+    # True == 1 but is no vertex id: unchecked, witness_paths answered for
+    # (True, 2) with [[true, 5, 2], [true, 6, 2]] and the checker passed it.
+    coloring, meta = color_mnn(3, 2)
+    with pytest.raises(ValueError, match=r"pair endpoints must be integers, got \(True, 2\)"):
+        witness_paths(meta, coloring, True, 2, 2)
+    family = WitnessFamily(True, 2, ((True, 5, 2), (True, 6, 2)), "mnn Case 4")
+    assert not family_is_valid(coloring, family, 2)
+    assert family_is_valid(coloring, witness_paths(meta, coloring, 1, 2, 2), 2)
 
 
 def test_witness_dominance_verifier_never_undercounts():

@@ -126,7 +126,7 @@ def test_pair_query_validation():
         PairQuery(0, 1, k=0)
     # A float k was never reached as a cap, and a bool is no k.
     for k in (2.5, True):
-        with pytest.raises(ValueError, match=f"k must be an integer, got {k}"):
+        with pytest.raises(ValueError, match=f"k must be an integer >= 1, got {k}"):
             PairQuery(0, 1, k=k)
     with pytest.raises(TypeError):
         PairQuery(0, 1, mode="maximize")  # the mode is read off k
@@ -412,11 +412,11 @@ def test_first_fit_refuses_k_below_one(k):
     coloring = random_coloring(PartitionSpec((2, 2, 2)), 3, 1)
     integer = type(k) is int
     with pytest.raises(ValueError, match="decision mode needs k >= 1" if integer
-                       else f"k must be an integer, got {k}"):
+                       else f"k must be an integer >= 1, got {k}"):
         first_fit_rainbow_paths(coloring, 0, 1, k)
     # verify's own line for an integer k is the one the CLI prints.
     with pytest.raises(ValueError, match="^k must be >= 1$" if integer
-                       else f"k must be an integer, got {k}"):
+                       else f"k must be an integer >= 1, got {k}"):
         verify_rainbow_k_connected(coloring, k)
 
 

@@ -317,8 +317,10 @@ class Coloring:
 
     def permuted(self, sigma: dict[int, int]) -> "Coloring":
         """Relabel colors through a bijection of 1..num_colors."""
-        palette = list(range(1, self.num_colors + 1))
-        if sorted(sigma) != palette or sorted(sigma.values()) != palette:
+        # Keys are distinct, so keys equal to the palette set make len(sigma)
+        # its size, and values equal to it are then distinct too.
+        palette = set(range(1, self.num_colors + 1))
+        if set(sigma) != palette or set(sigma.values()) != palette:
             raise ValueError("sigma must be a bijection of 1..num_colors")
         colors = {e: sigma[c] for e, c in self.assignment.items()}
         return Coloring(self.spec, self.num_colors, colors)
@@ -423,9 +425,13 @@ class WitnessFamily:
 
 def family_is_valid(coloring: Coloring, family: WitnessFamily, k: int) -> bool:
     """Check a witness family: >= k distinct rainbow u,v-paths with pairwise
-    disjoint interiors, none of which touch the endpoints."""
+    disjoint interiors, none of which touch the endpoints. A path is a list
+    or tuple of vertices, as the JSON reader or a caller gives it; any other
+    object makes the family invalid."""
     check_int(k, "k", 0)
-    paths = family.paths
+    if not all(isinstance(p, (list, tuple)) for p in family.paths):
+        return False
+    paths = [tuple(p) for p in family.paths]
     if len(paths) < k or len(set(paths)) != len(paths):
         return False
     endpoints = {family.u, family.v}

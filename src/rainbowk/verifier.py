@@ -74,6 +74,15 @@ or the two smallest members of C, and its count is copied to the others.
 The first failing pair in lexicographic order is then a representative, so
 the report is the one the full pair loop gives, failing family included.
 
+The report's failing family is the maximum packing a maximize query of
+that pair finds, and the loop takes it from the pair's own query, in
+either mode, without a second search. A decision query that ends below k
+returns the family of its fallback, `_max_packing(paths, k, ...)`, on the
+list a maximize query enumerates. That search never holds k paths, so its
+target never stops it: it runs the maximize search step for step (the same
+greedy seed, root exits, pivots and cuts), and `best[:k]` is `best`. Only
+the label differs, and the loop writes `verifier maximize`.
+
 `max_disjoint_rainbow` is the one per-pair query (the oracle maps it over
 its pair order, with its relaxations' path-length cap) and `fan_out` the
 one process fan-out (the lower-bound sampler maps its seeds through it)."""
@@ -82,7 +91,7 @@ from __future__ import annotations
 
 import logging
 import os
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from functools import partial
 
 from .core import (
@@ -105,19 +114,15 @@ logger = logging.getLogger(__name__)
 class PairQuery:
     """One pair to check: decide `count >= k`, or maximize the packing size
     when k is None. `max_len` caps the path length below the palette size
-    (None: no cap beyond the palette's own, which pigeonhole makes safe)."""
+    (None: no cap beyond the palette's own, which pigeonhole makes safe).
+    A plain record: `max_disjoint_rainbow` refuses its values where the
+    walks read them, the pair and cap in `_path_cap` and k in
+    `first_fit_rainbow_paths`, so each query checks them once."""
 
     u: int
     v: int
     k: int | None = None
     max_len: int | None = None
-
-    def __post_init__(self) -> None:
-        check_pair(self.u, self.v)
-        if self.k is not None:
-            check_int(self.k, "k", below="decision mode needs k >= 1")
-        if self.max_len is not None:
-            check_int(self.max_len, "max_len")
 
     @property
     def mode(self) -> str:
@@ -129,9 +134,8 @@ def _path_cap(coloring: Coloring, u: int, v: int, max_len: int | None) -> int:
     """Edge cap of the rainbow u->v paths to search: the palette size, or
     max_len when smaller. Raises ValueError unless u and v are distinct
     vertex ids (`core.check_pair`, then the spec's range) and max_len is
-    None or an integer >= 1 (`core.check_int`, the line `PairQuery` gives
-    too): a bool would pass for vertex 0 or 1, and a float fails only
-    inside the walk."""
+    None or an integer >= 1 (`core.check_int`): a bool would pass for
+    vertex 0 or 1, and a float fails only inside the walk."""
     check_pair(u, v)
     coloring.spec.part_of(u), coloring.spec.part_of(v)  # id validation
     cap = coloring.num_colors
@@ -211,7 +215,8 @@ def first_fit_rainbow_paths(
     paths are not listed: the walk of the module docstring searches
     depth-first for the lexicographically first path that avoids the picked
     interiors, one neighbour of u after another, and stops at k picks.
-    Raises ValueError unless k is an int >= 1, as `PairQuery` does."""
+    Raises ValueError unless k is an int >= 1, before `_path_cap` checks
+    the pair and the cap."""
     check_int(k, "k", below="decision mode needs k >= 1")
     cap = _path_cap(coloring, u, v, max_len)
     rows = coloring.rows
@@ -426,14 +431,15 @@ def max_disjoint_rainbow(
 
 
 def _loop_query(
-    coloring: Coloring, k: int | None, pair: tuple[int, int]
+    coloring: Coloring, k: int, capped: bool, pair: tuple[int, int]
 ) -> tuple[int, WitnessFamily | None]:
-    """The pair loop's query: capped at k, or the maximum when k is None. A
-    decision-mode family may stop at k paths and the loop reads only the
-    count, so the family is dropped here rather than held (or sent back
-    from a worker) for every representative pair."""
-    count, family = max_disjoint_rainbow(coloring, PairQuery(*pair, k=k))
-    return count, family if k is None else None
+    """The pair loop's query: capped at k, or the maximum when not capped.
+    The loop reads only the count of a pair that reaches k, so its family
+    is dropped here rather than held (or sent back from a worker); a pair
+    below k keeps it, in either mode the family of the maximize search
+    (module docstring)."""
+    count, family = max_disjoint_rainbow(coloring, PairQuery(*pair, k=k if capped else None))
+    return count, family if count < k else None
 
 
 def fan_out(work, items, jobs: int) -> list:
@@ -479,13 +485,13 @@ def verify_rainbow_k_connected(
                  len(pairs), len(classes), len(reps))
     rep_pairs = list(reps.values())
     capped = mode == "decision"
-    work = partial(_loop_query, coloring, k if capped else None)
-    results = dict(zip(rep_pairs, fan_out(work, rep_pairs, jobs)))
+    results = dict(zip(rep_pairs, fan_out(partial(_loop_query, coloring, k, capped),
+                                          rep_pairs, jobs)))
     counts = {p: results[r][0] for p, r in zip(pairs, rep_of)}
-    failing = next((p for p in pairs if counts[p] < k), None)
-    best = None if failing is None else results[failing][1]
-    if failing is not None and best is None:  # decision mode: search its maximum
-        _, best = max_disjoint_rainbow(coloring, PairQuery(*failing))
+    # The first family held is the first failing pair's, its maximize one.
+    best = next((family for _, family in results.values() if family is not None), None)
+    if best is not None:
+        best = replace(best, provenance="verifier maximize")
     return VerificationReport(k=k, counts=counts, capped=capped, failing_family=best)
 
 

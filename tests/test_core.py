@@ -9,6 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import small_colorings, small_specs
+from rainbowk.bounds import random_coloring
 from rainbowk.core import (
     Coloring,
     PartitionSpec,
@@ -180,6 +181,15 @@ def test_family_is_valid_rejects_cardinality_shortfall():
     assert family_is_valid(TRIANGLE, fam, 1)
 
 
+def test_family_is_valid_reads_list_paths_and_refuses_other_objects():
+    # A list path is what `to_json_dict` writes and a JSON reader returns.
+    coloring = random_coloring(PartitionSpec((2, 2, 2)), 3, 1)
+    assert family_is_valid(coloring, WitnessFamily(0, 2, ((0, 2),), "x"), 1)
+    assert family_is_valid(coloring, WitnessFamily(0, 2, [[0, 2]], "x"), 1)
+    for paths in ((None,), (5,)):
+        assert not family_is_valid(coloring, WitnessFamily(0, 2, paths, "x"), 1)
+
+
 def test_family_is_valid_rejects_endpoint_mismatch():
     fam = WitnessFamily(0, 1, ((0, 2),), "test")
     assert not family_is_valid(TRIANGLE, fam, 1)
@@ -318,6 +328,9 @@ def test_loader_rejects_missing_keys_and_bad_json():
 def test_permuted_requires_bijection():
     with pytest.raises(ValueError):
         TRIANGLE.permuted({1: 1, 2: 1, 3: 3})
+    # A key that is no color gets the same line, not a TypeError from sorting.
+    with pytest.raises(ValueError, match="sigma must be a bijection of 1..num_colors"):
+        TRIANGLE.permuted({1: 1, 2: 2, "3": 3})
     flipped = TRIANGLE.permuted({1: 3, 2: 2, 3: 1})
     assert flipped.color(0, 2) == 3
     assert flipped.permuted({1: 3, 2: 2, 3: 1}) == TRIANGLE

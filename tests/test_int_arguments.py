@@ -25,6 +25,7 @@ from rainbowk import (
     f_formula,
     family_is_valid,
     find_color_twins,
+    max_disjoint_rainbow,
     random_coloring,
     rc_k_exact,
     verify_rainbow_k_connected,
@@ -92,10 +93,12 @@ CALLS = {
         lambda x: sample_certificates("bipartite5", 2, (2, 17), 1, x),
     ("sample_certificates", "jobs"):
         lambda x: sample_certificates("bipartite5", 2, (2, 17), 1, 0, jobs=x),
-    ("PairQuery", "u"): lambda x: PairQuery(x, 1),
-    ("PairQuery", "v"): lambda x: PairQuery(0, x),
-    ("PairQuery", "k"): lambda x: PairQuery(0, 1, k=x),
-    ("PairQuery", "max_len"): lambda x: PairQuery(0, 1, max_len=x),
+    # A query is a plain record: its values are refused by the query.
+    ("PairQuery", "u"): lambda x: max_disjoint_rainbow(COLORING, PairQuery(x, 1)),
+    ("PairQuery", "v"): lambda x: max_disjoint_rainbow(COLORING, PairQuery(0, x)),
+    ("PairQuery", "k"): lambda x: max_disjoint_rainbow(COLORING, PairQuery(0, 1, k=x)),
+    ("PairQuery", "max_len"):
+        lambda x: max_disjoint_rainbow(COLORING, PairQuery(0, 1, max_len=x)),
     ("Coloring", "num_colors"): lambda x: Coloring(SPEC, x, COLORING.assignment),
 }
 

@@ -10,10 +10,13 @@ import importlib
 import importlib.util
 import sys
 from pathlib import Path
+from types import SimpleNamespace
 
 import pytest
 
-from rainbowk import verifier
+from rainbowk import bounds, cli, constructions, core, oracle, verifier
+from rainbowk.bounds import random_coloring
+from rainbowk.core import PartitionSpec
 from rainbowk.verifier import PairQuery
 
 TRACING = Path(__file__).resolve().parent.parent / "perfbench" / "tracing.py"
@@ -46,3 +49,34 @@ def test_the_pair_query_is_bound_where_the_tracer_wraps_it(module):
 def test_a_query_names_its_mode():
     assert PairQuery(0, 1).mode == "maximize"
     assert PairQuery(0, 1, k=2).mode == "decision"
+
+
+def _run_cli(argv):
+    with pytest.raises(SystemExit) as exit_info:
+        cli.main(argv)
+    return exit_info.value.code or 0
+
+
+def test_a_traced_run_records_every_query_and_restores_the_program(tracing, tmp_path, capsys):
+    coloring = tmp_path / "c.json"
+    coloring.write_text(random_coloring(PartitionSpec((2, 2, 2)), 3, 2).to_json_text())
+    program = SimpleNamespace(cli=cli, constructions=constructions, verifier=verifier,
+                              bounds=bounds, oracle=oracle, core=core)
+    modules = [m for n, m in sys.modules.items() if n == "rainbowk" or n.startswith("rainbowk.")]
+    before = [dict(vars(m)) for m in modules + [core.Coloring]]
+    recorder = tracing.Recorder()
+    with tracing.installed(recorder, program):
+        codes = [_run_cli(argv) for argv in (
+            ["verify", "--coloring", str(coloring), "--k", "3"],
+            ["verify", "--coloring", str(coloring), "--k", "3", "--mode", "maximize"],
+            ["rck-exact", "--sizes", "2,2", "--k", "1", "--max-colors", "2"],
+            ["lower-bound", "--scenario", "bipartite5", "--k", "2", "--sizes", "2,17",
+             "--samples", "3", "--seed", "0", "-o", str(tmp_path / "certs.json")],
+        )]
+    capsys.readouterr()
+    assert codes == [1, 1, 0, 0]
+    values = [span[5] for span in recorder.spans if span[0] == "verifier.max_disjoint_rainbow"]
+    assert values and all(isinstance(v, list) and len(v) == 2 for v in values)
+    after = [vars(m) for m in modules + [core.Coloring]]
+    for old, new in zip(before, after):
+        assert all(new[key] is value for key, value in old.items())

@@ -120,14 +120,15 @@ def test_max_disjoint_k2416_pairs():
 
 
 def test_pair_query_validation():
+    # The query is a plain record; the walks refuse its values.
     with pytest.raises(ValueError):
-        PairQuery(1, 1)
+        max_disjoint_rainbow(ONE_COLOR_K22, PairQuery(1, 1))
     with pytest.raises(ValueError, match="k >= 1"):
-        PairQuery(0, 1, k=0)
+        max_disjoint_rainbow(ONE_COLOR_K22, PairQuery(0, 1, k=0))
     # A float k was never reached as a cap, and a bool is no k.
     for k in (2.5, True):
         with pytest.raises(ValueError, match=f"k must be an integer >= 1, got {k}"):
-            PairQuery(0, 1, k=k)
+            max_disjoint_rainbow(ONE_COLOR_K22, PairQuery(0, 1, k=k))
     with pytest.raises(TypeError):
         PairQuery(0, 1, mode="maximize")  # the mode is read off k
 
@@ -139,7 +140,7 @@ def test_verify_refuses_an_unknown_mode():
 
 def test_pair_query_rejects_a_cap_below_one_edge():
     with pytest.raises(ValueError, match="max_len"):
-        PairQuery(0, 1, max_len=0)
+        max_disjoint_rainbow(ONE_COLOR_K22, PairQuery(0, 1, max_len=0))
     assert PairQuery(0, 1, max_len=1).max_len == 1
 
 
@@ -438,7 +439,7 @@ def test_walks_refuse_ids_that_are_not_ints(walk, u, v):
 @pytest.mark.parametrize("walk", WALKS)
 @pytest.mark.parametrize("max_len", [0, -2, 2.0, True])
 def test_walks_refuse_caps_that_are_not_positive_ints(walk, max_len):
-    # Unchecked, max_len = 0 lists no path, a cap `PairQuery` refuses.
+    # Unchecked, max_len = 0 lists no path, where a query's cap is refused.
     coloring = random_coloring(PartitionSpec((2, 2, 2)), 3, seed=2)
     with pytest.raises(ValueError, match="max_len must be an integer >= 1"):
         walk(coloring, 0, 3, max_len=max_len)
@@ -560,13 +561,17 @@ def _representatives(coloring):
     return sorted(reps)
 
 
-def test_each_representative_pair_is_queried_once(monkeypatch):
-    # Twins planted in a seeded coloring, so the run fails at k = 3 on a
-    # pair whose orbit holds more than one pair.
+def _planted_twin_coloring():
+    """Twins planted in a seeded coloring: verify fails at k = 3 on a pair
+    whose orbit holds more than one pair."""
     base = random_coloring(PartitionSpec((3, 3, 2)), 3, seed=7)
     rows = base.rows
-    coloring = Coloring.from_function(
+    return Coloring.from_function(
         base.spec, 3, lambda u, v: rows[0 if u == 1 else u][0 if v == 1 else v])
+
+
+def test_each_representative_pair_is_queried_once(monkeypatch):
+    coloring = _planted_twin_coloring()
     reps = _representatives(coloring)
     assert len(reps) < len(list(all_pairs(coloring.spec)))
 
@@ -579,10 +584,31 @@ def test_each_representative_pair_is_queried_once(monkeypatch):
 
     calls.clear()
     report = verify_rainbow_k_connected(coloring, 3)
-    queries = [(q.u, q.v, q.mode) for _, q in calls]
-    # Decision mode runs one maximize query more, on the failing pair.
-    assert sorted(queries[:-1]) == [(u, v, "decision") for u, v in reps]
-    assert queries[-1] == (*report.failing_pair, "maximize")
+    assert not report.ok
+    # Decision mode too: the failing pair's family comes from its own query.
+    assert sorted((q.u, q.v, q.mode) for _, q in calls) == [
+        (u, v, "decision") for u, v in reps]
+
+
+@pytest.mark.parametrize("build, k", [
+    pytest.param(lambda: (_planted_twin_coloring(), None), 3, id="planted-twins"),
+    pytest.param(lambda: color_bipartite4(8, 8, 4), 4, id="bipartite4-8-8"),
+])
+@pytest.mark.parametrize("mode", ["decision", "maximize"])
+def test_the_loop_keeps_a_family_only_below_k(monkeypatch, build, k, mode):
+    coloring, _ = build()
+    returned = []
+    original = verifier.fan_out
+
+    def spied(*args):
+        returned.extend(original(*args))
+        return returned
+
+    monkeypatch.setattr(verifier, "fan_out", spied)
+    report = verify_rainbow_k_connected(coloring, k, mode=mode)
+    assert len(returned) == len(_representatives(coloring))
+    assert all((family is None) == (count >= k) for count, family in returned)
+    assert any(family is not None for _, family in returned) == (not report.ok)
 
 
 @pytest.mark.parametrize("build, k, queries", [
@@ -607,7 +633,8 @@ def test_verify_logs_its_pair_and_class_counts(caplog):
 
 def test_verify_logs_each_decision_fallback(caplog):
     # Two representative pairs are left short of k = 3 by the first-fit
-    # walk and searched; the failing pair's maximize query logs nothing.
+    # walk and searched; the failing pair's family is its search's, with
+    # no further query.
     coloring = random_coloring(PartitionSpec((2, 2, 2)), 3, seed=2)
     with caplog.at_level(logging.DEBUG, logger="rainbowk.verifier"):
         report = verify_rainbow_k_connected(coloring, 3)

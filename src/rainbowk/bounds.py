@@ -197,20 +197,25 @@ def random_coloring(
     rest to 1 + r. Each round draws one word per color still missing, so
     the last word drawn is always kept and no word randrange would not draw
     is taken. Larger palettes draw with randrange itself. The seed must be
-    an integer >= 0: random.Random(-s) seeds like Random(s)."""
+    an integer >= 0: random.Random(-s) seeds like Random(s).
+
+    The colors go to `Coloring` as drawn, one per edge in edge order (the
+    translated bytes, or the list of larger colors): no [u, v, color]
+    triples are built, and the validator checks only their count and
+    range."""
     check_int(num_colors, "num_colors", below="num_colors must be >= 1")
     rng = random.Random(check_int(seed, "seed", 0))
-    edges = spec.edge_list
+    edge_count = spec.edge_count()
     if num_colors <= 255:
         table, reject = _byte_tables(num_colors)
         colors = b""
-        while len(colors) < len(edges):
-            words = len(edges) - len(colors)
+        while len(colors) < edge_count:
+            words = edge_count - len(colors)
             top = rng.getrandbits(32 * words).to_bytes(4 * words, "little")[3::4]
             colors += top.translate(table, reject)
     else:
-        colors = [rng.randrange(1, num_colors + 1) for _ in edges]
-    return Coloring(spec, num_colors, [(u, v, c) for (u, v), c in zip(edges, colors)])
+        colors = [rng.randrange(1, num_colors + 1) for _ in range(edge_count)]
+    return Coloring(spec, num_colors, colors=colors)
 
 
 def _certify_seed(

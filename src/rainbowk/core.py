@@ -10,11 +10,25 @@ rows[u][v] the color of edge uv and 0 on same-part pairs (the diagonal
 included). Hot loops (path enumeration, twin scans) read it by index instead
 of calling `Coloring.color` per edge. `assignment`, the lex-ordered dict from
 pairs (u, v), u < v, to colors, is a view built from `rows` on each access.
-One validator, `_color_table`, checks the given colors and fills `rows` in a
-single pass, whether the coloring comes from code or from a JSON document; it
-raises `SchemaError` naming the offending edge's position. Nothing else is
-stored: `tight` (every palette color occurs) is derived from `rows` too, and a
-document's `"tight"` must agree with it.
+Nothing else is stored: `tight` (every palette color occurs) is derived from
+`rows` too, and a document's `"tight"` must agree with it.
+
+One validator, `_color_table`, checks the given colors and builds `rows`,
+whether the coloring comes from code or from a JSON document; it raises
+`SchemaError` naming the offending position. It takes two input forms:
+- [u, v, color] entries in any order, or a {(u, v): color} dict (a JSON
+  document's `edges`, a caller's own table). Each entry is checked as it
+  fills the table: ids, part, duplicate, color, and at the end totality.
+- One color per edge of `spec.edge_list`, in that order (`colors=`: the
+  sampler's bytes, `from_function`, `permuted`, the oracle's relaxations).
+  Such a vector is in range, cross-part, duplicate-free and total by its
+  shape, so only its length and its colors are checked, at C speed.
+  The rows are then read off the spec's cached layout: row u of part p is
+  the colors of the edges (w, u), w in earlier parts, at their positions,
+  then p's block of 0s, then the edges (u, v), v in later parts, which are
+  one slice of the lex order.
+Every coloring is built by `Coloring.__init__`, the one place that calls
+the validator and sets `rows`.
 
 Beside `_color_table`, `check_int` states the package's one rule for an
 integer argument (k, t, a cap, a count, a seed), and `check_pair` the one rule
@@ -32,6 +46,7 @@ from collections import defaultdict
 from dataclasses import dataclass
 from functools import cached_property
 from itertools import accumulate, chain, combinations
+from operator import itemgetter
 from typing import Callable, Iterable, Iterator
 
 # A path is an ordered vertex sequence; consecutive vertices must be adjacent.
@@ -210,21 +225,77 @@ class PartitionSpec:
         sq = sum(s * s for s in self.sizes)
         return (self.n * self.n - sq) // 2
 
+    @cached_property
+    def _row_layout(self) -> tuple[tuple[itemgetter, tuple[int, ...], slice], ...]:
+        """Per vertex u of part p, where row u sits in a tuple of one color
+        per edge of `edge_list`: (head, zeros, tail), the row being
+        `head(colors) + zeros + colors[tail]`.
+
+        - head gets the colors of the edges (w, u), w in the parts before p,
+          at their positions;
+        - zeros is p's block of 0s, one per member (u included);
+        - tail is the slice of the edges (u, v), v in the parts after p,
+          which follow each other in the lex order.
+
+        `itemgetter` with one index returns a bare value, and with none
+        cannot be built, so a head of fewer than two positions gets a slice
+        (an itemgetter of a slice returns a tuple here)."""
+        n, part = self.n, self._part_table
+        ends = [o + s for o, s in zip(self.offsets, self.sizes)]
+        # first[u]: the position of u's first edge to a later part.
+        first = list(accumulate((n - ends[part[u]] for u in range(n - 1)), initial=0))
+        layout = []
+        for u in range(n):
+            p = part[u]
+            head = [first[w] + u - ends[part[w]] for w in range(self.offsets[p])]
+            if len(head) < 2:
+                head = [slice(head[0], head[0] + 1) if head else slice(0)]
+            tail = slice(first[u], first[u] + n - ends[p])
+            layout.append((itemgetter(*head), (0,) * self.sizes[p], tail))
+        return tuple(layout)
+
 
 def _color_table(
-    spec: PartitionSpec, num_colors: int, entries, count: int
+    spec: PartitionSpec, num_colors: int, entries, count: int | None
 ) -> tuple[tuple[int, ...], ...]:
     """The one coloring validator: check num_colors (an integer >= 1) and
-    `count` [u, v, color] entries, and fill the row table in the same pass.
+    the colors given, and build the row table. Raises SchemaError naming
+    the first bad position. The colors come in one of two forms.
 
-    Each entry needs integer ids in range on different parts, a pair not
-    seen before and a color in 1..num_colors; together the entries must
-    cover every cross-part pair. Raises SchemaError naming the first bad
-    entry's position. Fewer than spec.edge_count() entries (`count`) can
-    never be total: they are checked against sparse rows, so a short
-    document is rejected without allocating the n x n table."""
+    With `count` None, `entries` holds one color per edge of
+    `spec.edge_list`, in that order (a list, a tuple or bytes). Its pairs
+    are then in range, cross-part, distinct and total by construction, so
+    only the length and the colors are checked, at C speed: one `set` of
+    the types (bytes need none) and a `min` and a `max`. Only when a check
+    fails is the vector scanned for the first bad color. The rows are then
+    joined from slices of it, as `spec._row_layout` says.
+
+    Otherwise `entries` are `count` [u, v, color] entries, in any order,
+    checked one by one as they fill the table. Each entry needs integer
+    ids in range on different parts, a pair not seen before and a color in
+    1..num_colors; together the entries must cover every cross-part pair.
+    Fewer than spec.edge_count() entries can never be total: they are
+    checked against sparse rows, so a short document is rejected without
+    allocating the n x n table."""
     if type(num_colors) is not int or num_colors < 1:
         raise SchemaError(f"num_colors must be an integer >= 1, got {num_colors!r}")
+    if count is None:
+        colors = entries
+        if len(colors) != spec.edge_count():
+            raise SchemaError(f"{len(colors)} colors for {spec.edge_count()} edges: "
+                              f"need one per edge, in edge order")
+        # bytes hold ints by their type. Other vectors are checked for
+        # plain ints first, since min() and max() may fail on mixed types.
+        if ((type(colors) is not bytes and set(map(type, colors)) != {int})
+                or min(colors) < 1 or max(colors) > num_colors):
+            for pos, col in enumerate(colors):
+                if type(col) is not int:
+                    raise SchemaError(f"edge {pos}: color {col!r} is not an integer")
+                if not 1 <= col <= num_colors:
+                    raise SchemaError(f"edge {pos}: color {col} outside 1..{num_colors}")
+        colors = tuple(colors)
+        return tuple([head(colors) + zeros + colors[tail]
+                      for head, zeros, tail in spec._row_layout])
     n = spec.n
     part = spec._part_table
     edge_count = spec.edge_count()
@@ -264,11 +335,13 @@ class Coloring:
 
     Built from `assignment`, a dict from each cross-part pair (u, v) to a
     color in 1..num_colors or a list of [u, v, color] triples (the JSON
-    `edges` form), which `_color_table` checks into `rows`. Only `rows` is
-    stored: rows[u][v] is the color of edge uv and 0 on same-part pairs.
-    The `assignment` property derives the lex-ordered {(u, v): color} dict,
-    u < v, from it on each access, and `tight` whether every color of the
-    palette is actually used, as opposed to num_colors being only a bound.
+    `edges` form), or from `colors`, one color per edge of `spec.edge_list`
+    in that order (what code that generates colorings passes), which
+    `_color_table` checks into `rows`. Only `rows` is stored: rows[u][v] is
+    the color of edge uv and 0 on same-part pairs. The `assignment` property
+    derives the lex-ordered {(u, v): color} dict, u < v, from it on each
+    access, and `tight` whether every color of the palette is actually used,
+    as opposed to num_colors being only a bound.
     """
 
     spec: PartitionSpec
@@ -276,13 +349,19 @@ class Coloring:
     rows: tuple[tuple[int, ...], ...]
 
     def __init__(self, spec: PartitionSpec, num_colors: int,
-                 assignment: dict[tuple[int, int], int] | list) -> None:
-        entries = assignment
-        if isinstance(entries, dict):
-            # A non-tuple key stays one item, which the validator rejects.
-            entries = ((*key, col) if isinstance(key, tuple) else (key, col)
-                       for key, col in entries.items())
-        rows = _color_table(spec, num_colors, entries, len(assignment))
+                 assignment: dict[tuple[int, int], int] | list | None = None,
+                 *, colors: list[int] | tuple[int, ...] | bytes | None = None) -> None:
+        if (assignment is None) == (colors is None):
+            raise TypeError("Coloring takes one of assignment and colors")
+        if colors is not None:
+            rows = _color_table(spec, num_colors, colors, None)
+        else:
+            entries = assignment
+            if isinstance(entries, dict):
+                # A non-tuple key stays one item, which the validator rejects.
+                entries = ((*key, col) if isinstance(key, tuple) else (key, col)
+                           for key, col in entries.items())
+            rows = _color_table(spec, num_colors, entries, len(assignment))
         # Frozen: the fields are set past the dataclass __setattr__.
         self.__dict__.update(spec=spec, num_colors=num_colors, rows=rows)
 
@@ -300,7 +379,7 @@ class Coloring:
     def from_function(
         cls, spec: PartitionSpec, num_colors: int, rule: Callable[[int, int], int]
     ) -> "Coloring":
-        return cls(spec, num_colors, {e: rule(*e) for e in spec.edges()})
+        return cls(spec, num_colors, colors=[rule(u, v) for u, v in spec.edge_list])
 
     def color(self, u: int, v: int) -> int:
         n = self.spec.n
@@ -322,8 +401,9 @@ class Coloring:
         palette = set(range(1, self.num_colors + 1))
         if set(sigma) != palette or set(sigma.values()) != palette:
             raise ValueError("sigma must be a bijection of 1..num_colors")
-        colors = {e: sigma[c] for e, c in self.assignment.items()}
-        return Coloring(self.spec, self.num_colors, colors)
+        rows = self.rows
+        return Coloring(self.spec, self.num_colors,
+                        colors=[sigma[rows[u][v]] for u, v in self.spec.edge_list])
 
     # -- JSON schema -------------------------------------------------------
     # {"parts":[n1,...,nt], "num_colors":L, "tight":bool,
@@ -389,9 +469,10 @@ def is_rainbow_path(coloring: Coloring, vertices) -> bool:
     """
     seq = tuple(vertices)
     n = coloring.spec.n
-    if len(seq) < 2 or len(set(seq)) != len(seq):
+    # Types first: set() raises on an unhashable vertex such as a list.
+    if len(seq) < 2 or any(type(w) is not int or not 0 <= w < n for w in seq):
         return False
-    if any(type(w) is not int or not 0 <= w < n for w in seq):
+    if len(set(seq)) != len(seq):
         return False
     rows = coloring.rows
     colors = [rows[a][b] for a, b in zip(seq, seq[1:])]
@@ -432,7 +513,7 @@ def family_is_valid(coloring: Coloring, family: WitnessFamily, k: int) -> bool:
     if not all(isinstance(p, (list, tuple)) for p in family.paths):
         return False
     paths = [tuple(p) for p in family.paths]
-    if len(paths) < k or len(set(paths)) != len(paths):
+    if len(paths) < k:
         return False
     endpoints = {family.u, family.v}
     seen: set[int] = set()
@@ -445,7 +526,8 @@ def family_is_valid(coloring: Coloring, family: WitnessFamily, k: int) -> bool:
         if interior & endpoints or interior & seen:
             return False
         seen |= interior
-    return True
+    # Only now are the paths known to hold plain ints, so they hash.
+    return len(set(paths)) == len(paths)
 
 
 @dataclass(frozen=True)

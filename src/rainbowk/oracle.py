@@ -12,7 +12,10 @@ For each palette size L, `rc_k_exact` walks the tree of restricted-growth
 prefixes with L colors and cuts a prefix's whole subtree when its
 *relaxation* fails. The relaxation of a prefix colors the prefix edges as
 the prefix does and gives each uncolored edge its own fresh color L+1,
-L+2, ...; it is checked with paths capped at L edges. The cut is sound:
+L+2, ...; it is checked with paths capped at L edges. The walk keeps the
+prefix as a list of colors in edge order, so a relaxation's colors are
+`[*prefix, L+1, ..., L+left]`, one per edge of `spec.edge_list`, which is
+the input form `Coloring` takes as `colors`. The cut is sound:
 - Let C be a completion of the prefix with colors in 1..L, and P a rainbow
   path of C. P has at most L edges (pigeonhole). Its prefix edges have
   the same, pairwise distinct, colors <= L in the relaxation, and its other
@@ -211,8 +214,8 @@ def _first_passing(spec: PartitionSpec, k: int, num_colors: int) -> Coloring | N
     in restricted-growth order, or None. Walks the prefix tree, cuts each
     prefix whose relaxation fails and settles what pairs it can with the
     families found before (module docstring)."""
-    edges = list(spec.edges())
-    assignment: dict[tuple[int, int], int] = {}
+    edges = spec.edge_list
+    prefix: list[int] = []  # the colors of edges[:i], in edge order
     hint: tuple[int, int] | None = None
     settled = SettledFamilies()
     nodes = cut = leaves = 0
@@ -222,8 +225,8 @@ def _first_passing(spec: PartitionSpec, k: int, num_colors: int) -> Coloring | N
         left = len(edges) - i
         if used + left < num_colors:
             return None  # ends with fewer colors; rejected at a lower level
-        fresh = dict(zip(edges[i:], range(num_colors + 1, num_colors + left + 1)))
-        relaxation = Coloring(spec, num_colors + left, {**assignment, **fresh})
+        relaxation = Coloring(spec, num_colors + left,
+                              colors=[*prefix, *range(num_colors + 1, num_colors + left + 1)])
         failing = first_failing_pair(relaxation, k, hint, num_colors, settled,
                                      edges[i - 1] if i else None)
         if nodes == 0:
@@ -241,12 +244,13 @@ def _first_passing(spec: PartitionSpec, k: int, num_colors: int) -> Coloring | N
             return None
         if not left:
             return relaxation
+        prefix.append(0)
         for color in range(1, min(used + 1, num_colors) + 1):
-            assignment[edges[i]] = color
+            prefix[i] = color
             found = rec(i + 1, max(used, color))
             if found is not None:
                 return found
-        del assignment[edges[i]]
+        prefix.pop()
         return None
 
     found = rec(0, 0)

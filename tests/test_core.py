@@ -152,6 +152,60 @@ def test_coloring_rejects_out_of_range_color():
         )
 
 
+@st.composite
+def edge_order_colors(draw):
+    """(spec, num_colors, one color per edge of spec.edge_list): t = 2..5
+    parts of 1-6 vertices, the largest part first, in the middle or last."""
+    t = draw(st.integers(2, 5))
+    sizes = draw(st.lists(st.integers(1, 6), min_size=t, max_size=t))
+    largest = sizes.pop(sizes.index(max(sizes)))
+    sizes.insert(draw(st.sampled_from([0, t // 2, t - 1])), largest)
+    spec = PartitionSpec(tuple(sizes))
+    num_colors = draw(st.integers(1, 4))
+    m = spec.edge_count()
+    return spec, num_colors, draw(st.lists(st.integers(1, num_colors), min_size=m, max_size=m))
+
+
+@given(edge_order_colors(), st.randoms())
+def test_edge_order_colors_fill_the_rows_of_the_other_forms(drawn, rnd):
+    spec, num_colors, colors = drawn
+    triples = [[u, v, col] for (u, v), col in zip(spec.edge_list, colors)]
+    rnd.shuffle(triples)
+    expected = Coloring(spec, num_colors, triples).rows
+    assert Coloring(spec, num_colors, dict(zip(spec.edge_list, colors))).rows == expected
+    for form in (colors, tuple(colors), bytes(colors)):
+        rows = Coloring(spec, num_colors, colors=form).rows
+        assert rows == expected
+        assert type(rows) is tuple and all(type(row) is tuple for row in rows)
+        assert {type(col) for row in rows for col in row} == {int}
+
+
+@given(edge_order_colors(), st.data())
+def test_edge_order_colors_name_the_first_bad_position(drawn, data):
+    spec, num_colors, colors = drawn
+    i = data.draw(st.integers(0, len(colors) - 1))
+    for bad in (0, num_colors + 1, True, 2.0, "1", None):
+        given = [*colors[:i], bad, *colors[i + 1:]]
+        forms = [given, tuple(given)] + ([bytes(given)] if type(bad) is int else [])
+        for form in forms:
+            with pytest.raises(SchemaError, match=f"^edge {i}: color {bad!r} "):
+                Coloring(spec, num_colors, colors=form)
+    m = len(colors)
+    for given in (colors[:-1], [*colors, 1], []):
+        with pytest.raises(SchemaError, match=f"^{len(given)} colors for {m} edges: "):
+            Coloring(spec, num_colors, colors=given)
+
+
+def test_a_coloring_takes_one_input_form():
+    spec = PartitionSpec((1, 1))
+    with pytest.raises(TypeError, match="one of assignment and colors"):
+        Coloring(spec, 1)
+    with pytest.raises(TypeError, match="one of assignment and colors"):
+        Coloring(spec, 1, {(0, 1): 1}, colors=[1])
+    with pytest.raises(SchemaError, match="num_colors must be an integer >= 1, got 0"):
+        Coloring(spec, 0, colors=[1])
+
+
 def test_is_rainbow_path_on_triangle():
     # A-vertex, X-vertex, B-vertex traverses colors (1, 3).
     assert is_rainbow_path(TRIANGLE, (0, 2, 1))
@@ -163,6 +217,11 @@ def test_is_rainbow_path_malformed_sequences():
     assert not is_rainbow_path(TRIANGLE, (0,))  # too short
     assert not is_rainbow_path(TRIANGLE, (0, 9))  # invalid id
     assert not is_rainbow_path(ONE_COLOR_K22, (0, 1))  # same-part step
+    # Unhashable vertices are no vertices either, and must not reach set().
+    assert not is_rainbow_path(TRIANGLE, [[0], [2]])
+    assert not is_rainbow_path(TRIANGLE, [0, {}])
+    assert not family_is_valid(TRIANGLE, WitnessFamily(0, 1, ([0, [2], 1],), "test"), 1)
+    assert family_is_valid(TRIANGLE, WitnessFamily(0, 1, ([0, 2, 1],), "test"), 1)
 
 
 def test_single_color_paths_never_rainbow_beyond_one_edge():
@@ -349,6 +408,36 @@ def test_package_has_no_assert_statements():
         if isinstance(node, ast.Assert)
     ]
     assert found == []
+
+
+def _sets_rows_or_calls_new(node) -> bool:
+    """Whether an AST node sets a `rows` attribute (an assignment, a
+    `rows=` keyword, a "rows" name handed to setattr or a __dict__) or
+    reaches `__new__`."""
+    if isinstance(node, ast.Attribute):
+        return node.attr == "__new__" or (node.attr == "rows" and not isinstance(node.ctx, ast.Load))
+    return (isinstance(node, ast.keyword) and node.arg == "rows"
+            or isinstance(node, ast.Constant) and node.value == "rows")
+
+
+def test_only_coloring_init_sets_rows_and_builds_colorings():
+    # `Coloring.__init__` is the one place that runs the validator and sets
+    # `rows`, and the benchmark's tracer counts colorings built by wrapping
+    # it: a coloring made through `object.__new__` would skip both.
+    import rainbowk
+
+    package = Path(rainbowk.__file__).parent
+    found, in_init = [], []
+    for path in sorted(package.glob("*.py")):
+        tree = ast.parse(path.read_text(), filename=str(path))
+        init = [fn for cls in tree.body if isinstance(cls, ast.ClassDef) and cls.name == "Coloring"
+                for fn in cls.body if isinstance(fn, ast.FunctionDef) and fn.name == "__init__"]
+        allowed = {id(node) for fn in init for node in ast.walk(fn)}
+        for node in ast.walk(tree):
+            if _sets_rows_or_calls_new(node):
+                (in_init if id(node) in allowed else found).append(f"{path.name}:{node.lineno}")
+    assert found == []
+    assert in_init  # the scan recognises the one place that does set rows
 
 
 @given(small_colorings())

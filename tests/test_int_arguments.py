@@ -1,8 +1,11 @@
 """Every integer argument of the library is refused with a ValueError that
 names it when it is not a plain int, however it compares: `core.check_int`
 states the rule, `core.check_pair` a pair's endpoints, and part sizes and
-grown parts keep lines of their own."""
+grown parts keep lines of their own. The int fields of exported records are
+covered too: by the code that refuses them, by the checker that judges a
+family holding one invalid, or by a listed exemption that says why."""
 
+import dataclasses
 import inspect
 import re
 
@@ -110,16 +113,53 @@ def test_an_int_argument_that_is_not_an_int_is_refused_by_name(call, value):
         call(value)
 
 
+# Int fields of exported records that a checker reads: it answers False
+# for a value that is not an int rather than refusing it.
+JUDGED = {
+    ("WitnessFamily", "u"):
+        lambda x: family_is_valid(COLORING, WitnessFamily(x, 0, ((x, 0),), "test"), 1),
+    ("WitnessFamily", "v"):
+        lambda x: family_is_valid(COLORING, WitnessFamily(0, x, ((0, x),), "test"), 1),
+}
+
+# Int fields of exported records that no caller's value reaches unchecked.
+EXEMPT = {
+    # Built by `verify_rainbow_k_connected` from a k its own row refuses.
+    ("VerificationReport", "k"),
+    # Worked out by `_twin_certificate` (a search result and S // 2 of the
+    # spec's sizes), never passed in.
+    ("LowerBoundCertificate", "count"),
+    ("LowerBoundCertificate", "bound"),
+}
+
+
+@pytest.mark.parametrize("value", [2.5, True, "2"], ids=repr)
+@pytest.mark.parametrize("call", JUDGED.values(), ids=[".".join(key) for key in JUDGED])
+def test_an_int_field_that_is_not_an_int_is_judged_invalid(call, value):
+    assert call(2) is True
+    assert call(value) is False
+
+
 def test_every_int_parameter_of_the_package_has_a_row():
-    # A new entry point, or a new int parameter, cannot skip the rule.
+    # A new entry point, a new int parameter or a new int field of an
+    # exported record cannot skip the rule.
     exported = [(name, obj) for name, obj in vars(rainbowk).items()
                 if inspect.isfunction(obj)]
     assert len(exported) >= 15
+    int_types = ("int", "int | None", int)
     int_params = {
         (name, param.name)
         for name, obj in exported
         for param in inspect.signature(obj).parameters.values()
-        if param.annotation in ("int", "int | None", int)
+        if param.annotation in int_types
     }
+    records = [(name, obj) for name, obj in vars(rainbowk).items()
+               if inspect.isclass(obj) and dataclasses.is_dataclass(obj)]
+    assert {"Coloring", "PairQuery", "VerificationReport", "WitnessFamily"} <= dict(records).keys()
+    int_fields = {(name, f.name) for name, obj in records
+                  for f in dataclasses.fields(obj) if f.type in int_types}
+    assert ("Coloring", "num_colors") in int_fields
     assert sorted(int_params - set(CALLS)) == []
+    assert sorted(int_fields - set(CALLS) - set(JUDGED) - EXEMPT) == []
+    assert sorted(EXEMPT - int_fields) == []  # no stale exemption
 

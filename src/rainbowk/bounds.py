@@ -9,6 +9,13 @@ itself. `SCENARIOS` states each scenario once: its palette size, and the
 check of its part sizes that names the big part. The pigeonhole and
 path-length arguments hold per coloring, which makes each certificate a
 complete proof for its input.
+
+A certificate takes two steps. `_twin_plan` checks the scenario's
+hypotheses on the spec and fixes the palette, the big part, the params and
+the interior bound; `_certify` checks one coloring against the plan (its
+palette, its twins, their count below k and within the bound). The
+certifiers plan on every call; `sample_certificates` plans once per run,
+since its colorings share one spec, and certifies each sample.
 """
 
 from __future__ import annotations
@@ -18,6 +25,7 @@ import random
 from collections import Counter
 from dataclasses import dataclass
 from functools import lru_cache, partial
+from types import SimpleNamespace
 
 from .core import Coloring, InvariantError, PartitionSpec, ceil_div, check_int, twin_classes
 from .verifier import PairQuery, fan_out, max_disjoint_rainbow
@@ -113,8 +121,11 @@ def _multipartite4(k: int, spec: PartitionSpec) -> tuple[int, dict]:
 SCENARIOS = {"bipartite5": (4, _bipartite5), "multipartite4": (3, _multipartite4)}
 
 
-def _twin_certificate(scenario: str, k: int, coloring: Coloring) -> LowerBoundCertificate:
-    """Certificate from the first twin pair in the scenario's big part.
+def _twin_plan(scenario: str, k: int, spec: PartitionSpec) -> SimpleNamespace:
+    """Check the scenario's hypotheses on spec (ValueError names the first
+    that fails) and plan its certificates: a record of the scenario, k, the
+    spec, the palette size, the big part, the certificates' params (shared
+    by every certificate of the plan) and their interior bound.
 
     Twins a1, a2 see each outside vertex w in one color, so no a1-w-a2 path
     is rainbow. A rainbow twin path therefore has length 4 with 4 colors on
@@ -129,24 +140,31 @@ def _twin_certificate(scenario: str, k: int, coloring: Coloring) -> LowerBoundCe
     whole vertex set on t >= 3 parts (interiors avoid the big part). Each
     twin path weighs 2 in that region."""
     palette, check = SCENARIOS[scenario]
-    spec = coloring.spec
     big, params = check(k, spec)
-    if coloring.num_colors > palette:
-        raise ValueError(f"coloring must use at most {palette} colors")
-    bound = (spec.n - spec.sizes[big]) // 2
-    twins = find_color_twins(coloring, big)
+    return SimpleNamespace(scenario=scenario, k=k, spec=spec, palette=palette, big=big,
+                           params=params, bound=(spec.n - spec.sizes[big]) // 2)
+
+
+def _certify(plan: SimpleNamespace, coloring: Coloring) -> LowerBoundCertificate:
+    """Certificate from the first twin pair in the plan's big part of
+    coloring, a coloring of plan.spec. Raises ValueError when it uses more
+    colors than the palette, InvariantError when the twins are missing or
+    their count is not below k and within the plan's bound."""
+    if coloring.num_colors > plan.palette:
+        raise ValueError(f"coloring must use at most {plan.palette} colors")
+    twins = find_color_twins(coloring, plan.big)
     if twins is None:
         raise InvariantError("pigeonhole guarantee violated: no color twins found")
     count, _ = max_disjoint_rainbow(coloring, PairQuery(twins[0], twins[1]))
-    if count >= k:
+    if count >= plan.k:
         raise InvariantError(
             f"certificate construction failed: twins {twins} admit {count} >= k paths"
         )
-    if count > bound:
+    if count > plan.bound:
         raise InvariantError(
-            f"twins {twins} admit {count} paths, above the interior bound {bound}"
+            f"twins {twins} admit {count} paths, above the interior bound {plan.bound}"
         )
-    return LowerBoundCertificate(scenario, params, twins, count, bound)
+    return LowerBoundCertificate(plan.scenario, plan.params, twins, count, plan.bound)
 
 
 def certify_bipartite_lower(k: int, coloring: Coloring) -> LowerBoundCertificate:
@@ -154,7 +172,7 @@ def certify_bipartite_lower(k: int, coloring: Coloring) -> LowerBoundCertificate
     rainbow k-connected: the big part carries color twins, every rainbow twin
     path has length 4 and uses two small-part interiors, and the small part
     is too small to host k of them. s and m are read off coloring.spec."""
-    return _twin_certificate("bipartite5", k, coloring)
+    return _certify(_twin_plan("bipartite5", k, coloring.spec), coloring)
 
 
 def certify_multipartite_lower(k: int, coloring: Coloring) -> LowerBoundCertificate:
@@ -163,7 +181,7 @@ def certify_multipartite_lower(k: int, coloring: Coloring) -> LowerBoundCertific
     ceil(2k/(t-1)) - 1] is not rainbow k-connected. Twin paths have length 3
     with both interiors among the small parts. t and the part sizes are read
     off coloring.spec."""
-    return _twin_certificate("multipartite4", k, coloring)
+    return _certify(_twin_plan("multipartite4", k, coloring.spec), coloring)
 
 
 @lru_cache(maxsize=None)
@@ -218,15 +236,9 @@ def random_coloring(
     return Coloring(spec, num_colors, colors=colors)
 
 
-def _certify_seed(
-    scenario: str, k: int, spec: PartitionSpec, seed: int
-) -> LowerBoundCertificate:
-    coloring = random_coloring(spec, SCENARIOS[scenario][0], seed)
-    # The certifiers are looked up by module name at each call, so wrappers
-    # set on the module attributes (perfbench/tracing.py) see every call.
-    if scenario == "bipartite5":
-        return certify_bipartite_lower(k, coloring)
-    return certify_multipartite_lower(k, coloring)
+def _certify_seed(plan: SimpleNamespace, seed: int) -> LowerBoundCertificate:
+    """The certificate of the plan's seeded random coloring."""
+    return _certify(plan, random_coloring(plan.spec, plan.palette, seed))
 
 
 def sample_certificates(
@@ -239,10 +251,13 @@ def sample_certificates(
 ) -> list[LowerBoundCertificate]:
     """Certify `samples` seeded random colorings (seeds seed..seed+samples-1).
 
-    Per-seed determinism makes the loop embarrassingly parallel; the result
-    list is identical for any jobs count. One debug log line gives the run's
-    scenario, sizes, k and sample count, and how many certificates have
-    each twin path count."""
+    The scenario's hypotheses are checked once, before any coloring is
+    drawn, and each sample gets the certificate `certify_bipartite_lower`
+    or `certify_multipartite_lower` gives its coloring, every per-coloring
+    check included (module docstring). Per-seed determinism makes the loop
+    embarrassingly parallel; the result list is identical for any jobs
+    count. One debug log line gives the run's scenario, sizes, k and sample
+    count, and how many certificates have each twin path count."""
     check_int(samples, "samples", below=f"samples must be >= 1, got {samples}")
     # random.Random(-s) seeds like Random(s), so a negative range would
     # repeat samples.
@@ -251,9 +266,8 @@ def sample_certificates(
         raise ValueError(f"unknown scenario {scenario!r}")
     spec = PartitionSpec(tuple(sizes))
     # Usage errors surface before any coloring is drawn.
-    SCENARIOS[scenario][1](k, spec)
-    work = partial(_certify_seed, scenario, k, spec)
-    certs = fan_out(work, range(seed, seed + samples), jobs)
+    plan = _twin_plan(scenario, k, spec)
+    certs = fan_out(partial(_certify_seed, plan), range(seed, seed + samples), jobs)
     counts = dict(sorted(Counter(cert.count for cert in certs).items()))
     logger.debug("lower-bound: %s on %s at k = %d: %d samples, twin counts %s",
                  scenario, spec.sizes, k, samples, counts)

@@ -222,8 +222,12 @@ class PartitionSpec:
         return tuple((u, v) for u in range(n) for v in range(u + 1, n) if table[u] != table[v])
 
     def edge_count(self) -> int:
-        sq = sum(s * s for s in self.sizes)
-        return (self.n * self.n - sq) // 2
+        """Number of cross-part edges, worked out once per spec."""
+        return self._edge_count
+
+    @cached_property
+    def _edge_count(self) -> int:
+        return (self.n * self.n - sum(s * s for s in self.sizes)) // 2
 
     @cached_property
     def _row_layout(self) -> tuple[tuple[itemgetter, tuple[int, ...], slice], ...]:

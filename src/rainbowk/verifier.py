@@ -28,7 +28,7 @@ them, the family the enumerate-and-pack route returns (the packing stops at
 its greedy seed); when it ends short of k, the query falls back to that
 route, whose search may still find k.
 
-Both walks close a path at the last step the cap allows: from a partial
+Each walk closes a path at the last step the cap allows: from a partial
 path two edges short of the cap, each step x is tested together with its
 edge xv. That step scans only `_close_steps`, v and the vertices outside
 v's part, not the whole row of the path's last vertex, and the result is
@@ -38,9 +38,30 @@ the same:
 - v lies inside its own part's block of ids, so the direct step onto v
   keeps its place between the steps x < v and x > v.
 So the narrowed scan meets the same candidates in the same ascending order,
-both walks return the same lists in the same order, and the first-fit walk
-picks the same paths. On K_{2,2,82} a path toward a big-part vertex has 5
-such candidates where its row has 86 entries.
+and the first-fit walk picks the same paths. On K_{2,2,82} a path toward a
+big-part vertex has 5 such candidates where its row has 86 entries.
+
+The enumeration closes the last two steps in place. From a partial path P
+three edges short of the cap (the root itself when the cap is 3), each
+step x with color c = c(P[-1] x) is followed straight into x's close
+candidates y, where the walk one level down would call itself on P + (x,)
+with the colors `used` | {c}. The loop runs that call's scan and tests:
+- c(xy) is nonzero (y outside x's part, which also rules out y = x), not
+  c, and not in `used`: that is c(xy) not in `used` | {c};
+- y is not on P: with y != x, that is y not on P + (x,);
+- y = v ends the path P + (x, v);
+- otherwise c(yv) must not be c(xy), c or in `used`: the call's test of
+  c(yv) against c(xy) and `used` | {c}.
+The candidates are the same, met in the same ascending order, and appended
+where the call would append them, so the list is the same path for path;
+the steps x themselves are met as before. Only the call, the tuple P + (x,)
+and the set `used` | {c}, one each per step at that level, are gone.
+
+The first-fit walk keeps its one-step close. Every decision query runs it,
+most of them at cap 2, and measured prototypes that changed that walk's
+loop made cap-2 decision queries 7-17% slower. Its queries with a cap of 4
+or more, where a second close level would save calls, are a handful of
+twin representatives.
 
 The search prunes with an interior-capacity bound, the verifier's form of
 the paper's interior-counting argument. A region R is one part of the
@@ -91,6 +112,7 @@ from __future__ import annotations
 
 import logging
 import os
+from collections.abc import Iterator
 from dataclasses import dataclass, replace
 from functools import partial
 
@@ -159,15 +181,14 @@ def enumerate_rainbow_paths(
     vertex order. Each path is reported once, oriented from u to v. Decision
     queries list them only when `first_fit_rainbow_paths` falls short of k.
 
-    Colors come from `coloring.rows` by index. The last step the cap allows
-    is closed in place: from a partial path two edges short of the cap, each
-    step x is kept only together with its edge xv, which must differ from
-    every color before it, and no call is made for P + (x,). That step
-    scans only `_close_steps`, v and the vertices outside v's part, as the
-    module docstring shows. Steps from a partial path P go in ascending x,
-    so P + (v,) follows the paths through P + (x,) for x < v and precedes
-    those for x > v; no path runs past v, so the output is lexicographic
-    without a sort."""
+    Colors come from `coloring.rows` by index. The last two steps the cap
+    allows are closed in place (module docstring): from a partial path P
+    three edges short of the cap, each step x is followed straight into
+    its `_close_steps` candidates y, and y != v is kept only together with
+    its edge yv, so no call is made for P + (x,) or P + (x, y). Steps from
+    a partial path P go in ascending x, so P + (v,) follows the paths
+    through P + (x,) for x < v and precedes those for x > v; no path runs
+    past v, so the output is lexicographic without a sort."""
     cap = _path_cap(coloring, u, v, max_len)
     rows = coloring.rows
     if cap < 2:
@@ -175,32 +196,38 @@ def enumerate_rainbow_paths(
         return [(u, v)] if cap == 1 and rows[u][v] else []
     to_v = rows[v]
     closers = _close_steps(coloring, v)
+    if cap == 2:
+        # The root closes in one step: x != v lies outside v's part, so the
+        # edge xv exists. Color 0 marks same-part pairs, u itself included.
+        row = rows[u]
+        return [(u, v) if x == v else (u, x, v)
+                for x in closers if row[x] and (x == v or to_v[x] != row[x])]
     out: list[VertexPath] = []
 
     def extend(path: tuple[int, ...], used_colors: frozenset[int]) -> None:
-        row = rows[path[-1]]
-        if len(path) == cap - 1:
-            # The edge xv is the last one allowed: test it here. x != v lies
-            # outside v's part, so the edge exists.
-            for x in closers:
-                col = row[x]
-                if not col or col in used_colors or x in path:
-                    continue
-                if x == v:
-                    out.append(path + (x,))
-                else:
-                    end = to_v[x]
-                    if end != col and end not in used_colors:
-                        out.append(path + (x, v))
-            return
+        close = len(path) == cap - 2
         # Color 0 marks same-part pairs, the step back to path[-1] included.
-        for x, col in enumerate(row):
+        for x, col in enumerate(rows[path[-1]]):
             if not col or col in used_colors or x in path:
                 continue
             if x == v:
                 out.append(path + (x,))
-            else:
+            elif not close:
                 extend(path + (x,), used_colors | {col})
+            else:
+                # The steps xy and yv are the last two allowed: test them
+                # here, against col as well as the colors before it.
+                row = rows[x]
+                for y in closers:
+                    mid = row[y]
+                    if not mid or mid == col or mid in used_colors or y in path:
+                        continue
+                    if y == v:
+                        out.append(path + (x, y))
+                    else:
+                        end = to_v[y]
+                        if end != mid and end != col and end not in used_colors:
+                            out.append(path + (x, y, v))
 
     extend((u,), frozenset())
     return out
@@ -272,18 +299,18 @@ def first_fit_rainbow_paths(
 
 def _capacity_tables(
     masks: list[int], part_masks: tuple[int, ...]
-) -> list[tuple[int, list[tuple[int, int]]]]:
+) -> Iterator[tuple[int, list[tuple[int, int]]]]:
     """Per region (each part, then the whole vertex set), its vertex mask and
     the paths grouped by their weight in it, lightest group first. Path i
-    is bit i of a group, and masks[i] is the vertex mask of its interior."""
-    tables = []
+    is bit i of a group, and masks[i] is the vertex mask of its interior.
+    The tables come one region at a time, so a caller can stop at the first
+    region that settles its question without building the others."""
     for region in part_masks + (sum(part_masks),):
         groups: dict[int, int] = {}
         for i, mask in enumerate(masks):
             weight = (mask & region).bit_count()
             groups[weight] = groups.get(weight, 0) | 1 << i
-        tables.append((region, sorted(groups.items())))
-    return tables
+        yield region, sorted(groups.items())
 
 
 def _capacity_bound(tables, avail: int, cand: int) -> int:
@@ -323,6 +350,14 @@ def _max_packing(
     - greedy took every path: no packing has more, so it is maximum;
     - greedy reached the capacity bound of the whole path set: the bound
       holds for every packing (module docstring), so none is larger.
+    The second exit builds the capacity tables one region at a time, the
+    parts first, then the whole vertex set, and returns at the first region
+    whose term is at most len(best). That is exact: the bound is the
+    minimum of m and the regions' terms, and len(best) < m here, so it is
+    at most len(best) exactly when one region's term is. The lower-bound
+    sampler's twin queries that reach this exit all settle at a small part,
+    most at the first. Only when no region settles the root do all the
+    tables exist, and the search takes them.
     Otherwise the per-vertex path sets are built, and from them each path's
     conflicts: the paths through its interior, itself included unless the
     interior is empty, which no branched path's is (each comes from a
@@ -349,13 +384,15 @@ def _max_packing(
             used |= masks[i]
     if len(best) == m:
         return best
-    tables = _capacity_tables(masks, part_masks)
     everything = (1 << m) - 1
     avail = 0
     for mask in masks:
         avail |= mask
-    if _capacity_bound(tables, avail, everything) <= len(best):
-        return best
+    tables = []
+    for table in _capacity_tables(masks, part_masks):
+        if _capacity_bound((table,), avail, everything) <= len(best):
+            return best
+        tables.append(table)
 
     through: dict[int, int] = {}
     for i, p in enumerate(paths):

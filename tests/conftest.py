@@ -1,7 +1,16 @@
+import importlib.util
+import sys
+from pathlib import Path
+
 import hypothesis.strategies as st
 from hypothesis import settings
 
-from rainbowk.core import Coloring, PartitionSpec
+# An installed rainbowk, or one on PYTHONPATH, is the one under test; this
+# checkout's `src` is only the fallback, so it never shadows either.
+if importlib.util.find_spec("rainbowk") is None:
+    sys.path.append(str(Path(__file__).resolve().parents[1] / "src"))
+
+from rainbowk.core import Coloring, PartitionSpec  # noqa: E402
 
 settings.register_profile("default", deadline=None)
 settings.load_profile("default")

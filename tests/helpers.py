@@ -11,17 +11,20 @@ import random
 from itertools import combinations, permutations
 from pathlib import Path
 
+import rainbowk
 from rainbowk.core import Coloring, PartitionSpec, VerificationReport, all_pairs
 from rainbowk.oracle import enumerate_colorings_canonical, first_failing_pair
 from rainbowk.verifier import PairQuery, max_disjoint_rainbow
 
-SRC = Path(__file__).resolve().parents[1] / "src"
+# The directory holding the rainbowk under test: this checkout's `src`, an
+# other tree's on PYTHONPATH, or the installed package's.
+SRC = Path(rainbowk.__file__).resolve().parents[1]
 
 
 def child_env(drop=()):
-    """os.environ without the names in `drop`, with this checkout's `src`
-    first on PYTHONPATH, so a child process imports the rainbowk under test
-    whether or not the package is installed."""
+    """os.environ without the names in `drop`, with the directory of the
+    rainbowk under test (`SRC`) first on PYTHONPATH, so a child process
+    imports the same package as the tests."""
     env = {k: v for k, v in os.environ.items() if k not in drop}
     env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(SRC), env.get("PYTHONPATH")]))
     return env

@@ -1,4 +1,5 @@
 import logging
+import re
 
 import pytest
 from hypothesis import given, settings
@@ -236,6 +237,42 @@ def test_sample_certificates_parallel_matches_sequential():
     seq = sample_certificates("multipartite4", 2, (10, 1, 1), 6, seed=3)
     par = sample_certificates("multipartite4", 2, (10, 1, 1), 6, seed=3, jobs=2)
     assert seq == par
+
+
+@pytest.mark.parametrize("scenario, k, sizes, samples", [
+    ("bipartite5", 2, (2, 17), 60),
+    ("multipartite4", 2, (10, 1, 1), 60),
+    ("bipartite5", 3, (3, 65), 4),
+    ("multipartite4", 3, (2, 2, 82), 8),
+])
+def test_sampler_certifies_each_seed_as_the_certifiers_do(scenario, k, sizes, samples):
+    # The sampler checks its scenario once per run; each sample must still
+    # get the certificate the public certifier gives its coloring.
+    certify = {"bipartite5": certify_bipartite_lower,
+               "multipartite4": certify_multipartite_lower}[scenario]
+    spec = PartitionSpec(sizes)
+    seeds = range(11, 11 + samples)
+    expected = [certify(k, random_coloring(spec, SCENARIOS[scenario][0], s)) for s in seeds]
+    assert sample_certificates(scenario, k, sizes, samples, seed=11) == expected
+
+
+@pytest.mark.parametrize("scenario, k, sizes, message", [
+    ("bipartite5", 2, (4, 17), "need k <= s <= 2k-1, got k=2, s=4"),
+    ("bipartite5", 2, (2, 16), "need m >= 4^s + 1 = 17, got m=16"),
+    ("bipartite5", 1.5, (2, 17), "k must be an integer >= 2, got 1.5"),
+    ("multipartite4", 2, (10, 2, 1), "small part sizes [2] outside [1, 1]"),
+    ("multipartite4", 2, (10, 1), "multipartite4 needs t >= 3 parts, got 2"),
+])
+def test_sampler_refuses_bad_hypotheses_before_drawing(monkeypatch, scenario, k, sizes,
+                                                       message):
+    import rainbowk.bounds
+
+    def no_draw(*args):
+        raise AssertionError("a coloring was drawn for a usage error")
+
+    monkeypatch.setattr(rainbowk.bounds, "random_coloring", no_draw)
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+        sample_certificates(scenario, k, sizes, 3, seed=0)
 
 
 @pytest.mark.parametrize("scenario, k, sizes", [

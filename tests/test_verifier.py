@@ -20,7 +20,7 @@ from helpers import (
     unpruned_max_packing,
 )
 from rainbowk import verifier
-from rainbowk.bounds import random_coloring
+from rainbowk.bounds import find_color_twins, random_coloring
 from rainbowk.constructions import color_2_4_16, color_bipartite4, color_ctk, color_mnn
 from rainbowk.core import Coloring, PartitionSpec, all_pairs, family_is_valid, twin_classes
 from rainbowk.oracle import first_failing_pair
@@ -28,6 +28,7 @@ from rainbowk.verifier import (
     PairQuery,
     _capacity_bound,
     _capacity_tables,
+    _max_packing,
     enumerate_rainbow_paths,
     fan_out,
     first_fit_rainbow_paths,
@@ -75,16 +76,45 @@ def lopsided_colorings(draw):
                     {e: draw(st.integers(1, num_colors)) for e in spec.edges()})
 
 
-@given(st.one_of(small_colorings(), lopsided_colorings()))
-@settings(max_examples=80)
+@st.composite
+def planted_twin_colorings(draw):
+    """A lopsided coloring with 3..5 colors and planted color twins in its
+    big part: the rows of two drawn members are overwritten by a third's."""
+    spec = PartitionSpec(draw(st.sampled_from([(2, 9), (9, 2), (5, 1, 1), (1, 1, 5)])))
+    num_colors = draw(st.integers(3, 5))
+    colors = {e: draw(st.integers(1, num_colors)) for e in spec.edges()}
+    members = spec.part_members(max(range(spec.t), key=lambda i: spec.sizes[i]))
+    source, *copies = draw(st.lists(st.sampled_from(members), min_size=3, max_size=3,
+                                    unique=True))
+    rows = Coloring(spec, num_colors, colors).rows
+    return Coloring.from_function(spec, num_colors, lambda u, v: rows[
+        source if u in copies else u][source if v in copies else v])
+
+
+def _big_part_pairs(coloring):
+    """The first and the last pair inside the big part, and its first twin
+    pair, the pair a lower-bound certificate queries."""
+    spec = coloring.spec
+    members = spec.part_members(max(range(spec.t), key=lambda i: spec.sizes[i]))
+    twins = [tuple(c[:2]) for c in twin_classes(coloring, members) if len(c) >= 2]
+    return {tuple(members[:2]), tuple(members[-2:])} | set(twins[:1])
+
+
+@given(st.one_of(small_colorings(), lopsided_colorings(), planted_twin_colorings()))
+@settings(max_examples=120)
 def test_enumeration_matches_brute_force(coloring):
+    # Pairs inside the big part and twin pairs reach the two-step close
+    # through the few vertices outside that part.
     n = coloring.spec.n
-    for u, v in {(0, n - 1), (n - 2, n - 1)}:
+    pairs = {(0, n - 1), (n - 2, n - 1)}
+    if len(set(coloring.spec.sizes)) > 1:
+        pairs |= _big_part_pairs(coloring)
+    for u, v in pairs:
         assert enumerate_rainbow_paths(coloring, u, v) == brute_force_rainbow_paths(
             coloring, u, v, coloring.num_colors
         )
-        # Every smaller cap too, and 1..3 at least: the last edge the cap
-        # allows is closed in place, and that must hold at each depth.
+        # Every smaller cap too, and 1..3 at least: the last two edges the
+        # cap allows are closed in place, and that must hold at each depth.
         for max_len in range(1, max(coloring.num_colors, 4)):
             got = enumerate_rainbow_paths(coloring, u, v, max_len)
             assert got == brute_force_rainbow_paths(coloring, u, v, max_len)
@@ -354,6 +384,77 @@ def test_bounded_search_matches_unpruned_search(instance):
         got, family = max_disjoint_rainbow(coloring, PairQuery(u, v, k=k))
         assert got == min(k, count)
         assert family.paths == tuple(paths[i] for i in unpruned_max_packing(paths, k))
+
+
+def _regions_built(monkeypatch):
+    """Record the region of every capacity table `_max_packing` draws, and
+    of every table set its capacity bound is taken over."""
+    regions, bounds = [], []
+    tables, bound = verifier._capacity_tables, verifier._capacity_bound
+
+    def recorded_tables(masks, part_masks):
+        for table in tables(masks, part_masks):
+            regions.append(table[0])
+            yield table
+
+    def recorded_bound(over, avail, cand):
+        bounds.append([region for region, _ in over])
+        return bound(over, avail, cand)
+
+    monkeypatch.setattr(verifier, "_capacity_tables", recorded_tables)
+    monkeypatch.setattr(verifier, "_capacity_bound", recorded_bound)
+    return regions, bounds
+
+
+# Paths between 0 and 1 of K_{2,1,1,1} (parts {0, 1}, {2}, {3}, {4}) or
+# K_{2,2,2} (parts {0, 1}, {2, 3}, {4, 5}). Greedy picks the first path only.
+ROOT_CASES = {
+    # Every interior holds 2: part {2} has room for one path.
+    "a part settles": ((2, 1, 1, 1), [(0, 2, 3, 1), (0, 2, 4, 1), (0, 4, 2, 1)], 2),
+    # A triangle on 2, 3, 4: each part has room for one path plus the one
+    # that misses it, the whole set (3 vertices, 2 per path) for one.
+    "the whole set settles": ((2, 1, 1, 1), [(0, 2, 3, 1), (0, 3, 4, 1), (0, 2, 4, 1)], 5),
+    # Each region has room for two paths, and two fit: the search runs.
+    "the search runs": ((2, 2, 2), [(0, 2, 4, 1), (0, 2, 5, 1), (0, 3, 4, 1)], 4),
+}
+
+
+@pytest.mark.parametrize("case", ROOT_CASES)
+def test_packing_root_settles_at_the_first_region_that_can(monkeypatch, case):
+    # The root returns greedy's paths at the first region whose term is at
+    # most their count, and builds no table after it; only when no region
+    # settles it does the search run, with every table.
+    sizes, paths, drawn = ROOT_CASES[case]
+    part_masks = PartitionSpec(sizes).part_masks
+    regions, bounds = _regions_built(monkeypatch)
+    for target in (None, 2, 3):
+        regions.clear(), bounds.clear()
+        got = _max_packing(paths, target, part_masks)
+        assert got == unpruned_max_packing(paths, target)
+        assert len(regions) == drawn
+        # One bound per region at the root, each over its own table; the
+        # search's bounds take every table.
+        assert bounds[:drawn] == [[region] for region in regions]
+        searched = bounds[drawn:]
+        assert all(over == regions for over in searched)
+        assert bool(searched) == (case == "the search runs")
+        assert len(got) == (2 if searched else 1)
+
+
+@pytest.mark.parametrize("sizes, palette, k", [
+    ((2, 17), 4, 2), ((10, 1, 1), 3, 2), ((2, 2, 82), 3, 3),
+])
+def test_packing_of_twin_paths_matches_the_unpruned_search(sizes, palette, k):
+    # The twin queries of the lower-bound sampler: the root that does not
+    # return at greedy settles at a small part, before the later tables.
+    spec = PartitionSpec(sizes)
+    big = sizes.index(max(sizes))
+    for seed in range(40):
+        coloring = random_coloring(spec, palette, seed)
+        paths = enumerate_rainbow_paths(coloring, *find_color_twins(coloring, big))
+        for target in (None, k):
+            assert _max_packing(paths, target, spec.part_masks) == unpruned_max_packing(
+                paths, target)
 
 
 def _assert_first_fit_is_greedy(coloring, pairs):

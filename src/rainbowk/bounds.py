@@ -27,7 +27,7 @@ from dataclasses import dataclass
 from functools import lru_cache, partial
 from types import SimpleNamespace
 
-from .core import Coloring, InvariantError, PartitionSpec, ceil_div, check_int, twin_classes
+from .core import Coloring, InvariantError, PartitionSpec, ceil_div, check_int
 from .verifier import PairQuery, fan_out, max_disjoint_rainbow
 
 logger = logging.getLogger(__name__)
@@ -45,17 +45,26 @@ def find_color_twins(coloring: Coloring, big_part: int) -> tuple[int, int] | Non
     """First (lexicographic) pair of vertices in big_part with identical
     color profiles toward every vertex outside big_part, if any.
 
-    A whole row is a color profile: its entries toward the part itself are
-    0 for every member, so rows agree iff the profiles outside do. The
-    classes of `twin_classes` over the ascending members are ascending and
-    ordered by their smallest member, so the first class with two members
-    starts with the lexicographically first twin pair."""
+    One scan of the part: each row is keyed by its entries outside the
+    part, which are equal exactly when the rows are (its entries inside
+    are 0 for every member). A member whose key is taken repeats the class
+    of that key's first member b, and the lex-first twin pair is the least
+    (b, a) over these repeats: a class's first repeat is its second member."""
     spec = coloring.spec
     out = f"part index {big_part} out of range"
     if check_int(big_part, "big_part", 0, below=out) >= spec.t:
         raise ValueError(out)
-    classes = twin_classes(coloring, spec.part_members(big_part))
-    return next(((ids[0], ids[1]) for ids in classes if len(ids) >= 2), None)
+    start = spec.offsets[big_part]
+    end = start + spec.sizes[big_part]
+    rows = coloring.rows
+    first: dict[tuple[int, ...], int] = {}
+    twins = None
+    for a in range(start, end):
+        row = rows[a]
+        b = first.setdefault(row[:start] + row[end:], a)
+        if b != a and (twins is None or b < twins[0]):
+            twins = (b, a)
+    return twins
 
 
 @dataclass(frozen=True)
@@ -70,9 +79,12 @@ class LowerBoundCertificate:
     bound: int  # the interior-counting cap on disjoint twin paths
 
     def to_json_dict(self) -> dict:
+        """The certificate's JSON object. `params` is the certificate's own
+        dict, shared by every certificate of one plan, not a copy: a run's
+        document holds it once, and `core.json_text` writes it once."""
         return {
             "scenario": self.scenario,
-            "params": dict(self.params),
+            "params": self.params,
             "twins": list(self.twins),
             "max_disjoint_rainbow_paths": self.count,
             "arithmetic_bound": self.bound,
@@ -212,10 +224,13 @@ def random_coloring(
     bytes of `getrandbits(32 * W).to_bytes(4 * W, "little")`, every fourth
     byte from the fourth, give the same r values in order after a shift
     right by 8 - b: `_byte_tables` drops the rejected ones and maps the
-    rest to 1 + r. Each round draws one word per color still missing, so
-    the last word drawn is always kept and no word randrange would not draw
-    is taken. Larger palettes draw with randrange itself. The seed must be
-    an integer >= 0: random.Random(-s) seeds like Random(s).
+    rest to 1 + r. A round draws M * 2^b // L + M // 4 + 16 words for the
+    M colors still missing (a word is kept with probability L / 2^b),
+    another round follows a short one, and the first `edge_count` colors
+    are kept. The words past the last kept one would feed only later
+    draws of a generator local to this call, so no color depends on
+    them. Larger palettes draw with randrange itself. The seed must be an
+    integer >= 0: random.Random(-s) seeds like Random(s).
 
     The colors go to `Coloring` as drawn, one per edge in edge order (the
     translated bytes, or the list of larger colors): no [u, v, color]
@@ -226,11 +241,14 @@ def random_coloring(
     edge_count = spec.edge_count()
     if num_colors <= 255:
         table, reject = _byte_tables(num_colors)
+        bits = num_colors.bit_length()
         colors = b""
         while len(colors) < edge_count:
-            words = edge_count - len(colors)
+            missing = edge_count - len(colors)
+            words = (missing << bits) // num_colors + missing // 4 + 16
             top = rng.getrandbits(32 * words).to_bytes(4 * words, "little")[3::4]
             colors += top.translate(table, reject)
+        colors = colors[:edge_count]
     else:
         colors = [rng.randrange(1, num_colors + 1) for _ in range(edge_count)]
     return Coloring(spec, num_colors, colors=colors)

@@ -121,16 +121,25 @@ def json_text(obj) -> str:
     value `json.dumps` refuses raises the same error here, from the same
     call; a cycle exhausts the recursion and is handed to `json.dumps`,
     which reports it.
+
+    A dict held as a dict's value is written once per depth: met again
+    (the same object at the same depth, keyed by `id` and the depth), it
+    gets its earlier text. No id is reused meanwhile, since `obj` holds
+    every value met for the whole call and the memo lives for that call
+    only. A run's certificates share one `params` dict, so it is written
+    once; list items are not memoized, which would keep a text per
+    certificate until the write ends.
     """
     try:
-        return _indented(obj, "\n") + "\n"
+        return _indented(obj, "\n", {}) + "\n"
     except RecursionError:
         return json.dumps(obj, indent=2) + "\n"
 
 
-def _indented(obj, nl: str) -> str:
+def _indented(obj, nl: str, memo: dict) -> str:
     """`obj` as `json.dumps(obj, indent=2)` writes it at the depth whose line
-    break is `nl`."""
+    break is `nl`; `memo` maps (id, depth) of each dict written so far as a
+    dict's value to its text."""
     kind = type(obj)
     if kind is str:
         return _encode_str(obj)
@@ -140,7 +149,10 @@ def _indented(obj, nl: str) -> str:
         if set(map(type, obj)) == {str}:
             inner = nl + "  "
             return "{" + inner + ("," + inner).join(
-                [_encode_str(key) + ": " + _indented(value, inner) for key, value in obj.items()]
+                [_encode_str(key) + ": " + (
+                    _shared(value, inner, memo) if type(value) is dict
+                    else _indented(value, inner, memo))
+                 for key, value in obj.items()]
             ) + nl + "}"
     elif obj and (kind is list or kind is tuple):
         inner = nl + "  "
@@ -156,8 +168,17 @@ def _indented(obj, nl: str) -> str:
                     row_nl = inner + "  "
                     row = "[" + row_nl + ("," + row_nl).join(["%d"] * width) + inner + "]"
                     return ("[" + inner + sep.join([row] * len(obj)) + nl + "]") % flat
-        return "[" + inner + sep.join([_indented(x, inner) for x in obj]) + nl + "]"
+        return "[" + inner + sep.join([_indented(x, inner, memo) for x in obj]) + nl + "]"
     return json.dumps(obj, indent=2).replace("\n", nl)
+
+
+def _shared(obj: dict, nl: str, memo: dict) -> str:
+    """`_indented` for a dict held as a dict's value: its memoized text."""
+    key = (id(obj), len(nl))
+    text = memo.get(key)
+    if text is None:
+        text = memo[key] = _indented(obj, nl, memo)
+    return text
 
 
 @dataclass(frozen=True)
@@ -259,6 +280,9 @@ class PartitionSpec:
         return tuple(layout)
 
 
+_BYTE_COLORS = bytes(range(1, 256))  # sliced to a palette's colors 1..L
+
+
 def _color_table(
     spec: PartitionSpec, num_colors: int, entries, count: int | None
 ) -> tuple[tuple[int, ...], ...]:
@@ -269,10 +293,13 @@ def _color_table(
     With `count` None, `entries` holds one color per edge of
     `spec.edge_list`, in that order (a list, a tuple or bytes). Its pairs
     are then in range, cross-part, distinct and total by construction, so
-    only the length and the colors are checked, at C speed: one `set` of
-    the types (bytes need none) and a `min` and a `max`. Only when a check
-    fails is the vector scanned for the first bad color. The rows are then
-    joined from slices of it, as `spec._row_layout` says.
+    only the length and the colors are checked, at C speed. Bytes hold ints
+    by their type, and are in range exactly when deleting the bytes 1..L
+    (L = num_colors, at most 255 of them) leaves nothing: one
+    `bytes.translate`. A list or a tuple gets one `set` of the types, then
+    a `min` and a `max`. Only when a check fails is the vector scanned for
+    the first bad color. The rows are then joined from slices of it, as
+    `spec._row_layout` says.
 
     Otherwise `entries` are `count` [u, v, color] entries, in any order,
     checked one by one as they fill the table. Each entry needs integer
@@ -288,10 +315,14 @@ def _color_table(
         if len(colors) != spec.edge_count():
             raise SchemaError(f"{len(colors)} colors for {spec.edge_count()} edges: "
                               f"need one per edge, in edge order")
-        # bytes hold ints by their type. Other vectors are checked for
-        # plain ints first, since min() and max() may fail on mixed types.
-        if ((type(colors) is not bytes and set(map(type, colors)) != {int})
-                or min(colors) < 1 or max(colors) > num_colors):
+        if type(colors) is bytes:
+            # What is left after deleting the colors 1..L is out of range.
+            bad = colors.translate(None, _BYTE_COLORS[:num_colors])
+        else:
+            # Plain ints first, since min() and max() may fail on mixed types.
+            bad = (set(map(type, colors)) != {int}
+                   or min(colors) < 1 or max(colors) > num_colors)
+        if bad:
             for pos, col in enumerate(colors):
                 if type(col) is not int:
                     raise SchemaError(f"edge {pos}: color {col!r} is not an integer")

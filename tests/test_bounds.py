@@ -1,8 +1,10 @@
+import json
 import logging
 import re
+from itertools import combinations
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from helpers import brute_force_rainbow_paths, randrange_coloring, unpruned_max_packing
@@ -16,7 +18,7 @@ from rainbowk.bounds import (
     sample_certificates,
 )
 from rainbowk.constructions import color_bipartite4
-from rainbowk.core import Coloring, InvariantError, PartitionSpec
+from rainbowk.core import Coloring, InvariantError, PartitionSpec, json_text
 from rainbowk.verifier import (
     PairQuery,
     enumerate_rainbow_paths,
@@ -171,10 +173,16 @@ def test_random_coloring_is_deterministic():
     st.lists(st.integers(1, 3), min_size=1, max_size=3),
     st.integers(1, 40),
     st.integers(0, 4),
-    st.one_of(st.integers(1, 9), st.sampled_from([255, 256, 300])),
+    st.one_of(st.integers(1, 9), st.sampled_from([128, 255, 256, 300])),
     st.integers(0, 2**32),
 )
 @settings(max_examples=150)
+# Benchmark sizes: K_{2,2,82} at 3 colors; K_{3,65} at 4 and K_{2,17} at a
+# palette of 128, which rejects half the bytes, with seeds whose first
+# round of words falls short.
+@example([2, 2], 82, 2, 3, 0)
+@example([3], 65, 1, 4, 255)
+@example([2], 17, 1, 128, 105)
 def test_random_coloring_draws_the_randrange_stream(small, big, at, num_colors, seed):
     # t = 2..4 parts, one of them big, in any position; palettes up to 255
     # take the byte draw, 256 and 300 the randrange fallback.
@@ -208,6 +216,34 @@ def test_pigeonhole_guarantee_property(num_colors, b_size, seed):
     assert find_color_twins(coloring, 0) is not None
 
 
+@given(
+    st.lists(st.integers(1, 6), min_size=1, max_size=3),
+    st.integers(1, 6),
+    st.integers(0, 3),
+    st.integers(1, 5),
+    st.data(),
+)
+@settings(max_examples=300)
+def test_find_color_twins_is_the_brute_force_lex_first_pair(small, big, at, num_colors, data):
+    # The searched part first, in the middle or last, among parts of 1..6
+    # vertices; the lex-first pair of its members with equal rows, or None.
+    at = min(at, len(small))
+    spec = PartitionSpec(tuple(small[:at] + [big] + small[at:]))
+    colors = data.draw(st.lists(st.integers(1, num_colors), min_size=spec.edge_count(),
+                                max_size=spec.edge_count()))
+    coloring = Coloring(spec, num_colors, colors=colors)
+    rows = coloring.rows
+    expected = min(((a, b) for a, b in combinations(spec.part_members(at), 2)
+                    if rows[a] == rows[b]), default=None)
+    assert find_color_twins(coloring, at) == expected
+
+
+def test_find_color_twins_takes_the_class_with_the_smallest_first_member():
+    # Rows 1, 2 repeat first, but 0 and 3 are twins too: (0, 3) comes first.
+    coloring = Coloring(PartitionSpec((4, 1)), 2, colors=[1, 2, 2, 1])
+    assert find_color_twins(coloring, 0) == (0, 3)
+
+
 def test_twin_search_respects_declared_part():
     coloring, _ = color_bipartite4(4, 4, 2)
     assert find_color_twins(coloring, 1) == (4, 5)
@@ -231,6 +267,14 @@ def test_twin_search_is_per_part():
     paired = Coloring(spec, 4, {(a, b): a + 1 for a in range(4) for b in (4, 5)})
     assert find_color_twins(paired, 0) is None
     assert find_color_twins(paired, 1) == (4, 5)
+
+
+def test_certificates_share_their_params_and_write_as_json_dumps():
+    certs = sample_certificates("multipartite4", 2, (10, 1, 1), 3, seed=0)
+    doc = {"certificates": [cert.to_json_dict() for cert in certs]}
+    first, *rest = (entry["params"] for entry in doc["certificates"])
+    assert all(params is first for params in rest)
+    assert json_text(doc) == json.dumps(doc, indent=2) + "\n"
 
 
 def test_sample_certificates_parallel_matches_sequential():

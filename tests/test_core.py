@@ -501,6 +501,16 @@ def _containers(children):
         _tables(_INTISH),
         st.lists(st.dictionaries(st.integers(0, 1), st.integers(), min_size=1, max_size=1),
                  min_size=1, max_size=3),  # rows that are not lists
+        # One object placed twice at one depth, and at two depths: a memo
+        # keyed on the object alone writes the deeper one at the wrong indent.
+        st.one_of(st.lists(children, max_size=3),
+                  st.dictionaries(_TRICKY_TEXT, children, max_size=3)).flatmap(
+            lambda x: st.sampled_from([[x, x], {"a": x, "b": x},
+                                       {"at": x, "below": [x, {"x": x}]}])),
+        # Certificates sharing one params dict, as a lower-bound run writes them.
+        st.dictionaries(_TRICKY_TEXT, children, max_size=3).map(
+            lambda params: [{"scenario": "s", "params": params, "twins": [i, i + 1]}
+                            for i in range(3)]),
     )
 
 

@@ -77,6 +77,11 @@ def test_a_traced_run_records_every_query_and_restores_the_program(tracing, tmp_
     assert codes == [1, 1, 0, 0]
     values = [span[5] for span in recorder.spans if span[0] == "verifier.max_disjoint_rainbow"]
     assert values and all(isinstance(v, list) and len(v) == 2 for v in values)
+    # The 3 samples draw and scan through the names the tracer wraps, so
+    # `bounds.sample_s` and `bounds.twins_s` read their work.
+    names = [span[0] for span in recorder.spans]
+    assert names.count("bounds.random_coloring") == 3
+    assert names.count("bounds.find_color_twins") == 3
     after = [vars(m) for m in modules + [core.Coloring]]
     for old, new in zip(before, after):
         assert all(new[key] is value for key, value in old.items())

@@ -14,7 +14,6 @@ from .bounds import (
     random_coloring,
 )
 from .constructions import (
-    ConstructionMeta,
     color_2_4_16,
     color_bipartite4,
     color_ctk,

@@ -25,12 +25,12 @@ from pathlib import Path
 
 from .bounds import SCENARIOS, f_formula, sample_certificates
 from .constructions import (
-    ConstructionMeta,
     color_2_4_16,
     color_bipartite4,
     color_ctk,
     color_extension,
     color_mnn,
+    read_meta,
     witness_paths,
 )
 from .core import (
@@ -54,6 +54,9 @@ def export_dot(coloring: Coloring, palette: dict[int, str]) -> str:
     """DOT rendering with one cluster per part and named edge colors."""
     if len(palette) > 12:
         raise ValueError("palette supports at most 12 named entries")
+    if coloring.num_colors > 12:
+        raise ValueError(f"a palette names at most 12 colors; the coloring has "
+                         f"{coloring.num_colors}")
     missing = [c for c in range(1, coloring.num_colors + 1) if c not in palette]
     if missing:
         raise ValueError(f"palette has no names for colors {missing}")
@@ -108,7 +111,7 @@ def _load_document(path: str) -> dict:
         doc = json.loads(Path(path).read_text())
     except OSError as exc:
         raise SchemaError(f"cannot read {path}: {exc}") from exc
-    except json.JSONDecodeError as exc:
+    except (json.JSONDecodeError, RecursionError) as exc:  # RecursionError: nested too deep
         raise SchemaError(f"{path}: invalid JSON: {exc}") from exc
     if not isinstance(doc, dict):
         raise SchemaError(f"{path}: top-level JSON value must be an object")
@@ -119,10 +122,10 @@ def _load_coloring(path: str) -> Coloring:
     return Coloring.from_json_dict(_load_document(path))
 
 
-def _load_construction(path: str) -> tuple[Coloring, ConstructionMeta | None]:
+def _load_construction(path: str) -> tuple[Coloring, dict | None]:
     doc = _load_document(path)
     coloring = Coloring.from_json_dict(doc)
-    return coloring, ConstructionMeta.from_json_dict(doc["meta"]) if "meta" in doc else None
+    return coloring, read_meta(doc["meta"]) if "meta" in doc else None
 
 
 def _write_stream(stream, text: str) -> None:
@@ -173,10 +176,10 @@ class _Parser(argparse.ArgumentParser):
             _write_stream(file or sys.stderr, message)
 
 
-def coloring_document(coloring: Coloring, meta: ConstructionMeta | None = None) -> str:
+def coloring_document(coloring: Coloring, meta: dict | None = None) -> str:
     doc = coloring.to_json_dict()
     if meta is not None:
-        doc["meta"] = meta.to_json_dict()
+        doc["meta"] = meta
     return json_text(doc)
 
 
@@ -343,11 +346,12 @@ def _run_lower_bound(opt: dict) -> int:
 
 def _run_rck_exact(opt: dict) -> int:
     spec = PartitionSpec(_parse_sizes(opt["sizes"], "--sizes"))
-    result = rc_k_exact(spec, opt["k"], opt["max_colors"], opt["max_edges"])
-    if result.witness is not None and opt["out"]:
-        _write_text(opt["out"], result.witness.to_json_text())
+    witness = rc_k_exact(spec, opt["k"], opt["max_colors"], opt["max_edges"])
+    if witness is not None and opt["out"]:
+        _write_text(opt["out"], witness.to_json_text())
     label = f"rc_{opt['k']}({','.join(map(str, spec.sizes))})"
-    _print(f"{label} {result}" if result.value is None else f"{label} = {result}")
+    _print(f"{label} > {opt['max_colors']}" if witness is None
+           else f"{label} = {witness.num_colors}")
     return 0
 
 

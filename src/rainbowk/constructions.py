@@ -30,9 +30,13 @@ and ``_extension_ids`` returns the projection onto the base, which maps each
 old vertex to its base id and each new vertex to its anchor, whose color row
 it copies. The extension's color rule reads every edge off the base at its
 projection, and its witness builder carries base families back through it.
-Builders read only the meta's ``tag``, ``labeling.sizes`` (checked against
-the coloring) and, for ``extension``, ``params.p``/``params.q`` and
-``labeling.base_meta``; every other meta field is descriptive.
+A meta is the JSON object a construction file stores under ``meta``:
+``tag``, ``params`` and ``labeling``, an extension's ``labeling.base_meta``
+being its base's meta or None. Each ``color_*`` returns it, and
+``read_meta`` checks one read from a file. Witness builders read only its
+``tag``, ``labeling.sizes`` (checked against the coloring) and, for
+``extension``, ``params.p``/``params.q`` and ``labeling.base_meta``; every
+other meta field is descriptive.
 
 Bit-valued palettes {0,1} are stored as {1,2} (0 -> 1, 1 -> 2), recorded in
 the meta as ``bit_colors``.
@@ -40,7 +44,6 @@ the meta as ``bit_colors``.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from itertools import islice, product
 
 from .core import (
@@ -56,37 +59,22 @@ from .core import (
 
 BIT_COLORS = {0: 1, 1: 2}
 
-@dataclass(frozen=True)
-class ConstructionMeta:
-    """Which construction produced a coloring, with its parameters and
-    labeling (block splits, designated vertices, bit strings, anchors); see
-    the module docstring for the fields the witness builders read."""
-
-    tag: str
-    params: dict
-    labeling: dict
-
-    def to_json_dict(self) -> dict:
-        labeling = dict(self.labeling)
-        base = labeling.get("base_meta")
-        if isinstance(base, ConstructionMeta):
-            labeling["base_meta"] = base.to_json_dict()
-        return {"tag": self.tag, "params": dict(self.params), "labeling": labeling}
-
-    @classmethod
-    def from_json_dict(cls, doc: dict) -> "ConstructionMeta":
-        if not isinstance(doc, dict):
-            raise SchemaError(f"bad meta: expected an object, got {type(doc).__name__}")
-        for key, kind, name in (("tag", str, "string"), ("params", dict, "object"),
-                                ("labeling", dict, "object")):
-            if not isinstance(doc.get(key), kind):
-                raise SchemaError(f"bad meta: {key!r} must be a JSON {name}")
-        if doc["tag"] not in _BUILDERS:
-            raise SchemaError(f"bad meta: unknown construction tag {doc['tag']!r}")
-        labeling = dict(doc["labeling"])
-        if labeling.get("base_meta") is not None:
-            labeling["base_meta"] = cls.from_json_dict(labeling["base_meta"])
-        return cls(doc["tag"], dict(doc["params"]), labeling)
+def read_meta(doc) -> dict:
+    """A file's meta block, checked, as the `color_*` builders return it:
+    {"tag", "params", "labeling"} in that order, other keys dropped, with
+    labeling.base_meta read the same way. Raises SchemaError."""
+    if not isinstance(doc, dict):
+        raise SchemaError(f"bad meta: expected an object, got {type(doc).__name__}")
+    for key, kind, name in (("tag", str, "string"), ("params", dict, "object"),
+                            ("labeling", dict, "object")):
+        if not isinstance(doc.get(key), kind):
+            raise SchemaError(f"bad meta: {key!r} must be a JSON {name}")
+    if doc["tag"] not in _BUILDERS:
+        raise SchemaError(f"bad meta: unknown construction tag {doc['tag']!r}")
+    labeling = dict(doc["labeling"])
+    if labeling.get("base_meta") is not None:
+        labeling["base_meta"] = read_meta(labeling["base_meta"])
+    return {"tag": doc["tag"], "params": dict(doc["params"]), "labeling": labeling}
 
 
 # ---------------------------------------------------------------------------
@@ -109,7 +97,7 @@ def _bipartite4_labeling(
     return blocks, block_of, {name: ids[:k] for name, ids in blocks.items()}
 
 
-def color_bipartite4(a: int, b: int, k: int) -> tuple[Coloring, ConstructionMeta]:
+def color_bipartite4(a: int, b: int, k: int) -> tuple[Coloring, dict]:
     """4-coloring of K_{a,b} (a, b >= 2k): split each side into balanced
     halves A1/A2 and B1/B2 and color A_i-B_j edges with four distinct colors."""
     check_int(k, "k", below="k must be >= 1")
@@ -119,19 +107,17 @@ def color_bipartite4(a: int, b: int, k: int) -> tuple[Coloring, ConstructionMeta
     blocks, block_of, designated = _bipartite4_labeling(spec, k)
     colors = {("A1", "B1"): 1, ("A1", "B2"): 2, ("A2", "B1"): 3, ("A2", "B2"): 4}
     # from_function passes u < v, so u lies in side A.
-    coloring = Coloring.from_function(spec, 4, lambda u, v: colors[block_of[u], block_of[v]])
-    meta = ConstructionMeta(
-        tag="bipartite4",
-        params={"a": a, "b": b, "k": k},
-        labeling={
+    return Coloring.from_function(spec, 4, lambda u, v: colors[block_of[u], block_of[v]]), {
+        "tag": "bipartite4",
+        "params": {"a": a, "b": b, "k": k},
+        "labeling": {
             "sizes": list(spec.sizes),
             "blocks": blocks,
             "designated": designated,
             # The symmetries used for WLOG dispatch, as color transpositions.
             "automorphisms": {"A1<->A2": [[1, 3], [2, 4]], "A<->B": [[2, 3]]},
         },
-    )
-    return coloring, meta
+    }
 
 
 # ---------------------------------------------------------------------------
@@ -153,7 +139,7 @@ def _ctk_parts(t: int) -> dict[tuple[str, int], int]:
     return {_ctk_role(t, part): part for part in range(t)}
 
 
-def color_ctk(spec: PartitionSpec, k: int) -> tuple[Coloring, ConstructionMeta]:
+def color_ctk(spec: PartitionSpec, k: int) -> tuple[Coloring, dict]:
     """The recursive 3-coloring of the parts of `spec`: same-side edges 1,
     matched pairs 2, crossed pairs 3; with odd t the extra part X sends
     color 1 into side A and color 3 into side B. Defined for any part sizes;
@@ -173,17 +159,15 @@ def color_ctk(spec: PartitionSpec, k: int) -> tuple[Coloring, ConstructionMeta]:
 
     s = ceil_div(2 * k, t - 1)
     parts = _ctk_parts(t)
-    coloring = Coloring.from_function(spec, 3, rule)
-    meta = ConstructionMeta(
-        tag="ctk",
-        params={"t": t, "k": k, "s": s, "s1": ceil_div(s, 2), "s2": s // 2},
-        labeling={
+    return Coloring.from_function(spec, 3, rule), {
+        "tag": "ctk",
+        "params": {"t": t, "k": k, "s": s, "s1": ceil_div(s, 2), "s2": s // 2},
+        "labeling": {
             "sizes": list(spec.sizes),
             "pairs": [[parts["A", i], parts["B", i]] for i in range(t // 2)],
             "x_part": parts.get(("X", -1)),
         },
-    )
-    return coloring, meta
+    }
 
 
 # ---------------------------------------------------------------------------
@@ -227,7 +211,7 @@ def _mnn_bit(strings: list[str], s: int, i: int, part: int, j: int) -> int:
     return int(strings[i - 1][(part - 1) * s + _mnn_group(j, s) - 1])
 
 
-def color_mnn(m: int, n: int) -> tuple[Coloring, ConstructionMeta]:
+def color_mnn(m: int, n: int) -> tuple[Coloring, dict]:
     """2-coloring of K_{m,n,n} with rc_2 = 2 whenever 1 <= m <= 4^floor(n/2).
 
     B-C edges: bit 0 on matched indices, bit 1 otherwise. A-B and A-C edges
@@ -243,18 +227,16 @@ def color_mnn(m: int, n: int) -> tuple[Coloring, ConstructionMeta]:
             return BIT_COLORS[0 if i == j else 1]
         return BIT_COLORS[_mnn_bit(strings, s, i, pv, j)]
 
-    coloring = Coloring.from_function(spec, 2, rule)
-    meta = ConstructionMeta(
-        tag="mnn",
-        params={"m": m, "n": n, "s": s, "k": 2},
-        labeling={
+    return Coloring.from_function(spec, 2, rule), {
+        "tag": "mnn",
+        "params": {"m": m, "n": n, "s": s, "k": 2},
+        "labeling": {
             "sizes": list(spec.sizes),
             "strings": strings,
             "part_roles": {"A": 0, "B": 1, "C": 2},
             "bit_colors": {str(b): c for b, c in BIT_COLORS.items()},
         },
-    )
-    return coloring, meta
+    }
 
 
 # ---------------------------------------------------------------------------
@@ -282,7 +264,7 @@ def _k2416_vertex(cls: int, i: int) -> int:
     return _K2416_STARTS[cls] + i - 1
 
 
-def color_2_4_16() -> tuple[Coloring, ConstructionMeta]:
+def color_2_4_16() -> tuple[Coloring, dict]:
     """The 2-coloring of K_{2,4,16} with rc_2 = 2. C splits into halves C_L
     and C_R indexed by the eight odd-zero-count length-4 bit strings; B-C
     edges read string bits, A-B edges are all 0, and a_1/a_2 see C_L/C_R
@@ -297,11 +279,10 @@ def color_2_4_16() -> tuple[Coloring, ConstructionMeta]:
             return BIT_COLORS[int(strings[j - 1][i - 1])]
         return BIT_COLORS[0 if cv == 1 or (i == 1) == (cv == 2) else 1]
 
-    coloring = Coloring.from_function(spec, 2, rule)
-    meta = ConstructionMeta(
-        tag="k2416",
-        params={"k": 2},
-        labeling={
+    return Coloring.from_function(spec, 2, rule), {
+        "tag": "k2416",
+        "params": {"k": 2},
+        "labeling": {
             "sizes": [2, 4, 16],
             "strings": strings,
             "c_left": [_k2416_vertex(2, i) for i in range(1, 9)],
@@ -310,8 +291,7 @@ def color_2_4_16() -> tuple[Coloring, ConstructionMeta]:
             # Genuine color automorphism used for WLOG dispatch.
             "automorphism": "swap a1<->a2 together with C_L<->C_R",
         },
-    )
-    return coloring, meta
+    }
 
 
 # ---------------------------------------------------------------------------
@@ -351,8 +331,8 @@ def color_extension(
     base: Coloring,
     p: int,
     q: int,
-    base_meta: ConstructionMeta | None = None,
-) -> tuple[Coloring, ConstructionMeta]:
+    base_meta: dict | None = None,
+) -> tuple[Coloring, dict]:
     """Add one vertex to parts p and q of a 2-colored base, copying the color
     rows of the lowest-id anchor vertex of each grown part. The two new
     vertices a_1, a_2 get c(a_1 a_2) = 1 and c(a_1 a_2') = c(a_1' a_2) = 2;
@@ -360,7 +340,7 @@ def color_extension(
     globally transposed first.
 
     The caller asserts the base is rainbow 2-connected; this is not checked
-    here. Passing the base's own ConstructionMeta enables witness generation
+    here. Passing the base's own meta enables witness generation
     for every pair (otherwise only the anchor pairs have explicit families);
     a meta whose labeling.sizes are not the base's part sizes is refused.
     """
@@ -369,7 +349,7 @@ def color_extension(
         raise ValueError("extension needs a base with t >= 3 parts")
     if base.num_colors != 2:
         raise ValueError("extension needs a 2-colored base")
-    if base_meta is not None and base_meta.labeling.get("sizes") != list(bspec.sizes):
+    if base_meta is not None and base_meta["labeling"].get("sizes") != list(bspec.sizes):
         raise ValueError(f"base meta's labeling.sizes are not the base's {list(bspec.sizes)}")
     spec, id_map, (new_a1, new_a2), (anchor1, anchor2), (anchor1_old, anchor2_old), proj = (
         _extension_ids(bspec, p, q))
@@ -382,11 +362,10 @@ def color_extension(
         # projects onto the anchor edge, which the transposition made 1.
         return 2 if {u, v} in recolored else base_colors.color(proj[u], proj[v])
 
-    coloring = Coloring.from_function(spec, 2, rule)
-    meta = ConstructionMeta(
-        tag="extension",
-        params={"k": 2, "p": p, "q": q},
-        labeling={
+    return Coloring.from_function(spec, 2, rule), {
+        "tag": "extension",
+        "params": {"k": 2, "p": p, "q": q},
+        "labeling": {
             "sizes": list(spec.sizes),
             "base_sizes": list(bspec.sizes),
             "id_map": id_map,
@@ -396,8 +375,7 @@ def color_extension(
             "transposed": transposed,
             "base_meta": base_meta,
         },
-    )
-    return coloring, meta
+    }
 
 
 # ---------------------------------------------------------------------------
@@ -406,35 +384,41 @@ def color_extension(
 
 
 def witness_paths(
-    meta: ConstructionMeta, coloring: Coloring, u: int, v: int, k: int
+    meta: dict, coloring: Coloring, u: int, v: int, k: int
 ) -> WitnessFamily:
     """The explicit family of k pairwise internally disjoint rainbow paths
     from the construction's own argument for the pair's position class.
     Raises ValueError unless u, v is a pair of the coloring
     (`core.check_pair`) and k an integer the construction has witnesses for:
-    any k >= 1, or the one k of its `_BUILDERS` entry."""
+    any k >= 1, or the one k of its `_BUILDERS` entry, and unless an
+    extension meta's chain of base metas is shallow enough to follow (each
+    level takes a few stack frames)."""
     check_pair(u, v)
-    return _witness(meta, coloring.spec, u, v, k)
+    try:
+        return _witness(meta, coloring.spec, u, v, k)
+    except RecursionError:
+        raise ValueError("the meta's chain of extension base metas is too deep to "
+                         "follow") from None
 
 
-def _witness(meta: ConstructionMeta, spec: PartitionSpec,
+def _witness(meta: dict, spec: PartitionSpec,
              u: int, v: int, k: int) -> WitnessFamily:
-    if meta.labeling.get("sizes") != list(spec.sizes):
+    if meta["labeling"].get("sizes") != list(spec.sizes):
         raise ValueError("coloring does not match the construction meta")
     spec.part_of(u), spec.part_of(v)  # id validation
-    return _BUILDERS[meta.tag][0](meta, spec, u, v, k)
+    return _BUILDERS[meta["tag"]][0](meta, spec, u, v, k)
 
 
-def _witness_k(meta: ConstructionMeta, k: int) -> None:
+def _witness_k(meta: dict, k: int) -> None:
     """The one witness k rule: k is an integer >= 1, or the one k of the
     construction's `_BUILDERS` entry. Each builder calls it once, before it
     reads k: bipartite4 and ctk after checking their part count, the k = 2
     constructions first."""
-    only = _BUILDERS[meta.tag][1]
+    only = _BUILDERS[meta["tag"]][1]
     if only is None:
         check_int(k, "k", below="k must be >= 1")
         return
-    wrong = f"{meta.tag} witnesses exist for k = {only} only, got k={k}"
+    wrong = f"{meta['tag']} witnesses exist for k = {only} only, got k={k}"
     if check_int(k, "k", only, below=wrong) != only:
         raise ValueError(wrong)
 
@@ -457,7 +441,7 @@ def _via(u: int, v: int, *blocks) -> list[VertexPath]:
 # -- bipartite4 -------------------------------------------------------------
 
 
-def _bipartite_witness(meta: ConstructionMeta, spec: PartitionSpec,
+def _bipartite_witness(meta: dict, spec: PartitionSpec,
                        u: int, v: int, k: int) -> WitnessFamily:
     if spec.t != 2:
         raise ValueError(f"bipartite4 needs two parts, got {spec.t}")
@@ -484,7 +468,7 @@ def _bipartite_witness(meta: ConstructionMeta, spec: PartitionSpec,
 # -- ctk ---------------------------------------------------------------------
 
 
-def _ctk_witness(meta: ConstructionMeta, spec: PartitionSpec,
+def _ctk_witness(meta: dict, spec: PartitionSpec,
                  u: int, v: int, k: int) -> WitnessFamily:
     t = spec.t
     if t < 3:
@@ -546,7 +530,7 @@ def _ctk_witness(meta: ConstructionMeta, spec: PartitionSpec,
 # -- mnn ---------------------------------------------------------------------
 
 
-def _mnn_witness(meta: ConstructionMeta, spec: PartitionSpec,
+def _mnn_witness(meta: dict, spec: PartitionSpec,
                  u: int, v: int, k: int) -> WitnessFamily:
     _witness_k(meta, k)
     if spec.t != 3 or spec.sizes[1] != spec.sizes[2]:
@@ -593,7 +577,7 @@ def _k2416_tau(w: int) -> int:
     return _k2416_vertex((0, 1, 3, 2)[cls], 3 - i if cls == 0 else i)
 
 
-def _k2416_witness(meta: ConstructionMeta, spec: PartitionSpec,
+def _k2416_witness(meta: dict, spec: PartitionSpec,
                    u: int, v: int, k: int) -> WitnessFamily:
     _witness_k(meta, k)
     if spec.sizes != (2, 4, 16):
@@ -643,10 +627,10 @@ def _k2416_witness(meta: ConstructionMeta, spec: PartitionSpec,
 # -- extension ----------------------------------------------------------------
 
 
-def _extension_witness(meta: ConstructionMeta, spec: PartitionSpec,
+def _extension_witness(meta: dict, spec: PartitionSpec,
                        u: int, v: int, k: int) -> WitnessFamily:
     _witness_k(meta, k)
-    p, q = meta.params.get("p"), meta.params.get("q")
+    p, q = meta["params"].get("p"), meta["params"].get("q")
     # The base has parts p and q one vertex smaller; _extension_ids rejects
     # any p, q other than two distinct part indices.
     bspec = PartitionSpec(tuple(size - (i in (p, q)) for i, size in enumerate(spec.sizes)))
@@ -655,7 +639,7 @@ def _extension_witness(meta: ConstructionMeta, spec: PartitionSpec,
     news = {new_a1, new_a2}
 
     def base_family(u0: int, v0: int) -> WitnessFamily:
-        base_meta = meta.labeling.get("base_meta")
+        base_meta = meta["labeling"].get("base_meta")
         if base_meta is None:
             raise ValueError(
                 "witnesses for this pair need the base construction's meta "

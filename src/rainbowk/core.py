@@ -42,7 +42,9 @@ threads; all operations are pure.
 from __future__ import annotations
 
 import json
+from bisect import bisect_right
 from collections import defaultdict
+from contextlib import suppress
 from dataclasses import dataclass
 from functools import cached_property
 from itertools import accumulate, chain, combinations
@@ -306,8 +308,8 @@ def _color_table(
     ids in range on different parts, a pair not seen before and a color in
     1..num_colors; together the entries must cover every cross-part pair.
     Fewer than spec.edge_count() entries can never be total: they are
-    checked against sparse rows, so a short document is rejected without
-    allocating the n x n table."""
+    checked against sparse rows, with parts found in `spec.offsets`, so a
+    short document is rejected without building anything sized by n."""
     if type(num_colors) is not int or num_colors < 1:
         raise SchemaError(f"num_colors must be an integer >= 1, got {num_colors!r}")
     if count is None:
@@ -332,11 +334,19 @@ def _color_table(
         return tuple([head(colors) + zeros + colors[tail]
                       for head, zeros, tail in spec._row_layout])
     n = spec.n
-    part = spec._part_table
     edge_count = spec.edge_count()
     if count < edge_count:
+        # Never total: sparse rows, and the part of each id the entries name
+        # found in the offsets, so that nothing sized by n is built.
+        entries, part = list(entries), {}
+        for entry in entries:
+            with suppress(TypeError, ValueError):
+                u, v, _ = entry
+                part.update((w, bisect_right(spec.offsets, w) - 1)
+                            for w in (u, v) if type(w) is int)
         rows = defaultdict(lambda: defaultdict(int))
     else:
+        part = spec._part_table
         rows = [[0] * n for _ in range(n)]
     for pos, entry in enumerate(entries):
         try:
@@ -484,7 +494,7 @@ class Coloring:
     def from_json_text(cls, text: str) -> "Coloring":
         try:
             doc = json.loads(text)
-        except json.JSONDecodeError as exc:
+        except (json.JSONDecodeError, RecursionError) as exc:  # RecursionError: nested too deep
             raise SchemaError(f"invalid JSON: {exc}") from exc
         if not isinstance(doc, dict):
             raise SchemaError("top-level JSON value must be an object")

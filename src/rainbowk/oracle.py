@@ -39,8 +39,10 @@ verifier's `max_disjoint_rainbow` over the pairs, starting with the pair
 that sank the previous node.
 
 A pair is settled without a query when a family found earlier in the walk
-still proves it. `SettledFamilies`, one per palette size L, keeps for each
-pair the family that last settled it: k rainbow paths of at most L edges
+still proves it. The walk's `settled` record, one per palette size L,
+keeps in `families`, for each pair, the family that last settled it (by
+edge, `path_by_edge`), and counts the pairs `queried` and the pairs settled
+by an `inherited` family. A kept family is k rainbow paths of at most L edges
 with pairwise disjoint interiors in some relaxation R' checked before. At
 a node of depth i (edges[:i] colored), R' agrees with the node on
 edges[:i-1]: the parent passed, so after its check every kept family is
@@ -66,8 +68,8 @@ A queried pair that passes keeps the family its query found instead.
 from __future__ import annotations
 
 import logging
-from dataclasses import dataclass, field
 from itertools import chain
+from types import SimpleNamespace
 from typing import Iterator
 
 from .core import Coloring, InvariantError, PartitionSpec, VertexPath, all_pairs, check_int
@@ -123,34 +125,7 @@ def enumerate_colorings_canonical(
     return rec(0, 0, {})
 
 
-@dataclass(frozen=True)
-class RckExactResult:
-    """Smallest working palette size, or evidence the budget was exhausted."""
-
-    witness: Coloring | None
-    max_colors: int
-
-    @property
-    def value(self) -> int | None:
-        """The witness's palette size, or None when there is no witness."""
-        return None if self.witness is None else self.witness.num_colors
-
-    def __str__(self) -> str:
-        return str(self.value) if self.value is not None else f"> {self.max_colors}"
-
-
 Edge = tuple[int, int]
-
-
-@dataclass
-class SettledFamilies:
-    """Per pair, the family that last settled it in the walk, by edge
-    (`path_by_edge`), and the numbers of pairs queried and of pairs settled
-    by an inherited family without a query (module docstring)."""
-
-    families: dict[tuple[int, int], dict[Edge, VertexPath]] = field(default_factory=dict)
-    queried: int = 0
-    inherited: int = 0
 
 
 def path_by_edge(paths: tuple[VertexPath, ...]) -> dict[Edge, VertexPath]:
@@ -178,7 +153,7 @@ def family_holds(
 
 def first_failing_pair(
     coloring: Coloring, k: int, hint: tuple[int, int] | None = None,
-    max_len: int | None = None, settled: SettledFamilies | None = None,
+    max_len: int | None = None, settled: SimpleNamespace | None = None,
     recolored: Edge | None = None,
 ) -> tuple[int, int] | None:
     """First pair with fewer than k internally disjoint rainbow paths of at
@@ -187,26 +162,34 @@ def first_failing_pair(
     order: colorings that share a long prefix with the previous candidate
     tend to fail at the same pair.
 
-    With `settled` (the oracle's walk), a pair whose kept family still holds
+    With `settled` (the oracle's walk: a namespace of `families`, `queried`
+    and `inherited`), a pair whose kept family still holds
     (`family_holds`, `recolored` being the edge the coloring has just
     colored) passes without a query, and a queried pair that passes keeps
     the family that settled it (module docstring)."""
     pairs = all_pairs(coloring.spec)
     if hint is not None:
         pairs = chain([hint], (p for p in pairs if p != hint))
+    # Counted in locals and added to `settled` once: a namespace attribute
+    # costs a few times a local per access, and this loop is the walk's.
+    families = {} if settled is None else settled.families
+    failing, queried, inherited = None, 0, 0
     for pair in pairs:
-        if settled is not None:
-            kept = settled.families.get(pair)
-            if kept is not None and family_holds(coloring, kept, recolored):
-                settled.inherited += 1
-                continue
-            settled.queried += 1
+        kept = families.get(pair)
+        if kept is not None and family_holds(coloring, kept, recolored):
+            inherited += 1
+            continue
+        queried += 1
         count, family = max_disjoint_rainbow(coloring, PairQuery(*pair, k=k, max_len=max_len))
         if count < k:
-            return pair
+            failing = pair
+            break
         if settled is not None:
-            settled.families[pair] = path_by_edge(family.paths)
-    return None
+            families[pair] = path_by_edge(family.paths)
+    if settled is not None:
+        settled.queried += queried
+        settled.inherited += inherited
+    return failing
 
 
 def _first_passing(spec: PartitionSpec, k: int, num_colors: int) -> Coloring | None:
@@ -217,7 +200,7 @@ def _first_passing(spec: PartitionSpec, k: int, num_colors: int) -> Coloring | N
     edges = spec.edge_list
     prefix: list[int] = []  # the colors of edges[:i], in edge order
     hint: tuple[int, int] | None = None
-    settled = SettledFamilies()
+    settled = SimpleNamespace(families={}, queried=0, inherited=0)
     nodes = cut = leaves = 0
 
     def rec(i: int, used: int) -> Coloring | None:
@@ -263,10 +246,12 @@ def _first_passing(spec: PartitionSpec, k: int, num_colors: int) -> Coloring | N
 
 def rc_k_exact(
     spec: PartitionSpec, k: int, max_colors: int, max_edges: int = 16
-) -> RckExactResult:
-    """Smallest palette size <= max_colors for which some coloring is
-    rainbow k-connected, with one witness coloring. Graphs with more than
-    max_edges edges raise BudgetExceeded."""
+) -> Coloring | None:
+    """The witness: the first rainbow k-connected coloring, in
+    restricted-growth order, of the smallest palette size <= max_colors
+    that has one, or None when no size up to max_colors does. rc_k is its
+    `num_colors`. Graphs with more than max_edges edges raise
+    BudgetExceeded."""
     check_int(k, "k", below="k must be >= 1")
     check_int(max_colors, "max_colors", below="max_colors must be >= 1")
     if structural_connectivity(spec) < k:
@@ -283,5 +268,5 @@ def rc_k_exact(
                     "the fail-first pair check passed a coloring that "
                     "full verification rejects"
                 )
-            return RckExactResult(witness, max_colors)
-    return RckExactResult(None, max_colors)
+            return witness
+    return None

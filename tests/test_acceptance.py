@@ -147,9 +147,9 @@ def test_criterion_8_oracle_cross_checks():
         ]
         for spec, k, max_colors, expected, construction in cases:
             result = rc_k_exact(spec, k, max_colors)
-            assert result.value == expected, (spec.sizes, k)
-            assert result.value <= construction.num_colors
-            assert verify_rainbow_k_connected(result.witness, k).ok
+            assert result.num_colors == expected, (spec.sizes, k)
+            assert result.num_colors <= construction.num_colors
+            assert verify_rainbow_k_connected(result, k).ok
             assert verify_rainbow_k_connected(construction, k).ok
 
 
@@ -180,7 +180,7 @@ def test_criterion_9_property_suites():
         for coloring, meta, k in metas:
             for u, v in combinations(range(coloring.spec.n), 2):
                 fam = witness_paths(meta, coloring, u, v, k)
-                assert family_is_valid(coloring, fam, k), (meta.tag, u, v)
+                assert family_is_valid(coloring, fam, k), (meta["tag"], u, v)
 
         # Color-permutation invariance of verification on 100 random colorings.
         rng = random.Random(2024)

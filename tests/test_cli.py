@@ -15,12 +15,12 @@ from hypothesis import given, settings
 from helpers import child_env, randrange_coloring
 from rainbowk.cli import build_parser, coloring_document, export_dot, main, run
 from rainbowk.constructions import (
-    ConstructionMeta,
     color_2_4_16,
     color_bipartite4,
     color_ctk,
     color_extension,
     color_mnn,
+    read_meta,
     witness_paths,
 )
 from rainbowk.core import Coloring, PartitionSpec, family_is_valid
@@ -86,9 +86,9 @@ def test_construct_file_is_byte_canonical(tmp_path):
     doc = json.loads(text)
     coloring = Coloring.from_json_dict(doc)
     from rainbowk.cli import coloring_document
-    from rainbowk.constructions import ConstructionMeta
+    from rainbowk.constructions import read_meta
 
-    meta = ConstructionMeta.from_json_dict(doc["meta"])
+    meta = read_meta(doc["meta"])
     assert coloring_document(coloring, meta) == text
 
 
@@ -256,7 +256,7 @@ def test_witness_needs_meta(tmp_path, capsys):
 def test_witness_rejects_incomplete_meta(tmp_path, capsys, missing):
     coloring, meta = color_ctk(PartitionSpec((2, 2, 2)), 2)
     doc = coloring.to_json_dict()
-    doc["meta"] = meta.to_json_dict()
+    doc["meta"] = meta
     del doc["meta"][missing]
     path = tmp_path / "c.json"
     path.write_text(json.dumps(doc))
@@ -325,7 +325,7 @@ def witness_outputs(doc, k):
     """What `witness` reports for every ordered pair: the family and its
     validity, or the error message."""
     coloring = Coloring.from_json_dict(doc)
-    meta = ConstructionMeta.from_json_dict(doc["meta"])
+    meta = read_meta(doc["meta"])
     out = []
     for u, v in permutations(range(coloring.spec.n), 2):
         try:
@@ -397,7 +397,7 @@ def test_mutated_document_exits_cleanly(tmp_path_factory, data):
 def test_witness_rejects_unknown_tag(tmp_path, capsys):
     coloring, meta = color_bipartite4(4, 4, 2)
     doc = coloring.to_json_dict()
-    doc["meta"] = dict(meta.to_json_dict(), tag="bipartite5")
+    doc["meta"] = dict(meta, tag="bipartite5")
     path = tmp_path / "c.json"
     path.write_text(json.dumps(doc))
     assert invoke(["witness", "--coloring", str(path), "--u", "0", "--v", "1",
@@ -991,3 +991,131 @@ def test_help_text_keeps_its_bytes(capsys, monkeypatch, command, digest):
         captured = capsys.readouterr()
         assert captured.err == ""
         assert hashlib.sha256(captured.out.encode()).hexdigest() == digest
+
+
+# -- hostile files: one line and exit 2, never a traceback --------------------
+
+JSON_READERS = {
+    "verify": ["verify", "--k", "1", "--coloring"],
+    "witness": ["witness", "--u", "0", "--v", "1", "--k", "2", "--coloring"],
+    "export-dot": ["export-dot", "--coloring"],
+    "construct": ["construct", "--family", "extension", "--grow", "0,1", "--base"],
+}
+
+
+@pytest.mark.parametrize("argv", list(JSON_READERS.values()), ids=list(JSON_READERS))
+def test_deeply_nested_json_is_one_line_usage_error(tmp_path, capsys, argv):
+    # Past its depth limit json.loads raises RecursionError, not JSONDecodeError.
+    path = tmp_path / "nested.json"
+    path.write_text("[" * 100_000 + "]" * 100_000)
+    assert invoke([*argv, str(path)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith(f"error: {path}: invalid JSON: ")
+    assert captured.err.count("\n") == 1
+
+
+# Runs the CLI with its address space capped at 600 MB (or the hard limit,
+# if lower), so that an input that would allocate by its declared sizes
+# fails in the child, never in the test process.
+CAPPED = [sys.executable, "-c",
+          "import resource, sys\n"
+          "hard = resource.getrlimit(resource.RLIMIT_AS)[1]\n"
+          "cap = 600 * 2**20 if hard == resource.RLIM_INFINITY else min(600 * 2**20, hard)\n"
+          "resource.setrlimit(resource.RLIMIT_AS, (cap, hard))\n"
+          "import rainbowk.cli\n"
+          "rainbowk.cli.main(sys.argv[1:])"]
+
+
+def run_capped(argv):
+    return subprocess.run(CAPPED + argv, capture_output=True, text=True, env=child_env())
+
+
+@pytest.mark.parametrize("edges, line", [
+    ([], "coloring not total: 10000000000 cross-part pairs uncolored"),
+    ([[0, 10**10 + 2, 1], [0, 3, 1]], "edge 0: invalid endpoints [0,10000000002]"),
+    ([[0, 3, 1], [0, 10**10 + 2, 1]], "edge 0: [0,3] endpoints share part 0"),
+    ([[0, 10**10, 1], [0, 10**10, 1]], "edge 1: duplicate pair [0, 10000000000]"),
+], ids=["empty", "out-of-range", "same-part", "duplicate"])
+def test_short_document_with_huge_parts_is_refused_under_a_memory_cap(tmp_path, edges, line):
+    # A table sized by n = 10**10 + 1 would far exceed the cap. The first
+    # bad entry is still the one named.
+    path = tmp_path / "huge.json"
+    path.write_text(json.dumps({"parts": [10**10, 1], "num_colors": 1, "edges": edges}))
+    proc = run_capped(["verify", "--k", "1", "--coloring", str(path)])
+    assert (proc.returncode, proc.stdout, proc.stderr) == (2, "", f"error: {line}\n")
+
+
+def test_export_dot_refuses_more_colors_than_a_palette_names_under_a_memory_cap(tmp_path):
+    # Listing the colors 1..10**9 that the palette leaves unnamed would not fit.
+    path = tmp_path / "wide.json"
+    path.write_text(json.dumps({"parts": [1, 1], "num_colors": 10**9, "tight": False,
+                                "edges": [[0, 1, 1]]}))
+    proc = run_capped(["export-dot", "--coloring", str(path)])
+    assert (proc.returncode, proc.stdout) == (2, "")
+    assert proc.stderr == "error: a palette names at most 12 colors; the coloring has 1000000000\n"
+
+
+def extension_chain_document(levels):
+    """A K_{2+levels,2+levels,2} document whose meta is the mnn K_{2,2,2}
+    meta under `levels` extension metas, each growing parts 0 and 1. The
+    metas hold only the fields the witness builders read, and every edge
+    has color 1: a family's paths depend on the meta alone."""
+    _, meta = color_mnn(2, 2)
+    for i in range(1, levels + 1):
+        meta = {"tag": "extension", "params": {"k": 2, "p": 0, "q": 1},
+                "labeling": {"sizes": [2 + i, 2 + i, 2], "base_meta": meta}}
+    spec = PartitionSpec((2 + levels, 2 + levels, 2))
+    doc = Coloring(spec, 2, colors=bytes([1]) * spec.edge_count()).to_json_dict()
+    doc["meta"] = meta
+    return json.dumps(doc)
+
+
+def run_witness(tmp_path, levels, u, v):
+    path = tmp_path / "chain.json"
+    path.write_text(extension_chain_document(levels))
+    out = tmp_path / "fam.json"
+    proc = subprocess.run(RAINBOWK + ["witness", "--coloring", str(path), "--u", str(u),
+                                      "--v", str(v), "--k", "2", "-o", str(out)],
+                          capture_output=True, text=True, env=child_env())
+    return proc, out
+
+
+def test_witness_refuses_an_extension_chain_too_deep_to_follow(tmp_path):
+    proc, out = run_witness(tmp_path, 400, 0, 1)
+    assert (proc.returncode, proc.stdout) == (2, "") and not out.exists()
+    assert proc.stderr == "error: the meta's chain of extension base metas is too deep to follow\n"
+
+
+@pytest.mark.parametrize("u, v, digest", [
+    (0, 603, "0a4d638b5d956055e25cf2445b76df3d6ca01353db4ab125b951dd61ade27316"),
+    (301, 603, "f9481c1d6283b5599876349b7b7363396471f58b41c81717011c448c6114362c"),
+], ids=["old-vertex", "new-vertex"])
+def test_witness_through_a_long_extension_chain_keeps_its_bytes(tmp_path, u, v, digest):
+    # 300 levels, which the witness builders' recursion still follows. The
+    # colors are arbitrary, so the family is reported invalid (exit 1).
+    proc, out = run_witness(tmp_path, 300, u, v)
+    assert (proc.returncode, proc.stdout, proc.stderr) == (1, "", "")
+    assert _sha256(out) == digest
+
+
+def test_extension_reads_its_base_meta_in_one_form(tmp_path, capsys):
+    # Extra keys are dropped and the keys written in their own order, at
+    # every level of the chain, so the grown file does not depend on them.
+    base = _construct(tmp_path, "mnn", CONSTRUCT_ARGV["mnn"])
+    grown = _construct(tmp_path, "grown", ["--family", "extension", "--base", str(base),
+                                           "--grow", "0,1"])
+    doc = json.loads(grown.read_text())
+    outer = doc["meta"]
+    inner = outer["labeling"]["base_meta"]
+    inner = {"labeling": inner["labeling"], "note": 1, "params": inner["params"],
+             "tag": inner["tag"]}
+    doc["meta"] = {"params": outer["params"], "extra": [2],
+                   "labeling": dict(outer["labeling"], base_meta=inner), "tag": outer["tag"]}
+    reordered = tmp_path / "reordered.json"
+    reordered.write_text(json.dumps(doc))
+    outs = [_construct(tmp_path, f"twice-{i}", ["--family", "extension", "--base", str(src),
+                                                "--grow", "1,2"])
+            for i, src in enumerate((grown, reordered))]
+    assert capsys.readouterr().out == ""
+    assert outs[0].read_bytes() == outs[1].read_bytes()

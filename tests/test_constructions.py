@@ -6,13 +6,13 @@ import pytest
 from rainbowk.bounds import f_formula
 from rainbowk.cli import coloring_document
 from rainbowk.constructions import (
-    ConstructionMeta,
     _k2416_tau,
     color_2_4_16,
     color_bipartite4,
     color_ctk,
     color_extension,
     color_mnn,
+    read_meta,
     witness_paths,
 )
 from rainbowk.core import (
@@ -50,7 +50,7 @@ def test_bipartite4_rejects_small_sides():
 
 def test_bipartite4_balanced_split():
     _, meta = color_bipartite4(5, 7, 2)
-    blocks = meta.labeling["blocks"]
+    blocks = meta["labeling"]["blocks"]
     assert [len(blocks[b]) for b in ("A1", "A2", "B1", "B2")] == [3, 2, 4, 3]
 
 
@@ -127,11 +127,11 @@ def test_ctk_nine_singleton_parts_color_classes():
 
 def test_ctk_even_labeling_pairs_parts_in_order():
     _, meta = color_ctk(PartitionSpec((1, 2, 3, 4)), 1)
-    assert meta.labeling["pairs"] == [[0, 1], [2, 3]]
-    assert meta.labeling["x_part"] is None
+    assert meta["labeling"]["pairs"] == [[0, 1], [2, 3]]
+    assert meta["labeling"]["x_part"] is None
     _, meta = color_ctk(PartitionSpec((1, 2, 3)), 1)
-    assert meta.labeling["pairs"] == [[0, 1]]
-    assert meta.labeling["x_part"] == 2
+    assert meta["labeling"]["pairs"] == [[0, 1]]
+    assert meta["labeling"]["x_part"] == 2
 
 
 def test_ctk_witnesses_error_for_two_parts():
@@ -203,7 +203,7 @@ def test_ctk_unbalanced_parts_still_witness():
 
 def test_mnn_m1_n2_exact_colors():
     coloring, meta = color_mnn(1, 2)
-    assert meta.labeling["strings"] == ["10"]
+    assert meta["labeling"]["strings"] == ["10"]
     # a_1=0, b_1=1, b_2=2, c_1=3, c_2=4; bits stored as {0:1, 1:2}.
     assert coloring.color(0, 1) == 2 and coloring.color(0, 2) == 2  # bit 1
     assert coloring.color(0, 3) == 1 and coloring.color(0, 4) == 1  # bit 2
@@ -222,8 +222,8 @@ def test_mnn_bounds():
 def test_mnn_strings_distinct_and_include_lead():
     for m, n in [(1, 2), (4, 2), (5, 4), (16, 4), (3, 5), (4, 3)]:
         _, meta = color_mnn(m, n)
-        strings = meta.labeling["strings"]
-        s = meta.params["s"]
+        strings = meta["labeling"]["strings"]
+        s = meta["params"]["s"]
         assert len(strings) == m == len(set(strings))
         assert strings[0] == "1" * s + "0" * s
         assert all(len(x) == 2 * s for x in strings)
@@ -258,7 +258,7 @@ def test_k2416_shape():
     assert coloring.spec.sizes == (2, 4, 16)
     assert len(coloring.assignment) == 104
     assert coloring.num_colors == 2
-    assert meta.labeling["strings"] == [
+    assert meta["labeling"]["strings"] == [
         "0001", "0010", "0100", "0111", "1000", "1011", "1101", "1110",
     ]
 
@@ -314,8 +314,8 @@ def test_extension_restriction_equals_possibly_transposed_base():
     base, base_meta = color_mnn(2, 2)
     new, meta = color_extension(base, 0, 1, base_meta=base_meta)
     assert new.spec.sizes == (3, 3, 2)
-    id_map = meta.labeling["id_map"]
-    transposed = meta.labeling["transposed"]
+    id_map = meta["labeling"]["id_map"]
+    transposed = meta["labeling"]["transposed"]
     reference = base.permuted({1: 2, 2: 1}) if transposed else base
     for (u, v), c in reference.assignment.items():
         assert new.color(id_map[u], id_map[v]) == c
@@ -324,8 +324,8 @@ def test_extension_restriction_equals_possibly_transposed_base():
 def test_extension_special_edges():
     base, base_meta = color_mnn(2, 2)
     new, meta = color_extension(base, 0, 1, base_meta=base_meta)
-    a1, a2 = meta.labeling["new_vertices"]
-    anchor1, anchor2 = meta.labeling["anchors"]
+    a1, a2 = meta["labeling"]["new_vertices"]
+    anchor1, anchor2 = meta["labeling"]["anchors"]
     assert new.color(a1, a2) == 1
     assert new.color(a1, anchor2) == 2
     assert new.color(anchor1, a2) == 2
@@ -335,8 +335,8 @@ def test_extension_special_edges():
 def test_extension_anchor_pair_without_base_meta():
     base, _ = color_mnn(2, 2)
     new, meta = color_extension(base, 0, 1)
-    a1, a2 = meta.labeling["new_vertices"]
-    anchor1, anchor2 = meta.labeling["anchors"]
+    a1, a2 = meta["labeling"]["new_vertices"]
+    anchor1, anchor2 = meta["labeling"]["anchors"]
     fam = witness_paths(meta, new, a1, anchor1, 2)
     assert family_is_valid(new, fam, 2)
     with pytest.raises(ValueError, match="base"):
@@ -364,7 +364,7 @@ def test_extension_witness_routed_through_anchor_image():
     # the resulting path picks up the special edge a_1 a_2 of color 1.
     base, base_meta = color_mnn(2, 2)
     new, meta = color_extension(base, 0, 1, base_meta=base_meta)
-    a1, a2 = meta.labeling["new_vertices"]
+    a1, a2 = meta["labeling"]["new_vertices"]
     c1 = new.spec.offsets[2]
     fam = witness_paths(meta, new, a1, c1, 2)
     assert family_is_valid(new, fam, 2)
@@ -386,9 +386,9 @@ def test_meta_json_round_trip_all_families():
         (ext, ext_meta),
     ]
     for coloring, meta in cases:
-        doc = meta.to_json_dict()
-        back = ConstructionMeta.from_json_dict(doc)
-        assert back.to_json_dict() == doc
+        doc = meta
+        back = read_meta(doc)
+        assert back == doc
         # Witnesses regenerate identically from the deserialized meta.
         fam1 = witness_paths(meta, coloring, 0, coloring.spec.n - 1, 2)
         fam2 = witness_paths(back, coloring, 0, coloring.spec.n - 1, 2)
@@ -434,7 +434,7 @@ def test_witness_dominance_verifier_never_undercounts():
 def test_f_formula_equals_ctk_designated_size():
     for t, k in ((3, 2), (4, 3), (5, 4), (8, 7)):
         _, meta = color_ctk(PartitionSpec(tuple([4] * t)), k)
-        assert meta.params["s"] == f_formula(k, t)
+        assert meta["params"]["s"] == f_formula(k, t)
 
 
 def test_witnesses_at_lower_k_than_construction():
@@ -489,7 +489,7 @@ def test_construction_and_witness_bytes_are_pinned():
         for u, v in permutations(coloring.spec.vertices(), 2):
             for k in ks:
                 family = witness_paths(meta, coloring, u, v, k)
-                assert family_is_valid(coloring, family, k), (meta.tag, u, v, k)
+                assert family_is_valid(coloring, family, k), (meta["tag"], u, v, k)
                 digest.update(json_text(family.to_json_dict()).encode())
     assert digest.hexdigest() == (
         "f568ebeeaac64e5df0a01239bf3c4e1f7d31c9ef37345ef45ad872d0867b74f1")
@@ -529,7 +529,7 @@ def test_extension_and_refusal_bytes_are_pinned():
                 except ValueError as exc:
                     digest.update(f"refused: {exc}\n".encode())
                     continue
-                assert family_is_valid(coloring, family, k), (meta.tag, u, v, k)
+                assert family_is_valid(coloring, family, k), (meta["tag"], u, v, k)
                 digest.update(json_text(family.to_json_dict()).encode())
     assert digest.hexdigest() == (
         "1b649c95fa76efe50e877d8076a656f030244022ec61756c67ce0a33b8331134")
@@ -554,7 +554,7 @@ def test_k2416_tau_is_a_colour_automorphism():
 def test_extension_edges_copy_the_base_at_their_projection(build, p, q):
     base, _ = build()
     new, meta = color_extension(base, p, q)
-    lab = meta.labeling
+    lab = meta["labeling"]
     reference = base.permuted({1: 2, 2: 1}) if lab["transposed"] else base
     # Old vertices project to their base ids, each new vertex to its anchor.
     proj = {w: old for old, w in enumerate(lab["id_map"])}

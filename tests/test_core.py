@@ -384,6 +384,12 @@ def test_loader_rejects_missing_keys_and_bad_json():
         Coloring.from_json_text("[1,2]")
 
 
+def test_loader_refuses_json_nested_too_deep_for_the_parser():
+    # json.loads raises RecursionError past its depth limit.
+    with pytest.raises(SchemaError, match="^invalid JSON: "):
+        Coloring.from_json_text("[" * 100_000 + "]" * 100_000)
+
+
 def test_permuted_requires_bijection():
     with pytest.raises(ValueError):
         TRIANGLE.permuted({1: 1, 2: 1, 3: 3})

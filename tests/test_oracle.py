@@ -82,10 +82,10 @@ def test_rc_k_rejects_underconnected_graphs():
 
 
 def test_rc_1_values():
-    assert rc_k_exact(PartitionSpec((1, 1, 1)), 1, 3).value == 1
+    assert rc_k_exact(PartitionSpec((1, 1, 1)), 1, 3).num_colors == 1
     result = rc_k_exact(PartitionSpec((2, 2)), 1, 4)
-    assert result.value == 2
-    assert verify_rainbow_k_connected(result.witness, 1).ok
+    assert result.num_colors == 2
+    assert verify_rainbow_k_connected(result, 1).ok
 
 
 def test_rc_2_of_k22_needs_all_four_colors():
@@ -93,29 +93,27 @@ def test_rc_2_of_k22_needs_all_four_colors():
     # alternative; making all four alternatives rainbow forces the four edge
     # colors to be pairwise distinct, so rc_2 is exactly 4.
     result = rc_k_exact(PartitionSpec((2, 2)), 2, 4)
-    assert result.value == 4
-    assert result.witness.used_colors() == {1, 2, 3, 4}
-    assert verify_rainbow_k_connected(result.witness, 2).ok
-    assert rc_k_exact(PartitionSpec((2, 2)), 2, 3).value is None
+    assert result.num_colors == 4
+    assert result.used_colors() == {1, 2, 3, 4}
+    assert verify_rainbow_k_connected(result, 2).ok
+    assert rc_k_exact(PartitionSpec((2, 2)), 2, 3) is None
 
 
 def test_rc_1_values_on_three_part_shapes():
     # The same-part pair of K_{1,1,2} needs a 2-edge rainbow path.
-    assert rc_k_exact(PartitionSpec((1, 1, 2)), 1, 3).value == 2
-    assert rc_k_exact(PartitionSpec((1, 2)), 1, 3).value == 2
+    assert rc_k_exact(PartitionSpec((1, 1, 2)), 1, 3).num_colors == 2
+    assert rc_k_exact(PartitionSpec((1, 2)), 1, 3).num_colors == 2
 
 
 def test_rc_reports_exhaustion():
     # One color can never rainbow-connect a same-part pair in K_{2,2}.
-    result = rc_k_exact(PartitionSpec((2, 2)), 1, 1)
-    assert result.value is None
-    assert str(result) == "> 1"
+    assert rc_k_exact(PartitionSpec((2, 2)), 1, 1) is None
 
 
 def test_rc_monotone_in_k():
     spec = PartitionSpec((2, 2))
-    rc1 = rc_k_exact(spec, 1, 4).value
-    rc2 = rc_k_exact(spec, 2, 4).value
+    rc1 = rc_k_exact(spec, 1, 4).num_colors
+    rc2 = rc_k_exact(spec, 2, 4).num_colors
     assert rc1 is not None and rc2 is not None
     assert rc1 <= rc2
 
@@ -124,14 +122,14 @@ def test_oracle_consistent_with_constructions():
     spec = PartitionSpec((1, 1, 1))
     construction, _ = color_ctk(spec, 1)
     assert verify_rainbow_k_connected(construction, 1).ok
-    value = rc_k_exact(spec, 1, 3).value
+    value = rc_k_exact(spec, 1, 3).num_colors
     assert value <= construction.num_colors
 
     spec = PartitionSpec((2, 2, 2))
     construction, _ = color_mnn(2, 2)
     result = rc_k_exact(spec, 2, 2)
-    assert result.value == 2 == construction.num_colors
-    assert verify_rainbow_k_connected(result.witness, 2).ok
+    assert result.num_colors == 2 == construction.num_colors
+    assert verify_rainbow_k_connected(result, 2).ok
 
 
 @st.composite
@@ -228,11 +226,11 @@ def test_pruned_oracle_matches_the_unpruned_enumeration(order, k):
     spec = PartitionSpec(order)
     result = rc_k_exact(spec, k, 3)
     value, witness = unpruned_rc_k_exact(spec, k, 3)
-    assert result.value == value
     if witness is None:
-        assert result.witness is None
+        assert result is None and value is None
     else:
-        assert result.witness.to_json_text() == witness.to_json_text()
+        assert result.num_colors == value
+        assert result.to_json_text() == witness.to_json_text()
 
 
 @pytest.mark.parametrize("sizes, max_colors, expected", [
@@ -244,15 +242,17 @@ def test_pruned_oracle_matches_the_unpruned_enumeration(order, k):
 ])
 def test_rc_2_values_on_lopsided_graphs(sizes, max_colors, expected):
     result = rc_k_exact(PartitionSpec(sizes), 2, max_colors)
-    assert result.value == expected
-    if expected is not None:
-        assert verify_rainbow_k_connected(result.witness, 2).ok
+    if expected is None:
+        assert result is None
+    else:
+        assert result.num_colors == expected
+        assert verify_rainbow_k_connected(result, 2).ok
 
 
 def test_oracle_logs_its_search_per_palette_size(caplog):
     with caplog.at_level(logging.DEBUG, logger="rainbowk.oracle"):
         result = rc_k_exact(PartitionSpec((2, 2)), 2, 4)
-    assert result.value == 4
+    assert result.num_colors == 4
     # With 4 colors no node fails, so its 5 nodes look at all 6 pairs each:
     # 6 queries (the root's) and 24 pairs settled by an inherited family.
     assert caplog.messages == [

@@ -64,9 +64,13 @@ def test_a_traced_run_records_every_query_and_restores_the_program(tracing, tmp_
                               bounds=bounds, oracle=oracle, core=core)
     modules = [m for n, m in sys.modules.items() if n == "rainbowk" or n.startswith("rainbowk.")]
     before = [dict(vars(m)) for m in modules + [core.Coloring]]
+    base = str(tmp_path / "base.json")
     recorder = tracing.Recorder()
     with tracing.installed(recorder, program):
         codes = [_run_cli(argv) for argv in (
+            ["construct", "--family", "mnn", "--m", "2", "--n", "2", "-o", base],
+            ["construct", "--family", "extension", "--base", base, "--grow", "0,1",
+             "-o", str(tmp_path / "grown.json")],
             ["verify", "--coloring", str(coloring), "--k", "3"],
             ["verify", "--coloring", str(coloring), "--k", "3", "--mode", "maximize"],
             ["rck-exact", "--sizes", "2,2", "--k", "1", "--max-colors", "2"],
@@ -74,7 +78,7 @@ def test_a_traced_run_records_every_query_and_restores_the_program(tracing, tmp_
              "--samples", "3", "--seed", "0", "-o", str(tmp_path / "certs.json")],
         )]
     capsys.readouterr()
-    assert codes == [1, 1, 0, 0]
+    assert codes == [0, 0, 1, 1, 0, 0]
     values = [span[5] for span in recorder.spans if span[0] == "verifier.max_disjoint_rainbow"]
     assert values and all(isinstance(v, list) and len(v) == 2 for v in values)
     # The 3 samples draw and scan through the names the tracer wraps, so
@@ -82,6 +86,9 @@ def test_a_traced_run_records_every_query_and_restores_the_program(tracing, tmp_
     names = [span[0] for span in recorder.spans]
     assert names.count("bounds.random_coloring") == 3
     assert names.count("bounds.find_color_twins") == 3
+    # Constructions that return their meta as a dict are still wrapped.
+    assert names.count("constructions.color_mnn") == 1
+    assert names.count("constructions.color_extension") == 1
     after = [vars(m) for m in modules + [core.Coloring]]
     for old, new in zip(before, after):
         assert all(new[key] is value for key, value in old.items())

@@ -24,12 +24,15 @@ meta) or through the mirror-symmetric case body; both preserve rainbowness.
 
 Each labeling is a pure function of the part sizes, stated once in a role or
 labeling helper that both the color rule and the witness builder read. The
-2-colorings state each vertex map once with its inverse: ``_mnn_vertex`` and
-``_k2416_vertex`` turn a (part or class, index) role back into a vertex id,
-and ``_extension_ids`` returns the projection onto the base, which maps each
-old vertex to its base id and each new vertex to its anchor, whose color row
-it copies. The extension's color rule reads every edge off the base at its
-projection, and its witness builder carries base families back through it.
+2-colorings state each vertex map once with its inverse: mnn and k2416 split
+their ids into consecutive blocks (mnn's parts, k2416's classes), and
+``_role`` and ``_vertex`` map an id to its (block, index) role and back, given
+the blocks' first ids. ``_extension_ids`` returns the projection onto the
+base, which maps each old vertex to its base id and each new vertex to its
+anchor, whose color row it copies. The extension's color rule reads every
+edge off the base at its projection, and its witness builder carries base
+families back through it. ``_mapped`` carries a family through a vertex map:
+k2416's automorphism and the extension's embeddings of the base.
 A meta is the JSON object a construction file stores under ``meta``:
 ``tag``, ``params`` and ``labeling``, an extension's ``labeling.base_meta``
 being its base's meta or None. Each ``color_*`` returns it, and
@@ -44,6 +47,7 @@ the meta as ``bit_colors``.
 
 from __future__ import annotations
 
+from bisect import bisect_right
 from itertools import islice, product
 
 from .core import (
@@ -58,6 +62,19 @@ from .core import (
 )
 
 BIT_COLORS = {0: 1, 1: 2}
+
+
+def _role(starts: tuple[int, ...], w: int) -> tuple[int, int]:
+    """Vertex w's block among consecutive blocks whose first ids are
+    `starts`, and its 1-based index there."""
+    block = bisect_right(starts, w) - 1
+    return block, w - starts[block] + 1
+
+
+def _vertex(starts: tuple[int, ...], block: int, i: int) -> int:
+    """The inverse of `_role`: the id of the i-th vertex of the block."""
+    return starts[block] + i - 1
+
 
 def read_meta(doc) -> dict:
     """A file's meta block, checked, as the `color_*` builders return it:
@@ -187,18 +204,6 @@ def _mnn_strings(m: int, n: int) -> list[str]:
     return [lead, *islice((b for b in rest if b != lead), m - 1)]
 
 
-def _mnn_role(spec: PartitionSpec, w: int) -> tuple[int, int]:
-    """Vertex w's part (0 = A, 1 = B, 2 = C) and its 1-based index there:
-    w is a_i, b_j or c_j."""
-    part = spec.part_of(w)
-    return part, w - spec.offsets[part] + 1
-
-
-def _mnn_vertex(spec: PartitionSpec, part: int, j: int) -> int:
-    """The inverse of `_mnn_role`: the id of a_j, b_j or c_j."""
-    return spec.offsets[part] + j - 1
-
-
 def _mnn_group(j: int, s: int) -> int:
     """Index pair group of b_j / c_j (1-based): {1,2} -> 1, {3,4} -> 2, ...;
     with odd n the last group absorbs the extra index."""
@@ -221,8 +226,9 @@ def color_mnn(m: int, n: int) -> tuple[Coloring, dict]:
     spec = PartitionSpec((m, n, n))
 
     def rule(u: int, v: int) -> int:
-        # from_function passes u < v, so u's part comes first.
-        (pu, i), (pv, j) = _mnn_role(spec, u), _mnn_role(spec, v)
+        # from_function passes u < v, so u's part comes first. The roles are
+        # (part, index): 0 = A, 1 = B, 2 = C, so u is a_i, b_i or c_i.
+        (pu, i), (pv, j) = _role(spec.offsets, u), _role(spec.offsets, v)
         if pu == 1:
             return BIT_COLORS[0 if i == j else 1]
         return BIT_COLORS[_mnn_bit(strings, s, i, pv, j)]
@@ -248,20 +254,10 @@ def _odd_zero_strings() -> list[str]:
     return [f"{i:04b}" for i in range(16) if f"{i:04b}".count("0") % 2 == 1]
 
 
-# The first id of each class: A, B, C_L, C_R.
+# The first id of each class: A, B, C_L, C_R. A vertex's role is its class
+# (0 = A, 1 = B, 2 = C_L, 3 = C_R) and its 1-based index there: a_i, b_j, c_i
+# or c_i'.
 _K2416_STARTS = (0, 2, 6, 14)
-
-
-def _k2416_role(w: int) -> tuple[int, int]:
-    """Vertex w's class (0 = A, 1 = B, 2 = C_L, 3 = C_R) and its 1-based
-    index there: w is a_i, b_j, c_i or c_i'."""
-    cls = sum(w >= start for start in _K2416_STARTS) - 1
-    return cls, w - _K2416_STARTS[cls] + 1
-
-
-def _k2416_vertex(cls: int, i: int) -> int:
-    """The inverse of `_k2416_role`: the id of the i-th vertex of class cls."""
-    return _K2416_STARTS[cls] + i - 1
 
 
 def color_2_4_16() -> tuple[Coloring, dict]:
@@ -274,7 +270,7 @@ def color_2_4_16() -> tuple[Coloring, dict]:
 
     def rule(u: int, v: int) -> int:
         # from_function passes u < v, so u's class comes first.
-        (cu, i), (cv, j) = _k2416_role(u), _k2416_role(v)
+        (cu, i), (cv, j) = _role(_K2416_STARTS, u), _role(_K2416_STARTS, v)
         if cu == 1:  # b_i against c_j or c_j': bit i of string j
             return BIT_COLORS[int(strings[j - 1][i - 1])]
         return BIT_COLORS[0 if cv == 1 or (i == 1) == (cv == 2) else 1]
@@ -285,8 +281,8 @@ def color_2_4_16() -> tuple[Coloring, dict]:
         "labeling": {
             "sizes": [2, 4, 16],
             "strings": strings,
-            "c_left": [_k2416_vertex(2, i) for i in range(1, 9)],
-            "c_right": [_k2416_vertex(3, i) for i in range(1, 9)],
+            "c_left": [_vertex(_K2416_STARTS, 2, i) for i in range(1, 9)],
+            "c_right": [_vertex(_K2416_STARTS, 3, i) for i in range(1, 9)],
             "bit_colors": {str(b): c for b, c in BIT_COLORS.items()},
             # Genuine color automorphism used for WLOG dispatch.
             "automorphism": "swap a1<->a2 together with C_L<->C_R",
@@ -432,6 +428,12 @@ def _reverse(family: WitnessFamily) -> WitnessFamily:
     )
 
 
+def _mapped(family: WitnessFamily, image, provenance: str) -> WitnessFamily:
+    """The family with every vertex w of its paths replaced by image(w)."""
+    paths = tuple(tuple(map(image, p)) for p in family.paths)
+    return WitnessFamily(image(family.u), image(family.v), paths, provenance)
+
+
 def _via(u: int, v: int, *blocks) -> list[VertexPath]:
     """The paths u -> blocks[0][j] -> blocks[1][j] -> ... -> v, one for each
     j up to the length of the shortest block."""
@@ -537,7 +539,7 @@ def _mnn_witness(meta: dict, spec: PartitionSpec,
         raise ValueError(f"mnn needs parts (m, n, n), got {spec.sizes}")
     m, n, _ = spec.sizes
     s, strings = n // 2, _mnn_strings(m, n)
-    cu, cv = _mnn_role(spec, u), _mnn_role(spec, v)
+    cu, cv = _role(spec.offsets, u), _role(spec.offsets, v)
     if cu[0] > cv[0]:
         return _reverse(_mnn_witness(meta, spec, v, u, k))
 
@@ -545,7 +547,7 @@ def _mnn_witness(meta: dict, spec: PartitionSpec,
         si, sj = strings[cu[1] - 1], strings[cv[1] - 1]
         # The first differing bit: its half names the part, its place the group.
         half, g = divmod(next(x for x in range(2 * s) if si[x] != sj[x]), s)
-        mids = [_mnn_vertex(spec, half + 1, 2 * g + x) for x in (1, 2)]
+        mids = [_vertex(spec.offsets, half + 1, 2 * g + x) for x in (1, 2)]
         return WitnessFamily(u, v, tuple(_via(u, v, mids)), "mnn Case 4")
     other = 3 - cv[0]  # B (1) or C (2), whichever v is not in
     if cu[0] == 0:
@@ -558,9 +560,9 @@ def _mnn_witness(meta: dict, spec: PartitionSpec,
             group = _mnn_group(j, s)
             j = min(x for x in range(1, n + 1) if x != j and _mnn_group(x, s) == group)
         case = "mnn Case 3" if cv[0] == 1 else "mnn Case 3 (C-side)"
-        return WitnessFamily(u, v, ((u, v), (u, _mnn_vertex(spec, other, j), v)), case)
+        return WitnessFamily(u, v, ((u, v), (u, _vertex(spec.offsets, other, j), v)), case)
     if cu[0] == cv[0]:
-        mids = [_mnn_vertex(spec, other, j) for j in (cu[1], cv[1])]
+        mids = [_vertex(spec.offsets, other, j) for j in (cu[1], cv[1])]
         case = "mnn Case 1" if cu[0] == 1 else "mnn Case 1 (C-side)"
         return WitnessFamily(u, v, tuple(_via(u, v, mids)), case)
     # u in B, v in C.
@@ -572,9 +574,9 @@ def _mnn_witness(meta: dict, spec: PartitionSpec,
 
 def _k2416_tau(w: int) -> int:
     """The coloring automorphism: swap a_1 with a_2 and C_L with C_R."""
-    cls, i = _k2416_role(w)
+    cls, i = _role(_K2416_STARTS, w)
     # a_i goes to a_(3-i), B stays, C_L and C_R trade places index for index.
-    return _k2416_vertex((0, 1, 3, 2)[cls], 3 - i if cls == 0 else i)
+    return _vertex(_K2416_STARTS, (0, 1, 3, 2)[cls], 3 - i if cls == 0 else i)
 
 
 def _k2416_witness(meta: dict, spec: PartitionSpec,
@@ -583,35 +585,31 @@ def _k2416_witness(meta: dict, spec: PartitionSpec,
     if spec.sizes != (2, 4, 16):
         raise ValueError(f"k2416 needs parts (2, 4, 16), got {spec.sizes}")
     strings = _odd_zero_strings()
-    cu, cv = _k2416_role(u), _k2416_role(v)
+    cu, cv = _role(_K2416_STARTS, u), _role(_K2416_STARTS, v)
     if cu[0] > cv[0] or (cu[0] == cv[0] and u > v):
         return _reverse(_k2416_witness(meta, spec, v, u, k))
 
     if cu[0] == 0 and cv[0] == 0:
-        mids = [_k2416_vertex(2, 1), _k2416_vertex(2, 2)]
+        mids = [_vertex(_K2416_STARTS, 2, 1), _vertex(_K2416_STARTS, 2, 2)]
         return WitnessFamily(u, v, tuple(_via(u, v, mids)), "k2416 Case 1")
     if cu[0] == 0:
         if u == 1:
             inner = _k2416_witness(meta, spec, _k2416_tau(u), _k2416_tau(v), k)
-            return WitnessFamily(
-                u,
-                v,
-                tuple(tuple(_k2416_tau(w) for w in p) for p in inner.paths),
-                inner.provenance + " (via a1<->a2, C_L<->C_R automorphism)",
-            )
+            return _mapped(inner, _k2416_tau,
+                           inner.provenance + " (via a1<->a2, C_L<->C_R automorphism)")
         if cv[0] == 1:
-            j = cv[1]
-            i = next(x + 1 for x in range(8) if strings[x][j - 1] == "1")
-            return WitnessFamily(u, v, ((u, v), (u, _k2416_vertex(2, i), v)), "k2416 Case 2")
-        i = cv[1]
-        j = next(x + 1 for x in range(4) if strings[i - 1][x] == "1")
-        return WitnessFamily(u, v, ((u, v), (u, _k2416_vertex(1, j), v)), "k2416 Case 2")
+            i = next(x + 1 for x in range(8) if strings[x][cv[1] - 1] == "1")
+            mid = _vertex(_K2416_STARTS, 2, i)
+        else:
+            j = next(x + 1 for x in range(4) if strings[cv[1] - 1][x] == "1")
+            mid = _vertex(_K2416_STARTS, 1, j)
+        return WitnessFamily(u, v, ((u, v), (u, mid, v)), "k2416 Case 2")
     if cu[0] == 1 and cv[0] == 1:
         bp, bq = cu[1], cv[1]
         i = next(
             x + 1 for x in range(8) if strings[x][bp - 1] != strings[x][bq - 1]
         )
-        mids = [_k2416_vertex(2, i), _k2416_vertex(3, i)]
+        mids = [_vertex(_K2416_STARTS, 2, i), _vertex(_K2416_STARTS, 3, i)]
         return WitnessFamily(u, v, tuple(_via(u, v, mids)), "k2416 Case 4")
     if cu[0] == 1:
         helper = 1 if cv[0] == 2 else 0  # a_2 covers C_L, a_1 covers C_R
@@ -620,7 +618,7 @@ def _k2416_witness(meta: dict, spec: PartitionSpec,
         return WitnessFamily(u, v, ((u, 0, v), (u, 1, v)), "k2416 Case 5")
     # Same C half: the two strings differ in at least two bit positions.
     si, sj = strings[cu[1] - 1], strings[cv[1] - 1]
-    mids = [_k2416_vertex(1, x + 1) for x in range(4) if si[x] != sj[x]][:2]
+    mids = [_vertex(_K2416_STARTS, 1, x + 1) for x in range(4) if si[x] != sj[x]][:2]
     return WitnessFamily(u, v, tuple(_via(u, v, mids)), "k2416 Case 6")
 
 
@@ -648,13 +646,9 @@ def _extension_witness(meta: dict, spec: PartitionSpec,
         return _witness(base_meta, bspec, u0, v0, 2)
 
     def lift(fam: WitnessFamily, swap: dict[int, int], note: str) -> WitnessFamily:
-        paths = tuple(
-            tuple(swap.get(id_map[w], id_map[w]) for w in p) for p in fam.paths
-        )
-        out = WitnessFamily(paths[0][0], paths[0][-1], paths, f"{note} [{fam.provenance}]")
-        if out.u != u:
-            out = _reverse(out)
-        return out
+        out = _mapped(fam, lambda w: swap.get(id_map[w], id_map[w]),
+                      f"{note} [{fam.provenance}]")
+        return out if out.u == u else _reverse(out)
 
     if u not in news and v not in news:
         return lift(base_family(proj[u], proj[v]), {}, "extension via base coloring")

@@ -49,7 +49,7 @@ from dataclasses import dataclass
 from functools import cached_property
 from itertools import accumulate, chain, combinations
 from operator import itemgetter
-from typing import Callable, Iterable, Iterator
+from typing import Callable, Iterator
 
 # A path is an ordered vertex sequence; consecutive vertices must be adjacent.
 VertexPath = tuple[int, ...]
@@ -122,7 +122,8 @@ def json_text(obj) -> str:
     "Plain int" excludes `bool`, so `True` can never be written as `1`. A
     value `json.dumps` refuses raises the same error here, from the same
     call; a cycle exhausts the recursion and is handed to `json.dumps`,
-    which reports it.
+    which reports it. A document nested too deep for `json.dumps` too (an
+    extension meta about 490 levels deep) raises ValueError.
 
     A dict held as a dict's value is written once per depth: met again
     (the same object at the same depth, keyed by `id` and the depth), it
@@ -135,7 +136,11 @@ def json_text(obj) -> str:
     try:
         return _indented(obj, "\n", {}) + "\n"
     except RecursionError:
+        pass
+    try:
         return json.dumps(obj, indent=2) + "\n"
+    except RecursionError:
+        raise ValueError("the document is nested too deep to write as JSON") from None
 
 
 def _indented(obj, nl: str, memo: dict) -> str:
@@ -617,19 +622,14 @@ def all_pairs(spec: PartitionSpec) -> Iterator[tuple[int, int]]:
     return combinations(range(spec.n), 2)
 
 
-def twin_classes(
-    coloring: Coloring, vertices: Iterable[int] | None = None
-) -> list[list[int]]:
-    """The given vertices (all by default) grouped into color-twin classes:
-    vertices with equal `rows` entries, hence the same color toward every
-    other vertex. Equal rows imply the same part, since rows[a][b] is 0
-    only when a and b share a part.
-
-    Classes come in order of first appearance and list their members in
-    the order given, so over ascending ids each class is ascending and the
-    classes are ordered by their smallest member."""
+def twin_classes(coloring: Coloring) -> list[list[int]]:
+    """The vertices grouped into color-twin classes: vertices with equal
+    `rows` entries, hence the same color toward every other vertex. Equal
+    rows imply the same part, since rows[a][b] is 0 only when a and b share
+    a part. Each class is ascending, and the classes are ordered by their
+    smallest member."""
     rows = coloring.rows
     classes: dict[tuple[int, ...], list[int]] = {}
-    for a in coloring.spec.vertices() if vertices is None else vertices:
+    for a in coloring.spec.vertices():
         classes.setdefault(rows[a], []).append(a)
     return list(classes.values())

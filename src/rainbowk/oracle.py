@@ -35,8 +35,10 @@ restricted-growth order, the witness, is the one that enumerator, unpruned,
 yields first.
 
 Relaxations are rejected fail-first: `first_failing_pair` maps the
-verifier's `max_disjoint_rainbow` over the pairs, starting with the pair
-that sank the previous node.
+verifier's `max_disjoint_rainbow` over the pairs in lex order and stops at
+the first that fails. The walk asks only whether some pair fails, never
+which, so the pair order changes only which pairs are queried or settled
+by a kept family, not the nodes, cuts, leaves or witness.
 
 A pair is settled without a query when a family found earlier in the walk
 still proves it. The walk's `settled` record, one per palette size L,
@@ -60,15 +62,14 @@ its pair at the node when its path through e, if it has one, is rainbow:
   interiors stay disjoint and the paths stay within the cap L.
 `family_holds` checks that one path against the node's `rows`. A pair
 settled so passes at the node, as its query would say, so the first
-failing pair in the hint-then-lex order is the same pair, and the hint
-sequence, the tree walk and the witness are those of querying every pair.
-A queried pair that passes keeps the family its query found instead.
+failing pair in lex order is the same pair, and the tree walk and the
+witness are those of querying every pair. A queried pair that passes keeps
+the family its query found instead.
 """
 
 from __future__ import annotations
 
 import logging
-from itertools import chain
 from types import SimpleNamespace
 from typing import Iterator
 
@@ -152,29 +153,23 @@ def family_holds(
 
 
 def first_failing_pair(
-    coloring: Coloring, k: int, hint: tuple[int, int] | None = None,
-    max_len: int | None = None, settled: SimpleNamespace | None = None,
-    recolored: Edge | None = None,
+    coloring: Coloring, k: int, max_len: int | None = None,
+    settled: SimpleNamespace | None = None, recolored: Edge | None = None,
 ) -> tuple[int, int] | None:
-    """First pair with fewer than k internally disjoint rainbow paths of at
-    most max_len edges, or None when there is none (with no cap: the
-    coloring is rainbow k-connected). The hint is tried before the lex
-    order: colorings that share a long prefix with the previous candidate
-    tend to fail at the same pair.
+    """First pair in lex order with fewer than k internally disjoint
+    rainbow paths of at most max_len edges, or None when there is none
+    (with no cap: the coloring is rainbow k-connected).
 
     With `settled` (the oracle's walk: a namespace of `families`, `queried`
     and `inherited`), a pair whose kept family still holds
     (`family_holds`, `recolored` being the edge the coloring has just
     colored) passes without a query, and a queried pair that passes keeps
     the family that settled it (module docstring)."""
-    pairs = all_pairs(coloring.spec)
-    if hint is not None:
-        pairs = chain([hint], (p for p in pairs if p != hint))
     # Counted in locals and added to `settled` once: a namespace attribute
     # costs a few times a local per access, and this loop is the walk's.
     families = {} if settled is None else settled.families
     failing, queried, inherited = None, 0, 0
-    for pair in pairs:
+    for pair in all_pairs(coloring.spec):
         kept = families.get(pair)
         if kept is not None and family_holds(coloring, kept, recolored):
             inherited += 1
@@ -199,18 +194,17 @@ def _first_passing(spec: PartitionSpec, k: int, num_colors: int) -> Coloring | N
     families found before (module docstring)."""
     edges = spec.edge_list
     prefix: list[int] = []  # the colors of edges[:i], in edge order
-    hint: tuple[int, int] | None = None
     settled = SimpleNamespace(families={}, queried=0, inherited=0)
     nodes = cut = leaves = 0
 
     def rec(i: int, used: int) -> Coloring | None:
-        nonlocal hint, nodes, cut, leaves
+        nonlocal nodes, cut, leaves
         left = len(edges) - i
         if used + left < num_colors:
             return None  # ends with fewer colors; rejected at a lower level
         relaxation = Coloring(spec, num_colors + left,
                               colors=[*prefix, *range(num_colors + 1, num_colors + left + 1)])
-        failing = first_failing_pair(relaxation, k, hint, num_colors, settled,
+        failing = first_failing_pair(relaxation, k, num_colors, settled,
                                      edges[i - 1] if i else None)
         if nodes == 0:
             # Spot check: verdicts must be invariant under color bijections
@@ -222,7 +216,6 @@ def _first_passing(spec: PartitionSpec, k: int, num_colors: int) -> Coloring | N
         nodes += 1
         leaves += not left
         if failing is not None:
-            hint = failing
             cut += left > 0
             return None
         if not left:

@@ -180,11 +180,9 @@ def unpruned_rc_k_exact(spec: PartitionSpec, k: int, max_colors: int):
     colors, checked one by one, the first that passes being the witness.
     (None, None) when none passes up to max_colors."""
     for num_colors in range(1, max_colors + 1):
-        hint = None
         for coloring in enumerate_colorings_canonical(spec, num_colors,
                                                       min_colors=num_colors):
-            hint = first_failing_pair(coloring, k, hint)
-            if hint is None:
+            if first_failing_pair(coloring, k) is None:
                 return num_colors, coloring
     return None, None
 

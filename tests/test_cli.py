@@ -23,7 +23,7 @@ from rainbowk.constructions import (
     read_meta,
     witness_paths,
 )
-from rainbowk.core import Coloring, PartitionSpec, family_is_valid
+from rainbowk.core import Coloring, PartitionSpec, family_is_valid, json_text
 
 TAGS = ("bipartite4", "ctk", "mnn", "k2416", "extension")
 DROP = object()
@@ -795,6 +795,31 @@ def test_witness_files_keep_their_bytes(tmp_path, capsys, u, v, digest):
     assert _sha256(out) == digest
 
 
+@pytest.mark.parametrize("name, digest", [
+    ("bipartite4", "65e90d3f355c8ede6ea2ef54fd1273a42f4e2ff818876412cbff9d8b5795b1e2"),
+    ("ctk", "9a3d52a6da8f745ccd12536534942ee48fcc9fa37ce312cc4805f77b09515701"),
+    ("mnn", "c1775b058240ecde1d3930a49594cd90d278c16c4aea31fd97fa7e27563b5c28"),
+    ("k2416", "dc842847827e76de1a759bf2d645398dfd5bceed9e80c1b7c30159b0f0cb87d9"),
+    ("extension", "b4176091bc8638612539d31cff1a7535261f22a241361290bf9196997cf92b22"),
+])
+def test_every_witness_family_keeps_its_bytes(tmp_path, name, digest):
+    # The k = 2 family of every ordered pair of each constructed file, as
+    # `witness` writes it: 72, 56, 42, 462 and 72 families. Recorded before
+    # the role maps and the vertex-map carrying of families were stated once.
+    if name == "extension":
+        base = _construct(tmp_path, "mnn", CONSTRUCT_ARGV["mnn"])
+        src = _construct(tmp_path, name, ["--family", "extension", "--base", str(base),
+                                          "--grow", "0,1"])
+    else:
+        src = _construct(tmp_path, name, CONSTRUCT_ARGV[name])
+    doc = json.loads(src.read_text())
+    coloring, meta = Coloring.from_json_dict(doc), read_meta(doc["meta"])
+    hashed = hashlib.sha256()
+    for u, v in permutations(coloring.spec.vertices(), 2):
+        hashed.update(json_text(witness_paths(meta, coloring, u, v, 2).to_json_dict()).encode())
+    assert hashed.hexdigest() == digest
+
+
 MAXIMIZE_COLORINGS = {
     "pass": lambda: color_ctk(PartitionSpec((3, 3, 3)), 2)[0],
     "fail": lambda: randrange_coloring(PartitionSpec((2, 3, 3)), 2, 1),
@@ -1097,6 +1122,30 @@ def test_witness_through_a_long_extension_chain_keeps_its_bytes(tmp_path, u, v, 
     proc, out = run_witness(tmp_path, 300, u, v)
     assert (proc.returncode, proc.stdout, proc.stderr) == (1, "", "")
     assert _sha256(out) == digest
+
+
+@pytest.mark.parametrize("levels, code, err", [
+    (490, 0, ""),
+    (491, 2, "error: the document is nested too deep to write as JSON\n"),
+])
+def test_construct_over_a_deep_extension_chain_writes_or_is_refused(tmp_path, levels, code,
+                                                                    err):
+    # The grown meta nests one level more than its base's. At 491 base
+    # levels it is too deep for json.dumps as well: one line, no file.
+    # Writing the base here takes more than the recursion limit that the
+    # test's own frames leave to json.dumps, so it is raised meanwhile.
+    base = tmp_path / "chain.json"
+    limit = sys.getrecursionlimit()
+    sys.setrecursionlimit(limit + 1000)
+    try:
+        base.write_text(extension_chain_document(levels))
+    finally:
+        sys.setrecursionlimit(limit)
+    out = tmp_path / "grown.json"
+    proc = subprocess.run(RAINBOWK + ["construct", "--family", "extension", "--base", str(base),
+                                      "--grow", "0,1", "-o", str(out)],
+                          capture_output=True, text=True, env=child_env())
+    assert (proc.returncode, proc.stdout, proc.stderr, out.exists()) == (code, "", err, code == 0)
 
 
 def test_extension_reads_its_base_meta_in_one_form(tmp_path, capsys):

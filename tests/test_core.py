@@ -460,10 +460,6 @@ def test_twin_classes_group_equal_rows_within_parts(coloring):
         assert len({rows[a] for a in c}) == 1
         assert len({spec.part_of(a) for a in c}) == 1
     assert len({rows[c[0]] for c in classes}) == len(classes)
-    # A subset of the vertices is grouped on its own.
-    members = spec.part_members(0)
-    assert twin_classes(coloring, members) == [
-        c for c in classes if spec.part_of(c[0]) == 0]
 
 
 class _Int(int):
@@ -540,3 +536,13 @@ def test_json_text_refuses_what_json_dumps_refuses():
         with pytest.raises(error) as got:
             json_text(bad)
         assert str(got.value) == str(expected.value)
+
+
+def test_json_text_refuses_a_document_too_deep_for_json_dumps():
+    deep: list = []
+    for _ in range(10_000):
+        deep = [deep]
+    with pytest.raises(RecursionError):
+        json.dumps(deep, indent=2)
+    with pytest.raises(ValueError, match="^the document is nested too deep to write as JSON$"):
+        json_text(deep)

@@ -96,7 +96,8 @@ def _big_part_pairs(coloring):
     pair, the pair a lower-bound certificate queries."""
     spec = coloring.spec
     members = spec.part_members(max(range(spec.t), key=lambda i: spec.sizes[i]))
-    twins = [tuple(c[:2]) for c in twin_classes(coloring, members) if len(c) >= 2]
+    twins = [tuple(c[:2]) for c in twin_classes(coloring)
+             if len(c) >= 2 and c[0] in members]
     return {tuple(members[:2]), tuple(members[-2:])} | set(twins[:1])
 
 
@@ -304,12 +305,10 @@ def test_fan_out_caps_workers(monkeypatch):
     assert _SerialPool.workers == []
 
 
-@given(small_colorings(), st.integers(1, 3), st.data())
+@given(small_colorings(), st.integers(1, 3))
 @settings(max_examples=60)
-def test_hint_first_search_agrees_with_full_verification(coloring, k, data):
-    pairs = list(all_pairs(coloring.spec))
-    hint = data.draw(st.one_of(st.none(), st.sampled_from(pairs)))
-    failing = first_failing_pair(coloring, k, hint)
+def test_fail_first_search_agrees_with_full_verification(coloring, k):
+    failing = first_failing_pair(coloring, k)
     assert (failing is None) == verify_rainbow_k_connected(coloring, k).ok
     if failing is not None:
         count, _ = max_disjoint_rainbow(coloring, PairQuery(*failing))

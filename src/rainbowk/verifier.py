@@ -104,16 +104,21 @@ target never stops it: it runs the maximize search step for step (the same
 greedy seed, root exits, pivots and cuts), and `best[:k]` is `best`. Only
 the label differs, and the loop writes `verifier maximize`.
 
-`max_disjoint_rainbow` is the one per-pair query (the oracle maps it over
-its pair order, with its relaxations' path-length cap) and `fan_out` the
-one process fan-out (the lower-bound sampler maps its seeds through it)."""
+`max_disjoint_rainbow` is the one public per-pair query (the oracle maps
+it over its pair order, with its relaxations' path-length cap): it checks
+its query once and settles it with `_settle`. The pair loop calls
+`_settle` itself, through `_loop_query`, on values checked once per run (k
+by `verify_rainbow_k_connected`, the palette by `Coloring`, the pairs by
+`all_pairs`), so it builds no `PairQuery` and a `WitnessFamily` only for a
+pair below k. `fan_out` is the one process fan-out (the lower-bound sampler
+maps its seeds through it)."""
 
 from __future__ import annotations
 
 import logging
 import os
 from collections.abc import Iterator
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from functools import partial
 
 from .core import (
@@ -137,9 +142,10 @@ class PairQuery:
     """One pair to check: decide `count >= k`, or maximize the packing size
     when k is None. `max_len` caps the path length below the palette size
     (None: no cap beyond the palette's own, which pigeonhole makes safe).
-    A plain record: `max_disjoint_rainbow` refuses its values where the
-    walks read them, the pair and cap in `_path_cap` and k in
-    `first_fit_rainbow_paths`, so each query checks them once."""
+    A plain record, checked once by `max_disjoint_rainbow`: a decision
+    query's k, then its pair and cap (`_path_cap`), before the first-fit
+    walk; a maximize query's pair and cap in the enumeration. `verify`'s
+    pair loop builds none (`_loop_query`)."""
 
     u: int
     v: int
@@ -245,7 +251,12 @@ def first_fit_rainbow_paths(
     Raises ValueError unless k is an int >= 1, before `_path_cap` checks
     the pair and the cap."""
     check_int(k, "k", below="decision mode needs k >= 1")
-    cap = _path_cap(coloring, u, v, max_len)
+    return _first_fit(coloring, u, v, k, _path_cap(coloring, u, v, max_len))
+
+
+def _first_fit(coloring: Coloring, u: int, v: int, k: int, cap: int) -> list[VertexPath]:
+    """`first_fit_rainbow_paths` on checked values: k an int >= 1, u and v
+    distinct vertex ids, and cap the edge cap `_path_cap` gives."""
     rows = coloring.rows
     if cap < 2:
         return [(u, v)] if cap == 1 and rows[u][v] else []
@@ -445,38 +456,63 @@ def _max_packing(
     return best
 
 
+def _settle(
+    coloring: Coloring, u: int, v: int, k: int | None, cap: int | None
+) -> list[VertexPath]:
+    """The paths of a maximum packing of internally disjoint rainbow
+    u,v-paths, capped at k paths when k is given. A k is settled by the
+    first-fit walk when it picks k paths; only a walk that ends short of k,
+    or a query without k, enumerates the paths and searches them (module
+    docstring), and each such fallback is logged at debug level.
+
+    With a k, the pair and cap must be checked already: the walk trusts
+    them. The enumeration is the public one, which checks the pair and the
+    cap (None: the palette size) itself."""
+    if k is not None:
+        picked = _first_fit(coloring, u, v, k, cap)
+        if len(picked) == k:
+            return picked
+    paths = enumerate_rainbow_paths(coloring, u, v, cap)
+    if k is not None:
+        logger.debug("pair (%d, %d): first fit stopped at %d of %d paths; "
+                     "searching %d enumerated paths", u, v, len(picked), k, len(paths))
+    return [paths[i] for i in _max_packing(paths, k, coloring.spec.part_masks)]
+
+
 def max_disjoint_rainbow(
     coloring: Coloring, query: PairQuery
 ) -> tuple[int, WitnessFamily]:
     """Size of a maximum packing of internally disjoint rainbow u,v-paths,
-    plus a family attaining it. A query with a k caps both at k: the
-    first-fit walk settles it when it picks k paths, and only a walk that
-    ends short of k enumerates the paths and searches them (module
-    docstring); each such fallback is logged at debug level."""
-    u, v, target = query.u, query.v, query.k
-    if target is not None:
-        picked = first_fit_rainbow_paths(coloring, u, v, target, query.max_len)
-    if target is None or len(picked) < target:
-        paths = enumerate_rainbow_paths(coloring, u, v, query.max_len)
-        if target is not None:
-            logger.debug("pair (%d, %d): first fit stopped at %d of %d paths; "
-                         "searching %d enumerated paths", u, v, len(picked), target,
-                         len(paths))
-        picked = [paths[i] for i in _max_packing(paths, target, coloring.spec.part_masks)]
-    family = WitnessFamily(u, v, tuple(picked), provenance=f"verifier {query.mode}")
-    return len(picked), family
+    plus a family attaining it, both capped at k for a query with a k
+    (`_settle`). A decision query's k, pair and cap are checked here,
+    before the first-fit walk; a maximize query's pair and cap are checked
+    by the enumeration it runs. Either way each value is checked once
+    unless a decision query falls back to the enumeration."""
+    u, v, k = query.u, query.v, query.k
+    cap = query.max_len
+    if k is not None:
+        check_int(k, "k", below="decision mode needs k >= 1")
+        cap = _path_cap(coloring, u, v, cap)
+    picked = _settle(coloring, u, v, k, cap)
+    return len(picked), WitnessFamily(u, v, tuple(picked), provenance=f"verifier {query.mode}")
 
 
 def _loop_query(
     coloring: Coloring, k: int, capped: bool, pair: tuple[int, int]
 ) -> tuple[int, WitnessFamily | None]:
     """The pair loop's query: capped at k, or the maximum when not capped.
-    The loop reads only the count of a pair that reaches k, so its family
-    is dropped here rather than held (or sent back from a worker); a pair
-    below k keeps it, in either mode the family of the maximize search
-    (module docstring)."""
-    count, family = max_disjoint_rainbow(coloring, PairQuery(*pair, k=k if capped else None))
-    return count, family if count < k else None
+    Its values need no check: `verify_rainbow_k_connected` has checked k,
+    `Coloring` has checked the palette that gives the cap, and
+    `all_pairs` yields distinct in-range int ids. The loop reads only the
+    count of a pair that reaches k, so a family is built only for a pair
+    below k, in either mode the family of the maximize search (module
+    docstring)."""
+    u, v = pair
+    picked = _settle(coloring, u, v, k if capped else None, coloring.num_colors)
+    count = len(picked)
+    if count >= k:
+        return count, None
+    return count, WitnessFamily(u, v, tuple(picked), provenance="verifier maximize")
 
 
 def fan_out(work, items, jobs: int) -> list:
@@ -516,8 +552,8 @@ def verify_rainbow_k_connected(
     reps: dict[tuple[int, int], tuple[int, int]] = {}
     rep_of = []
     for u, v in pairs:
-        a, b = sorted((class_of[u], class_of[v]))
-        rep_of.append(reps.setdefault((a, b), (u, v)))
+        a, b = class_of[u], class_of[v]
+        rep_of.append(reps.setdefault((a, b) if a < b else (b, a), (u, v)))
     logger.debug("verify: %d pairs, %d twin classes, %d representative pairs",
                  len(pairs), len(classes), len(reps))
     rep_pairs = list(reps.values())
@@ -527,8 +563,6 @@ def verify_rainbow_k_connected(
     counts = {p: results[r][0] for p, r in zip(pairs, rep_of)}
     # The first family held is the first failing pair's, its maximize one.
     best = next((family for _, family in results.values() if family is not None), None)
-    if best is not None:
-        best = replace(best, provenance="verifier maximize")
     return VerificationReport(k=k, counts=counts, capped=capped, failing_family=best)
 
 

@@ -4,6 +4,7 @@ the library's pruned loops (`unpruned_max_packing`, `full_pair_report`,
 `unpruned_rc_k_exact`), which reuse only the per-pair query or the
 enumerator they do not prune, and of its batched draw (`randrange_coloring`).
 `canonical_form` is the normal form that enumerator's orbits are checked
+against. `rc_1_closed_form` is a published value the oracle is checked
 against. `child_env` is the environment for tests that run a child process."""
 
 import os
@@ -235,3 +236,34 @@ def all_colorings(spec: PartitionSpec, num_colors: int):
     edges = list(spec.edges())
     for colors in product(range(1, num_colors + 1), repeat=len(edges)):
         yield Coloring(spec, num_colors, dict(zip(edges, colors)))
+
+
+def _ceil_root(b: int, a: int) -> int:
+    """ceil(b^(1/a)) in integers: the least r with r^a >= b."""
+    r = 1
+    while r**a < b:
+        r += 1
+    return r
+
+
+def rc_1_closed_form(sizes) -> int:
+    """rc_1 = rc of the complete multipartite graph with these part sizes,
+    from Chartrand, Johns, McKeon & Zhang 2008, "Rainbow connection in
+    graphs" (Math. Bohemica 133):
+    - K_{s,t} with 2 <= s <= t: min(ceil(t^(1/s)), 4);
+    - t >= 3 parts, the largest of size m and the others summing to s:
+      1 if m = 1, 2 if m >= 2 and s > m, min(ceil(m^(1/s)), 3) otherwise.
+    Raises ValueError on a bipartite graph with a part of one vertex, which
+    the form does not cover."""
+    sizes = sorted(sizes)
+    if len(sizes) == 2:
+        s, t = sizes
+        if s < 2:
+            raise ValueError(f"K_{{{s},{t}}} is outside the closed form")
+        return min(_ceil_root(t, s), 4)
+    m, s = sizes[-1], sum(sizes[:-1])
+    if m == 1:
+        return 1
+    if s > m:
+        return 2
+    return min(_ceil_root(m, s), 3)

@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from helpers import canonical_form, unpruned_rc_k_exact
+from helpers import canonical_form, rc_1_closed_form, unpruned_rc_k_exact
 from rainbowk.constructions import color_ctk, color_mnn
 from rainbowk.core import (
     Coloring,
@@ -247,6 +247,29 @@ def test_rc_2_values_on_lopsided_graphs(sizes, max_colors, expected):
     else:
         assert result.num_colors == expected
         assert verify_rainbow_k_connected(result, 2).ok
+
+
+@pytest.mark.parametrize("sizes", [
+    (2, 2), (2, 3), (2, 4), (2, 5), (2, 6), (2, 7), (3, 3), (3, 4),
+    (1, 1, 2), (1, 1, 4), (1, 1, 5), (1, 1, 6), (6, 1, 1), (1, 2, 2), (1, 2, 3),
+    (2, 2, 2), (2, 2, 3), (1, 1, 1, 1), (8, 1, 1, 1),
+], ids=lambda sizes: "K_" + "_".join(map(str, sizes)))
+def test_rc_1_matches_the_published_closed_form(sizes):
+    # The rows the oracle settles within a fraction of a second; K_{2,9}
+    # and the rows at the pigeonhole boundary (K_{2,10}, K_{3,9}) are slow.
+    witness = rc_k_exact(PartitionSpec(sizes), 1, 4, max_edges=40)
+    assert witness.num_colors == rc_1_closed_form(sizes)
+    assert verify_rainbow_k_connected(witness, 1).ok
+
+
+def test_rc_1_closed_form_cases():
+    assert [rc_1_closed_form((2, t)) for t in (2, 4, 5, 9, 10, 17)] == [2, 2, 3, 3, 4, 4]
+    assert rc_1_closed_form((3, 8)) == 2 and rc_1_closed_form((3, 9)) == 3
+    assert rc_1_closed_form((1, 1, 1)) == 1
+    assert rc_1_closed_form((2, 3, 4)) == 2  # s = 5 > m = 4
+    assert rc_1_closed_form((1, 1, 1, 9)) == 3 and rc_1_closed_form((1, 1, 1, 8)) == 2
+    with pytest.raises(ValueError):
+        rc_1_closed_form((1, 5))
 
 
 def test_oracle_logs_its_search_per_palette_size(caplog):

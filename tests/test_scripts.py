@@ -45,3 +45,20 @@ def test_render_figures_writes_the_dot_files(tmp_path):
     for name, coloring in figures.items():
         assert (tmp_path / name).read_text() == export_dot(coloring, DEFAULT_PALETTE)
         assert printed[name] == (coloring.spec.n, coloring.spec.edge_count())
+
+
+def test_gc_cadence_counts_collections_over_the_benchmark_loop():
+    proc = run_script("gc_cadence.py", str(ROOT), "oracle-exhaust", "1")
+    assert proc.returncode == 0, proc.stderr
+    head, gens, per_full, rss = proc.stdout.splitlines()
+    passes, imports = map(int, re.fullmatch(
+        r"workload oracle-exhaust: passes (\d+), imports (\d+), failed 0 of \d+ commands",
+        head).groups())
+    # Every pass runs on a fresh import, and more set-ups precede the first.
+    assert 1 <= passes < imports
+    counts = [int(n) for n in re.fullmatch(r"collections: gen0 (\d+), gen1 (\d+), gen2 (\d+)",
+                                           gens).groups()]
+    assert counts[0] > 0
+    assert per_full == ("imports per full collection: no full collection" if not counts[2]
+                        else f"imports per full collection: {imports / counts[2]:.2f}")
+    assert re.fullmatch(r"ru_maxrss: \d+\.\d\d MB", rss)

@@ -21,7 +21,13 @@ from helpers import (
 )
 from rainbowk import verifier
 from rainbowk.bounds import find_color_twins, random_coloring
-from rainbowk.constructions import color_2_4_16, color_bipartite4, color_ctk, color_mnn
+from rainbowk.constructions import (
+    color_2_4_16,
+    color_bipartite4,
+    color_ctk,
+    color_extension,
+    color_mnn,
+)
 from rainbowk.core import Coloring, PartitionSpec, all_pairs, family_is_valid, twin_classes
 from rainbowk.oracle import first_failing_pair
 from rainbowk.verifier import (
@@ -675,19 +681,19 @@ def test_each_representative_pair_is_queried_once(monkeypatch):
     reps = _representatives(coloring)
     assert len(reps) < len(list(all_pairs(coloring.spec)))
 
-    calls = _count_calls(monkeypatch, "max_disjoint_rainbow")
+    calls = _count_calls(monkeypatch, "_loop_query")
     report = verify_rainbow_k_connected(coloring, 3, mode="maximize")
     assert not report.ok
     # Maximize mode keeps the failing pair's family from its own query.
-    assert sorted((q.u, q.v) for _, q in calls) == reps
-    assert all(q.mode == "maximize" for _, q in calls)
+    assert sorted(pair for *_, pair in calls) == reps
+    assert all(not capped for _, _, capped, _ in calls)
 
     calls.clear()
     report = verify_rainbow_k_connected(coloring, 3)
     assert not report.ok
     # Decision mode too: the failing pair's family comes from its own query.
-    assert sorted((q.u, q.v, q.mode) for _, q in calls) == [
-        (u, v, "decision") for u, v in reps]
+    assert sorted((*pair, capped) for _, _, capped, pair in calls) == [
+        (u, v, True) for u, v in reps]
 
 
 @pytest.mark.parametrize("build, k", [
@@ -721,6 +727,64 @@ def test_pair_queries_on_construction_instances(monkeypatch, build, k, queries):
     calls = _count_calls(monkeypatch, "_loop_query")
     assert verify_rainbow_k_connected(coloring, k).ok
     assert len(calls) == queries
+
+
+def _count_builds(monkeypatch, name):
+    """Record every object verifier.<name> builds."""
+    built = []
+    original = getattr(verifier, name)
+
+    def counted(*args, **kwargs):
+        built.append(original(*args, **kwargs))
+        return built[-1]
+
+    monkeypatch.setattr(verifier, name, counted)
+    return built
+
+
+@pytest.mark.parametrize("mode", ["decision", "maximize"])
+def test_the_loop_builds_queries_and_families_only_below_k(monkeypatch, mode):
+    queries = _count_builds(monkeypatch, "PairQuery")
+    families = _count_builds(monkeypatch, "WitnessFamily")
+    for build, k in ((lambda: color_bipartite4(8, 8, 4), 4), (lambda: color_mnn(16, 6), 2)):
+        coloring, _ = build()
+        assert verify_rainbow_k_connected(coloring, k, mode=mode).ok
+    assert queries == [] and families == []
+
+    coloring = _planted_twin_coloring()
+    report = verify_rainbow_k_connected(coloring, 3, mode=mode)
+    below = [pair for pair in _representatives(coloring) if report.counts[pair] < 3]
+    assert queries == []
+    assert [(f.u, f.v) for f in families] == below
+    assert report.failing_family is families[0]
+    assert families[0].provenance == "verifier maximize"
+
+
+def _extension_chain():
+    coloring, meta = color_mnn(2, 2)
+    for _ in range(3):
+        coloring, meta = color_extension(coloring, 0, 1, base_meta=meta)
+    return coloring, meta
+
+
+@pytest.mark.parametrize("build, k", [
+    pytest.param(lambda: color_bipartite4(8, 8, 4), 4, id="bipartite4-8-8"),
+    pytest.param(lambda: color_bipartite4(9, 9, 4), 4, id="bipartite4-9-9"),
+    pytest.param(lambda: color_ctk(PartitionSpec((6, 6, 6)), 4), 4, id="ctk-6-6-6"),
+    pytest.param(lambda: color_ctk(PartitionSpec((3, 3, 3, 3, 3)), 4), 4,
+                 id="ctk-3-3-3-3-3"),
+    pytest.param(lambda: color_mnn(16, 6), 2, id="mnn-16-6-6"),
+    pytest.param(lambda: color_mnn(24, 6), 2, id="mnn-24-6-6"),
+    pytest.param(color_2_4_16, 2, id="k2416"),
+    pytest.param(_extension_chain, 2, id="extension-5-5-2"),
+])
+def test_the_loop_counts_what_the_checked_query_counts(build, k):
+    # The loop's unchecked query against the public, checked one, on every
+    # representative pair of the decision benchmark's instances.
+    coloring, _ = build()
+    report = verify_rainbow_k_connected(coloring, k)
+    for u, v in _representatives(coloring):
+        assert report.counts[u, v] == max_disjoint_rainbow(coloring, PairQuery(u, v, k=k))[0]
 
 
 def test_verify_logs_its_pair_and_class_counts(caplog):

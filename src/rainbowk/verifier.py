@@ -2,10 +2,12 @@
 
 Per vertex pair: enumerate every rainbow path (length capped at the palette
 size, which is safe by pigeonhole), then compute a maximum packing of paths
-with pairwise disjoint interiors. Packing is a small set-packing instance
-solved exactly by branch and bound over the enumerated path list, branching
-on the lowest-id internal vertex still in contention. A greedy first-fit
-pass over the list seeds the best packing.
+with pairwise disjoint interiors. A greedy first-fit pass over the list
+seeds the best packing. When every path has at most two interior vertices
+(every path of a coloring with at most 3 colors), packing is a maximum
+matching, solved exactly in polynomial time; otherwise it is a small
+set-packing instance solved exactly by branch and bound over the path
+list, branching on the lowest-id internal vertex still in contention.
 
 A decision query (target k) first runs that first-fit without the list:
 `first_fit_rainbow_paths` walks the depth-first search of
@@ -75,6 +77,33 @@ that fit that sum (zero-weight paths, such as the direct edge, are free).
 The minimum of that count over the regions, and of |cand|, bounds every
 packing drawn from cand; `_capacity_bound` computes it.
 
+Paths with at most two interior vertices pack by maximum matching (Edmonds
+1965, "Paths, trees, and flowers"). Let H be the graph on the interior
+vertices with one edge per path:
+- a 3-edge path (u, x, y, v) gives the edge xy;
+- a 2-edge path (u, w, v) gives an edge from w to a pendant vertex that
+  only w has (no other path is (u, w, v), so the pendant has degree 1);
+- the direct edge (u, v) gives none: its interior is empty, so it is
+  disjoint from every path and free.
+Two paths' interiors meet exactly when their edges share an end: a shared
+end is an interior vertex, as no two edges share a pendant, and a shared
+interior vertex is an end of both. Two paths with the same interior pair,
+(u, x, y, v) and (u, y, x, v), give the same edge and conflict, so no
+packing holds both and either may stand for the other; the first in list
+order is kept. So packings without the direct edge are the matchings of
+H, and the largest packing is nu(H) plus the direct edge when it is
+listed. `_max_matching` grows a maximum matching from the greedy packing,
+which is a matching of H: greedy never picks a second copy of a pair, as
+it conflicts wherever the first did. It searches each exposed vertex once
+for an augmenting path, contracting odd cycles into blossoms, and flips
+each path it finds. By Berge's theorem a matching is maximum exactly when
+no augmenting path is left, and a vertex with no augmenting path keeps
+none after later augmentations, so one pass over the vertices ends at a
+maximum, in O(V^3) time. When greedy is already maximum nothing augments
+and the family is greedy's, the one branch and bound returns too;
+otherwise it is a maximum family that may differ from branch and bound's.
+Counts and verdicts are the same either way.
+
 `verify_rainbow_k_connected` queries one pair per orbit of the coloring's
 twin symmetry. Color twins are vertices with equal `rows` entries
 (`core.twin_classes`); they lie in one part. The quotient is sound in three
@@ -101,8 +130,8 @@ either mode, without a second search. A decision query that ends below k
 returns the family of its fallback, `_max_packing(paths, k, ...)`, on the
 list a maximize query enumerates. That search never holds k paths, so its
 target never stops it: it runs the maximize search step for step (the same
-greedy seed, root exits, pivots and cuts), and `best[:k]` is `best`. Only
-the label differs, and the loop writes `verifier maximize`.
+greedy seed, root exits, pivots and cuts, or augmentations), and `best[:k]`
+is `best`. Only the label differs, and the loop writes `verifier maximize`.
 
 `max_disjoint_rainbow` is the one public per-pair query (the oracle maps
 it over its pair order, with its relaxations' path-length cap): it checks
@@ -349,26 +378,30 @@ def _max_packing(
 ) -> list[int]:
     """Indices of a maximum subset of paths with pairwise disjoint interiors.
 
-    Exact branch and bound; with a target it stops as soon as `target`
-    pairwise disjoint paths are found. `part_masks` are the parts' vertex
-    masks, the regions of the capacity bound beside the whole vertex set.
+    Exact: a maximum matching when no path has more than two interior
+    vertices (`_max_matching`), branch and bound otherwise; with a target
+    either stops as soon as `target` pairwise disjoint paths are found.
+    `part_masks` are the parts' vertex masks, the regions of the capacity
+    bound beside the whole vertex set.
 
     A greedy first-fit pass runs first. With a target, this function runs
     only as `max_disjoint_rainbow`'s fallback, after its first-fit walk fell
     short of the target, so the pass picks the walk's paths again, fewer
-    than the target, and the search starts from them. Two root exits follow
-    the pass, so that queries greedy settles build no search tables:
-    - greedy took every path: no packing has more, so it is maximum;
-    - greedy reached the capacity bound of the whole path set: the bound
-      holds for every packing (module docstring), so none is larger.
-    The second exit builds the capacity tables one region at a time, the
-    parts first, then the whole vertex set, and returns at the first region
-    whose term is at most len(best). That is exact: the bound is the
-    minimum of m and the regions' terms, and len(best) < m here, so it is
-    at most len(best) exactly when one region's term is. The lower-bound
-    sampler's twin queries that reach this exit all settle at a small part,
-    most at the first. Only when no region settles the root do all the
-    tables exist, and the search takes them.
+    than the target, and the matching or the search starts from them. When
+    greedy took every path, no packing has more, and it is returned. Paths
+    of at most two interior vertices then go to the matching, which returns
+    greedy's picks whenever they are maximum, so the search's capacity exit
+    would change no family there. The search has that second root exit, so
+    that queries greedy settles build no search tables: greedy reached the
+    capacity bound of the whole path set, which holds for every packing
+    (module docstring), so none is larger. The exit builds the capacity
+    tables one region at a time, the parts first, then the whole vertex set,
+    and returns at the first region whose term is at most len(best). That is
+    exact: the bound is the minimum of m and the regions' terms, and
+    len(best) < m here, so it is at most len(best) exactly when one region's
+    term is. The lower-bound sampler's twin queries that reach this exit all
+    settle at a small part, most at the first. Only when no region settles
+    the root do all the tables exist, and the search takes them.
     Otherwise the per-vertex path sets are built, and from them each path's
     conflicts: the paths through its interior, itself included unless the
     interior is empty, which no branched path's is (each comes from a
@@ -395,6 +428,8 @@ def _max_packing(
             used |= masks[i]
     if len(best) == m:
         return best
+    if max(map(len, paths)) <= 4:
+        return _max_matching(paths, best, target)
     everything = (1 << m) - 1
     avail = 0
     for mask in masks:
@@ -456,6 +491,118 @@ def _max_packing(
     return best
 
 
+def _max_matching(paths: list[VertexPath], seed: list[int], target: int | None) -> list[int]:
+    """`_max_packing` on paths with at most two interior vertices each: the
+    ascending indices of the direct edge and of the paths of a maximum
+    matching in the module docstring's graph H, grown from the greedy
+    packing `seed` by Edmonds' blossom augmentation. With a target it stops
+    augmenting at `target` paths and returns the first `target` indices."""
+    node: dict[int, int] = {}  # interior vertex, or -1 - w for w's pendant -> H
+    adj: list[list[int]] = []
+    edges: list[tuple[int, int, int]] = []  # (a, b, path) per edge ab of H
+    pairs: set[tuple[int, int] | int] = set()
+    chosen: list[int] = []  # the direct edge, free
+    for i, p in enumerate(paths):
+        if len(p) == 4:
+            x, y = p[1], p[2]
+            pair = (x, y) if x < y else (y, x)
+        elif len(p) == 3:
+            x = p[1]
+            y = pair = -1 - x
+        else:
+            chosen.append(i)
+            continue
+        if pair in pairs:
+            continue  # the first path through the pair stands for both
+        pairs.add(pair)
+        a = node.get(x)
+        if a is None:
+            a = node[x] = len(adj)
+            adj.append([])
+        b = node.get(y)
+        if b is None:
+            b = node[y] = len(adj)
+            adj.append([])
+        adj[a].append(b)
+        adj[b].append(a)
+        edges.append((a, b, i))
+    n = len(adj)
+    mate = [-1] * n
+    seeded = set(seed)
+    for a, b, i in edges:
+        if i in seeded:
+            mate[a], mate[b] = b, a
+    size = len(seed)
+    for root in range(n):
+        if target is not None and size >= target:
+            break
+        if mate[root] != -1:
+            continue
+        # An alternating tree from root: parent[y] is the even vertex an odd
+        # y was reached from, base[x] the base of the blossom holding x.
+        parent = [-1] * n
+        base = list(range(n))
+        even = [False] * n
+        even[root] = True
+        queue = [root]
+        end = -1
+        for x in queue:
+            for y in adj[x]:
+                if base[x] == base[y] or mate[x] == y:
+                    continue
+                if y == root or mate[y] != -1 and parent[mate[y]] != -1:
+                    # y is even too: the edge closes an odd cycle. Its base is
+                    # the first blossom base on x's way to the root that y's
+                    # way meets.
+                    on_x = [False] * n
+                    z = x
+                    while True:
+                        z = base[z]
+                        on_x[z] = True
+                        if mate[z] == -1:
+                            break
+                        z = parent[mate[z]]
+                    top = base[y]
+                    while not on_x[top]:
+                        top = base[parent[mate[top]]]
+                    # Link both sides' odd vertices back across the edge, so
+                    # they are even now, then contract the cycle into top.
+                    inside = [False] * n
+                    for z, child in ((x, y), (y, x)):
+                        while base[z] != top:
+                            inside[base[z]] = inside[base[mate[z]]] = True
+                            parent[z] = child
+                            child = mate[z]
+                            z = parent[child]
+                    for z in range(n):
+                        if inside[base[z]]:
+                            base[z] = top
+                            if not even[z]:
+                                even[z] = True
+                                queue.append(z)
+                elif parent[y] == -1:
+                    parent[y] = x
+                    if mate[y] == -1:
+                        end = y
+                        break
+                    even[mate[y]] = True
+                    queue.append(mate[y])
+            if end != -1:
+                break
+        else:
+            continue
+        # Flip the augmenting path from its exposed end back to the root.
+        while end != -1:
+            x = parent[end]
+            after = mate[x]
+            mate[end], mate[x] = x, end
+            end = after
+        size += 1
+    chosen += [i for a, b, i in edges if mate[a] == b]
+    chosen.sort()
+    return chosen if target is None else chosen[:target]
+
+
 def _settle(
     coloring: Coloring, u: int, v: int, k: int | None, cap: int | None
 ) -> list[VertexPath]:
@@ -474,8 +621,9 @@ def _settle(
             return picked
     paths = enumerate_rainbow_paths(coloring, u, v, cap)
     if k is not None:
-        logger.debug("pair (%d, %d): first fit stopped at %d of %d paths; "
-                     "searching %d enumerated paths", u, v, len(picked), k, len(paths))
+        logger.debug("pair (%d, %d): first fit stopped at %d of %d paths; %d enumerated "
+                     "paths %s", u, v, len(picked), k, len(paths),
+                     "matched" if max(map(len, paths), default=0) <= 4 else "searched")
     return [paths[i] for i in _max_packing(paths, k, coloring.spec.part_masks)]
 
 

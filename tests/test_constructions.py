@@ -23,7 +23,7 @@ from rainbowk.core import (
     json_text,
     path_colors,
 )
-from rainbowk.verifier import PairQuery, max_disjoint_rainbow
+from rainbowk.verifier import PairQuery, max_disjoint_rainbow, verify_rainbow_k_connected
 
 
 def grid_valid(coloring, meta, k):
@@ -196,6 +196,22 @@ def test_even_case1_internal_vertex_tally_odd_s():
 def test_ctk_unbalanced_parts_still_witness():
     coloring, meta = color_ctk(PartitionSpec((2, 2, 2, 4)), 3)
     grid_valid(coloring, meta, 3)
+
+
+@pytest.mark.parametrize("t, s", [
+    *((t, s) for t in (3, 4) for s in range(2, 7)),
+    *((5, s) for s in range(2, 6)),
+    (6, 3), (6, 4),
+])
+def test_ctk_margin_is_the_closed_form(t, s):
+    # On balanced K_{s,...,s} the smallest pair maximum is floor((t-1)s/2),
+    # which is >= k exactly when s >= ceil(2k/(t-1)): the construction's
+    # margin is the paper's threshold. The coloring does not depend on k,
+    # and its 3 colors keep every path to two interior vertices, so the
+    # maximize counts are matchings.
+    coloring, _ = color_ctk(PartitionSpec((s,) * t), 1)
+    report = verify_rainbow_k_connected(coloring, 1, mode="maximize")
+    assert min(report.counts.values()) == (t - 1) * s // 2
 
 
 # -- mnn ----------------------------------------------------------------------

@@ -34,6 +34,7 @@ from rainbowk.verifier import (
     PairQuery,
     _capacity_bound,
     _capacity_tables,
+    _max_matching,
     _max_packing,
     enumerate_rainbow_paths,
     fan_out,
@@ -376,19 +377,58 @@ def packing_pairs(draw, max_paths: int = 100):
     return coloring, u, v, paths
 
 
+def _greedy(paths):
+    """The indices greedy first-fit picks from paths, in list order."""
+    picked, used = [], set()
+    for i, p in enumerate(paths):
+        if used.isdisjoint(p[1:-1]):
+            picked.append(i)
+            used.update(p[1:-1])
+    return picked
+
+
+def _indices(paths, family):
+    """The list indices of a family's paths, in family order."""
+    return [paths.index(p) for p in family.paths]
+
+
+def _assert_packs_like_the_unpruned_search(paths, got, target):
+    """Indices of a packing of paths (capped at target) against the
+    unpruned search. A path set with a path of three or more interior
+    vertices is searched, and its indices are the unpruned search's. Shorter
+    paths are matched (module docstring), and a matching may pick another
+    maximum family: there the count is the unpruned search's, the indices
+    ascend and the interiors are pairwise disjoint, and greedy's picks come
+    back whenever they are maximum."""
+    expected = unpruned_max_packing(paths, target)
+    if any(len(p) > 4 for p in paths):
+        assert got == expected
+        return
+    assert len(got) == len(expected)
+    assert got == sorted(set(got))
+    used = set()
+    for i in got:
+        assert used.isdisjoint(paths[i][1:-1])
+        used.update(paths[i][1:-1])
+    greedy = _greedy(paths)[:target]
+    if len(greedy) == len(expected):
+        assert got == greedy
+
+
 @given(packing_pairs())
 @settings(max_examples=150)
 def test_bounded_search_matches_unpruned_search(instance):
     # The capacity bound only cuts subtrees that cannot beat the best
     # packing, so count and family equal the unpruned search's, in both
-    # modes and for every k up to one past the maximum.
+    # modes and for every k up to one past the maximum; a matched path set
+    # keeps the count (`_assert_packs_like_the_unpruned_search`).
     coloring, u, v, paths = instance
     count, family = max_disjoint_rainbow(coloring, PairQuery(u, v))
-    assert family.paths == tuple(paths[i] for i in unpruned_max_packing(paths, None))
+    _assert_packs_like_the_unpruned_search(paths, _indices(paths, family), None)
     for k in range(1, count + 2):
         got, family = max_disjoint_rainbow(coloring, PairQuery(u, v, k=k))
         assert got == min(k, count)
-        assert family.paths == tuple(paths[i] for i in unpruned_max_packing(paths, k))
+        _assert_packs_like_the_unpruned_search(paths, _indices(paths, family), k)
 
 
 def _regions_built(monkeypatch):
@@ -413,29 +453,38 @@ def _regions_built(monkeypatch):
 
 # Paths between 0 and 1 of K_{2,1,1,1} (parts {0, 1}, {2}, {3}, {4}) or
 # K_{2,2,2} (parts {0, 1}, {2, 3}, {4, 5}). Greedy picks the first path only.
+# Each case but one has a 4-edge path, so its root is the search's.
 ROOT_CASES = {
     # Every interior holds 2: part {2} has room for one path.
-    "a part settles": ((2, 1, 1, 1), [(0, 2, 3, 1), (0, 2, 4, 1), (0, 4, 2, 1)], 2),
+    "a part settles": ((2, 1, 1, 1), [(0, 2, 3, 1), (0, 2, 4, 1), (0, 4, 2, 1),
+                                      (0, 2, 3, 4, 1)], 2),
     # A triangle on 2, 3, 4: each part has room for one path plus the one
-    # that misses it, the whole set (3 vertices, 2 per path) for one.
-    "the whole set settles": ((2, 1, 1, 1), [(0, 2, 3, 1), (0, 3, 4, 1), (0, 2, 4, 1)], 5),
-    # Each region has room for two paths, and two fit: the search runs.
-    "the search runs": ((2, 2, 2), [(0, 2, 4, 1), (0, 2, 5, 1), (0, 3, 4, 1)], 4),
+    # that misses it, the whole set (3 vertices, 2 or 3 per path) for one.
+    "the whole set settles": ((2, 1, 1, 1), [(0, 2, 3, 1), (0, 3, 4, 1), (0, 2, 4, 1),
+                                             (0, 2, 3, 4, 1)], 5),
+    # Each region has room for two paths, and two fit: the search runs. The
+    # 4-edge path weighs 2 in {4, 5} and 3 in all.
+    "the search runs": ((2, 2, 2), [(0, 2, 4, 1), (0, 2, 5, 1), (0, 3, 4, 1),
+                                    (0, 3, 5, 4, 1)], 4),
+    # The same without the 4-edge path: the matching runs, and draws no
+    # table.
+    "the matching runs": ((2, 2, 2), [(0, 2, 4, 1), (0, 2, 5, 1), (0, 3, 4, 1)], 0),
 }
 
 
 @pytest.mark.parametrize("case", ROOT_CASES)
 def test_packing_root_settles_at_the_first_region_that_can(monkeypatch, case):
-    # The root returns greedy's paths at the first region whose term is at
-    # most their count, and builds no table after it; only when no region
-    # settles it does the search run, with every table.
+    # The search's root returns greedy's paths at the first region whose
+    # term is at most their count, and builds no table after it; only when
+    # no region settles it does the search run, with every table. The
+    # matching builds none.
     sizes, paths, drawn = ROOT_CASES[case]
     part_masks = PartitionSpec(sizes).part_masks
     regions, bounds = _regions_built(monkeypatch)
     for target in (None, 2, 3):
         regions.clear(), bounds.clear()
         got = _max_packing(paths, target, part_masks)
-        assert got == unpruned_max_packing(paths, target)
+        _assert_packs_like_the_unpruned_search(paths, got, target)
         assert len(regions) == drawn
         # One bound per region at the root, each over its own table; the
         # search's bounds take every table.
@@ -443,15 +492,66 @@ def test_packing_root_settles_at_the_first_region_that_can(monkeypatch, case):
         searched = bounds[drawn:]
         assert all(over == regions for over in searched)
         assert bool(searched) == (case == "the search runs")
-        assert len(got) == (2 if searched else 1)
+        assert len(got) == (1 if case.endswith("settles") else 2)
+
+
+# Paths between 0 and 1 whose graph H has the edges 34, 56, 47, 35, 67, 24,
+# 26. Greedy takes 34 and 56 and leaves 2 and 7 exposed; every augmenting
+# path from 2 runs through the odd cycle 3-4-7-6-5-3.
+BLOSSOM = [(0, 3, 4, 1), (0, 5, 6, 1), (0, 4, 7, 1), (0, 3, 5, 1), (0, 6, 7, 1),
+           (0, 2, 4, 1), (0, 2, 6, 1)]
+
+
+@st.composite
+def short_path_lists(draw):
+    """Distinct paths between 0 and 1 through vertices 2..7, each with 0, 1
+    or 2 interior vertices, in drawn order. Both orders of a pair give two
+    paths with one interior. Random lists seldom need a blossom, so half of
+    them have BLOSSOM's paths, relabelled by a drawn permutation of 2..7,
+    mixed in at drawn places."""
+    interiors = draw(st.lists(st.lists(st.integers(2, 7), max_size=2, unique=True),
+                              max_size=12))
+    if draw(st.booleans()):
+        relabel = dict(zip(range(2, 8), draw(st.permutations(range(2, 8)))))
+        for _, x, y, _ in BLOSSOM:
+            interiors.insert(draw(st.integers(0, len(interiors))), [relabel[x], relabel[y]])
+    return list(dict.fromkeys((0, *interior, 1) for interior in interiors))
+
+
+@given(short_path_lists())
+@settings(max_examples=300)
+def test_matching_packs_as_many_paths_as_the_unpruned_search(paths):
+    # Directly, from greedy's picks, and through `_max_packing`, which
+    # takes a target only above greedy's count, as a fallback does.
+    part_masks = PartitionSpec((2, 2, 2, 2)).part_masks
+    greedy = _greedy(paths)
+    for target in (None, 1, 2, 3, 4):
+        _assert_packs_like_the_unpruned_search(
+            paths, _max_matching(paths, greedy, target), target)
+        if target is None or target > len(greedy):
+            _assert_packs_like_the_unpruned_search(
+                paths, _max_packing(paths, target, part_masks), target)
+
+
+def test_matching_contracts_an_odd_cycle():
+    # A matching that does not contract BLOSSOM's odd cycle stops at
+    # greedy's 2 paths.
+    paths = BLOSSOM
+    assert _greedy(paths) == [0, 1]
+    assert len(unpruned_max_packing(paths, None)) == 3
+    got = _max_packing(paths, None, PartitionSpec((2, 1, 1, 1, 1, 1, 1)).part_masks)
+    _assert_packs_like_the_unpruned_search(paths, got, None)
+    assert len(got) == 3
 
 
 @pytest.mark.parametrize("sizes, palette, k", [
     ((2, 17), 4, 2), ((10, 1, 1), 3, 2), ((2, 2, 82), 3, 3),
 ])
 def test_packing_of_twin_paths_matches_the_unpruned_search(sizes, palette, k):
-    # The twin queries of the lower-bound sampler: the root that does not
-    # return at greedy settles at a small part, before the later tables.
+    # The twin queries of the lower-bound sampler: at 4 colors the search's
+    # root that does not return at greedy settles at a small part, before
+    # the later tables; at 3 colors the paths are matched, and greedy's
+    # picks, maximum on every one of these, come back.
     spec = PartitionSpec(sizes)
     big = sizes.index(max(sizes))
     for seed in range(40):
@@ -465,22 +565,19 @@ def test_packing_of_twin_paths_matches_the_unpruned_search(sizes, palette, k):
 def _assert_first_fit_is_greedy(coloring, pairs):
     """The walk picks what greedy first-fit picks from the full path list
     (module docstring), so decision counts and families, fallback included,
-    equal enumeration plus the unpruned search, at every cap and k."""
+    are those of enumeration plus the unpruned search, at every cap and k
+    (`_assert_packs_like_the_unpruned_search`)."""
     for u, v in pairs:
         for max_len in (None, 2, 3):
             paths = enumerate_rainbow_paths(coloring, u, v, max_len)
+            greedy = _greedy(paths)
             for k in (1, 2, 3):
-                greedy, used = [], set()
-                for p in paths:
-                    if len(greedy) < k and used.isdisjoint(p[1:-1]):
-                        greedy.append(p)
-                        used.update(p[1:-1])
-                assert first_fit_rainbow_paths(coloring, u, v, k, max_len) == greedy
-                picked = unpruned_max_packing(paths, k)
+                assert first_fit_rainbow_paths(coloring, u, v, k, max_len) == [
+                    paths[i] for i in greedy[:k]]
                 count, family = max_disjoint_rainbow(
                     coloring, PairQuery(u, v, k=k, max_len=max_len))
-                assert count == len(picked)
-                assert family.paths == tuple(paths[i] for i in picked)
+                assert count == len(family.paths)
+                _assert_packs_like_the_unpruned_search(paths, _indices(paths, family), k)
 
 
 @given(st.lists(st.integers(1, 4), min_size=2, max_size=4), st.integers(1, 5),
@@ -795,16 +892,21 @@ def test_verify_logs_its_pair_and_class_counts(caplog):
         "verify: 120 pairs, 4 twin classes, 10 representative pairs"]
 
 
-def test_verify_logs_each_decision_fallback(caplog):
+@pytest.mark.parametrize("palette, seed, failing, fallbacks", [
+    # 3 colors: every path has at most two interior vertices.
+    (3, 2, (0, 3), ["pair (0, 1): first fit stopped at 2 of 3 paths; 6 enumerated paths matched",
+                    "pair (0, 3): first fit stopped at 2 of 3 paths; 2 enumerated paths matched"]),
+    # 4 colors: the same-part pair (2, 3) has 4-edge paths, (4, 5) has none.
+    (4, 3, (2, 3), ["pair (2, 3): first fit stopped at 2 of 3 paths; 10 enumerated paths searched",
+                    "pair (4, 5): first fit stopped at 2 of 3 paths; 6 enumerated paths matched"]),
+])
+def test_verify_logs_each_decision_fallback(caplog, palette, seed, failing, fallbacks):
     # Two representative pairs are left short of k = 3 by the first-fit
-    # walk and searched; the failing pair's family is its search's, with
-    # no further query.
-    coloring = random_coloring(PartitionSpec((2, 2, 2)), 3, seed=2)
+    # walk, and each line names the route that packs its paths; the failing
+    # pair's family is its fallback's, with no further query.
+    coloring = random_coloring(PartitionSpec((2, 2, 2)), palette, seed=seed)
     with caplog.at_level(logging.DEBUG, logger="rainbowk.verifier"):
         report = verify_rainbow_k_connected(coloring, 3)
-    assert report.failing_pair == (0, 3)
+    assert report.failing_pair == failing
     assert caplog.messages == [
-        "verify: 15 pairs, 6 twin classes, 15 representative pairs",
-        "pair (0, 1): first fit stopped at 2 of 3 paths; searching 6 enumerated paths",
-        "pair (0, 3): first fit stopped at 2 of 3 paths; searching 2 enumerated paths",
-    ]
+        "verify: 15 pairs, 6 twin classes, 15 representative pairs", *fallbacks]

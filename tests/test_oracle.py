@@ -1,12 +1,19 @@
 import logging
 import random
+import re
 from itertools import permutations
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from helpers import canonical_form, rc_1_closed_form, unpruned_rc_k_exact
+from helpers import (
+    canonical_form,
+    oracle_walk,
+    rc_1_closed_form,
+    reference_first_failing_pair,
+    unpruned_rc_k_exact,
+)
 from rainbowk.constructions import color_ctk, color_mnn
 from rainbowk.core import (
     Coloring,
@@ -278,11 +285,90 @@ def test_oracle_logs_its_search_per_palette_size(caplog):
     assert result.num_colors == 4
     # With 4 colors no node fails, so its 5 nodes look at all 6 pairs each:
     # 6 queries (the root's) and 24 pairs settled by an inherited family.
+    # Each of those families covers all 4 edges, so each is re-checked.
     assert caplog.messages == [
         f"rck-exact: {L} colors: {nodes} nodes checked, {cut} subtrees cut, "
         f"{leaves} leaves reached, {queries} pair queries, {inherited} pairs "
-        f"settled by an inherited family"
-        for L, nodes, cut, leaves, queries, inherited in [
-            (1, 1, 1, 0, 1, 0), (2, 1, 1, 0, 2, 0), (3, 10, 3, 3, 12, 25),
-            (4, 5, 0, 1, 6, 24)]
+        f"settled by an inherited family, {rechecked} kept-family paths re-checked"
+        for L, nodes, cut, leaves, queries, inherited, rechecked in [
+            (1, 1, 1, 0, 1, 0, 0), (2, 1, 1, 0, 2, 0, 0), (3, 10, 3, 3, 12, 25, 31),
+            (4, 5, 0, 1, 6, 24, 24)]
     ]
+
+
+# The oracle-exhaust instances of the benchmark in every distinct part
+# order, (sizes, k, max colors) -> one row per palette size of its debug
+# line: (L, nodes, cuts, leaves, queries, inherited, re-checked). All but the
+# re-check counts were recorded before the walk indexed its pairs.
+ORACLE_EXHAUST_COUNTS = {
+    ((2, 2, 2), 3, 3): [
+        (1, 1, 1, 0, 1, 0, 0), (2, 20, 10, 0, 29, 205, 97), (3, 51, 26, 3, 99, 447, 289)],
+    ((3, 3), 3, 3): [
+        (1, 1, 1, 0, 1, 0, 0), (2, 1, 1, 0, 3, 0, 0), (3, 22, 10, 2, 47, 179, 153)],
+    ((3, 3), 2, 3): [
+        (1, 1, 1, 0, 1, 0, 0), (2, 1, 1, 0, 3, 0, 0), (3, 19, 5, 4, 52, 158, 112)],
+    ((1, 2, 3), 2, 3): [
+        (1, 1, 1, 0, 1, 0, 0), (2, 22, 11, 0, 35, 255, 88), (3, 21, 5, 4, 76, 199, 131)],
+    ((1, 3, 2), 2, 3): [
+        (1, 1, 1, 0, 1, 0, 0), (2, 40, 20, 0, 52, 393, 136), (3, 24, 7, 4, 78, 199, 144)],
+    ((2, 1, 3), 2, 3): [
+        (1, 1, 1, 0, 1, 0, 0), (2, 200, 96, 4, 203, 2153, 679),
+        (3, 21, 5, 4, 57, 201, 110)],
+    ((2, 3, 1), 2, 3): [
+        (1, 1, 1, 0, 1, 0, 0), (2, 200, 96, 4, 203, 2109, 735),
+        (3, 21, 5, 4, 67, 199, 124)],
+    ((3, 1, 2), 2, 3): [
+        (1, 1, 1, 0, 1, 0, 0), (2, 264, 132, 0, 261, 2315, 770),
+        (3, 19, 7, 1, 61, 143, 109)],
+    ((3, 2, 1), 2, 3): [
+        (1, 1, 1, 0, 1, 0, 0), (2, 264, 132, 0, 260, 2268, 788),
+        (3, 19, 7, 1, 56, 145, 118)],
+    ((1, 1, 1, 1, 1), 3, 3): [(1, 1, 1, 0, 1, 0, 0), (2, 64, 29, 1, 72, 398, 257)],
+    ((1, 1, 1), 1, 1): [(1, 4, 0, 1, 3, 9, 3)],
+    ((2, 2), 1, 2): [(1, 1, 1, 0, 1, 0, 0), (2, 5, 0, 1, 8, 22, 11)],
+    ((2, 2, 2), 2, 2): [(1, 1, 1, 0, 1, 0, 0), (2, 17, 4, 1, 37, 166, 77)],
+}
+
+
+@pytest.mark.parametrize("instance", ORACLE_EXHAUST_COUNTS, ids=lambda i: (
+    f"{''.join(map(str, i[0]))}-k{i[1]}-L{i[2]}"))
+def test_the_walk_keeps_its_counts_on_the_benchmark_instances(instance, caplog):
+    # The index changes which pairs a node looks at, never what it finds:
+    # the nodes, cuts, leaves, queries and inherited pairs are those of the
+    # walk that looked at every pair.
+    sizes, k, max_colors = instance
+    with caplog.at_level(logging.DEBUG, logger="rainbowk.oracle"):
+        witness = rc_k_exact(PartitionSpec(sizes), k, max_colors)
+    rows = ORACLE_EXHAUST_COUNTS[instance]
+    assert witness.num_colors == len(rows)
+    assert [tuple(map(int, re.findall(r"\d+", m))) for m in caplog.messages] == rows
+
+
+@st.composite
+def small_walks(draw):
+    """A spec of 2-4 parts of 1-3 vertices with at most 12 edges, a k up
+    to 3 it can reach and a palette size of 1-3."""
+    sizes = draw(st.lists(st.integers(1, 3), min_size=2, max_size=4).filter(
+        lambda sizes: PartitionSpec(tuple(sizes)).edge_count() <= 12))
+    spec = PartitionSpec(tuple(sizes))
+    k = draw(st.integers(1, min(3, structural_connectivity(spec))))
+    return spec, k, draw(st.integers(1, 3))
+
+
+@settings(max_examples=200, deadline=None)
+@given(small_walks())
+def test_the_indexed_walk_is_the_walk_over_every_pair(instance):
+    # Against the reference loop, which looks at every pair and checks each
+    # kept family: the same witness and the same counts, the re-checks
+    # included, so a stale bit in the index shows as an extra re-check. Up
+    # to 9 edges, where the unpruned enumeration is affordable, the indexed
+    # walk's witness is also the unpruned enumeration's.
+    spec, k, num_colors = instance
+    witness, lines = oracle_walk(spec, k, num_colors)
+    reference, reference_lines = oracle_walk(spec, k, num_colors, reference_first_failing_pair)
+    assert lines == reference_lines
+    assert (witness and witness.to_json_text()) == (reference and reference.to_json_text())
+    if spec.edge_count() <= 9:
+        result = rc_k_exact(spec, k, num_colors)
+        _, unpruned = unpruned_rc_k_exact(spec, k, num_colors)
+        assert (result and result.to_json_text()) == (unpruned and unpruned.to_json_text())

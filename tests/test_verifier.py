@@ -521,16 +521,28 @@ def short_path_lists(draw):
 @given(short_path_lists())
 @settings(max_examples=300)
 def test_matching_packs_as_many_paths_as_the_unpruned_search(paths):
-    # Directly, from greedy's picks, and through `_max_packing`, which
-    # takes a target only above greedy's count, as a fallback does.
+    # Directly, from greedy's picks, and through `_max_packing`, at every
+    # target: above greedy's count, as a fallback calls it, and at or below
+    # it, where the early exits stop at the target too.
     part_masks = PartitionSpec((2, 2, 2, 2)).part_masks
     greedy = _greedy(paths)
     for target in (None, 1, 2, 3, 4):
         _assert_packs_like_the_unpruned_search(
             paths, _max_matching(paths, greedy, target), target)
-        if target is None or target > len(greedy):
-            _assert_packs_like_the_unpruned_search(
-                paths, _max_packing(paths, target, part_masks), target)
+        _assert_packs_like_the_unpruned_search(
+            paths, _max_packing(paths, target, part_masks), target)
+
+
+@pytest.mark.parametrize("paths, part_masks", [
+    # Greedy takes every path.
+    ([(0, 1), (0, 2, 1)], (0b1, 0b110)),
+    # Greedy takes 2 of 3, and the capacity bound settles the root.
+    ([(0, 2, 1), (0, 3, 1), (0, 2, 3, 4, 1)], PartitionSpec((2, 1, 1, 1)).part_masks),
+])
+def test_the_early_exits_stop_at_the_target(paths, part_masks):
+    assert _max_packing(paths, None, part_masks) == [0, 1]
+    assert _max_packing(paths, 1, part_masks) == [0]
+    assert _max_packing(paths, 2, part_masks) == [0, 1]
 
 
 def test_matching_contracts_an_odd_cycle():

@@ -87,7 +87,7 @@ from types import SimpleNamespace
 from typing import Iterable, Iterator
 
 from .core import Coloring, InvariantError, PartitionSpec, VertexPath, all_pairs, check_int
-from .verifier import _settle, structural_connectivity, verify_rainbow_k_connected
+from .verifier import _path_cap, _settle, structural_connectivity, verify_rainbow_k_connected
 
 # Not called here: the walk queries through `_settle`. The benchmark
 # harness's own tests (perfbench/test_perfbench.py) expect its tracer to
@@ -186,14 +186,12 @@ def first_failing_pair(
     edge the coloring has just colored: a pair whose kept family still
     holds passes without a query, and a queried pair that passes keeps the
     family that settled it (module docstring). Without a state the loop
-    starts from a fresh one. k and max_len are checked once per call; the
-    pairs come from `all_pairs`, distinct in-range int ids, so each query
-    goes to `_settle` with nothing left to check, as verify's `_loop_query`
-    does."""
+    starts from a fresh one. k and max_len are checked once per call, the
+    cap by the verifier's rule (`_path_cap`); the pairs come from
+    `all_pairs`, distinct in-range int ids, so each query goes to `_settle`
+    with nothing left to check, as verify's `_loop_query` does."""
     check_int(k, "k", below="k must be >= 1")
-    cap = coloring.num_colors
-    if max_len is not None:
-        cap = min(check_int(max_len, "max_len"), cap)
+    cap = _path_cap(coloring, max_len)
     if settled is None:
         settled = _walk_state(coloring.spec)
     # Counted in locals and added to `settled` once: a namespace attribute

@@ -10,7 +10,7 @@ set-packing instance solved exactly by branch and bound over the path
 list, branching on the lowest-id internal vertex still in contention.
 
 A decision query (target k) first runs that first-fit without the list:
-`first_fit_rainbow_paths` walks the depth-first search of
+`_first_fit` walks the depth-first search of
 `enumerate_rainbow_paths`, in the same lexicographic order, and picks each
 path it reaches, until it holds k. It differs from the full search in two
 ways, and neither changes which paths are picked:
@@ -101,8 +101,9 @@ no augmenting path is left, and a vertex with no augmenting path keeps
 none after later augmentations, so one pass over the vertices ends at a
 maximum, in O(V^3) time. When greedy is already maximum nothing augments
 and the family is greedy's, the one branch and bound returns too;
-otherwise it is a maximum family that may differ from branch and bound's.
-Counts and verdicts are the same either way.
+otherwise it is a maximum family whose paths may differ from branch and
+bound's. Either route lists its family in list order (`_max_packing`),
+and counts and verdicts are the same either way.
 
 `verify_rainbow_k_connected` queries one pair per orbit of the coloring's
 twin symmetry. Color twins are vertices with equal `rows` entries
@@ -139,9 +140,9 @@ itself, through `_loop_query`, on values checked once per run (k by
 `verify_rainbow_k_connected`, the palette by `Coloring`, the pairs by
 `all_pairs`), so it builds no `PairQuery` and a `WitnessFamily` only for a
 pair below k. The oracle's `first_failing_pair` calls `_settle` the same
-way, with its relaxations' path-length cap, and builds neither. `fan_out`
-is the one process fan-out (the lower-bound sampler maps its seeds through
-it)."""
+way, with its relaxations' path-length cap (`_path_cap`, the one cap
+rule), and builds neither. `fan_out` is the one process fan-out (the
+lower-bound sampler maps its seeds through it)."""
 
 from __future__ import annotations
 
@@ -170,17 +171,15 @@ logger = logging.getLogger(__name__)
 @dataclass(frozen=True)
 class PairQuery:
     """One pair to check: decide `count >= k`, or maximize the packing size
-    when k is None. `max_len` caps the path length below the palette size
-    (None: no cap beyond the palette's own, which pigeonhole makes safe).
-    A plain record, checked once by `max_disjoint_rainbow`: a decision
-    query's k, then its pair and cap (`_path_cap`), before the first-fit
-    walk; a maximize query's pair and cap in the enumeration. `verify`'s
-    pair loop builds none (`_loop_query`)."""
+    when k is None, over rainbow paths of at most palette-size edges (a cap
+    pigeonhole makes safe). A plain record, checked once by
+    `max_disjoint_rainbow`: a decision query's k, then its pair
+    (`_check_ids`), before the first-fit walk; a maximize query's pair in
+    the enumeration. `verify`'s pair loop builds none (`_loop_query`)."""
 
     u: int
     v: int
     k: int | None = None
-    max_len: int | None = None
 
     @property
     def mode(self) -> str:
@@ -188,14 +187,19 @@ class PairQuery:
         return "maximize" if self.k is None else "decision"
 
 
-def _path_cap(coloring: Coloring, u: int, v: int, max_len: int | None) -> int:
-    """Edge cap of the rainbow u->v paths to search: the palette size, or
-    max_len when smaller. Raises ValueError unless u and v are distinct
-    vertex ids (`core.check_pair`, then the spec's range) and max_len is
-    None or an integer >= 1 (`core.check_int`): a bool would pass for
-    vertex 0 or 1, and a float fails only inside the walk."""
+def _check_ids(coloring: Coloring, u: int, v: int) -> None:
+    """Raise ValueError unless u and v are distinct vertex ids of the
+    coloring (`core.check_pair`, then the spec's range): a bool would pass
+    for vertex 0 or 1, and rows[-1] would answer silently."""
     check_pair(u, v)
-    coloring.spec.part_of(u), coloring.spec.part_of(v)  # id validation
+    coloring.spec.part_of(u), coloring.spec.part_of(v)
+
+
+def _path_cap(coloring: Coloring, max_len: int | None) -> int:
+    """Edge cap of the rainbow paths to search: the palette size, or max_len
+    when smaller. Raises ValueError unless max_len is None or an integer
+    >= 1 (`core.check_int`), so the cap is at least 1: a float would fail
+    only inside the walk."""
     cap = coloring.num_colors
     return cap if max_len is None else min(check_int(max_len, "max_len"), cap)
 
@@ -215,7 +219,7 @@ def enumerate_rainbow_paths(
 ) -> list[VertexPath]:
     """All rainbow u->v paths with at most max_len edges, in lexicographic
     vertex order. Each path is reported once, oriented from u to v. Decision
-    queries list them only when `first_fit_rainbow_paths` falls short of k.
+    queries list them only when the first-fit walk falls short of k.
 
     Colors come from `coloring.rows` by index. The last two steps the cap
     allows are closed in place (module docstring): from a partial path P
@@ -225,11 +229,12 @@ def enumerate_rainbow_paths(
     a partial path P go in ascending x, so P + (v,) follows the paths
     through P + (x,) for x < v and precedes those for x > v; no path runs
     past v, so the output is lexicographic without a sort."""
-    cap = _path_cap(coloring, u, v, max_len)
+    _check_ids(coloring, u, v)
+    cap = _path_cap(coloring, max_len)
     rows = coloring.rows
-    if cap < 2:
-        # At most one edge: only the direct one can qualify.
-        return [(u, v)] if cap == 1 and rows[u][v] else []
+    if cap == 1:
+        # One edge: only the direct one can qualify.
+        return [(u, v)] if rows[u][v] else []
     to_v = rows[v]
     closers = _close_steps(coloring, v)
     if cap == 2:
@@ -269,27 +274,18 @@ def enumerate_rainbow_paths(
     return out
 
 
-def first_fit_rainbow_paths(
-    coloring: Coloring, u: int, v: int, k: int, max_len: int | None = None
-) -> list[VertexPath]:
+def _first_fit(coloring: Coloring, u: int, v: int, k: int, cap: int) -> list[VertexPath]:
     """The paths, at most k, that greedy first-fit picks from
-    `enumerate_rainbow_paths(coloring, u, v, max_len)`: each path whose
+    `enumerate_rainbow_paths(coloring, u, v, cap)`: each path whose
     interior misses the interiors picked before it, in list order. The
     paths are not listed: the walk of the module docstring searches
     depth-first for the lexicographically first path that avoids the picked
     interiors, one neighbour of u after another, and stops at k picks.
-    Raises ValueError unless k is an int >= 1, before `_path_cap` checks
-    the pair and the cap."""
-    check_int(k, "k", below="decision mode needs k >= 1")
-    return _first_fit(coloring, u, v, k, _path_cap(coloring, u, v, max_len))
-
-
-def _first_fit(coloring: Coloring, u: int, v: int, k: int, cap: int) -> list[VertexPath]:
-    """`first_fit_rainbow_paths` on checked values: k an int >= 1, u and v
-    distinct vertex ids, and cap the edge cap `_path_cap` gives."""
+    The values must be checked: k an int >= 1, u and v distinct vertex ids,
+    and cap an edge cap `_path_cap` gives."""
     rows = coloring.rows
-    if cap < 2:
-        return [(u, v)] if cap == 1 and rows[u][v] else []
+    if cap == 1:
+        return [(u, v)] if rows[u][v] else []
     to_v = rows[v]
     # The cap-2 root closes in place, over all of rows[u]: only deeper
     # walks reach the close level.
@@ -377,12 +373,13 @@ def _capacity_bound(tables, avail: int, cand: int) -> int:
 def _max_packing(
     paths: list[VertexPath], target: int | None, part_masks: tuple[int, ...]
 ) -> list[int]:
-    """Indices of a maximum subset of paths with pairwise disjoint interiors.
+    """Indices of a maximum subset of paths with pairwise disjoint interiors,
+    in ascending order: every exit returns the family in list order, at
+    most `target` indices.
 
     Exact: a maximum matching when no path has more than two interior
     vertices (`_max_matching`), branch and bound otherwise; with a target
-    either stops as soon as `target` pairwise disjoint paths are found, and
-    every exit returns at most `target` indices.
+    either stops as soon as `target` pairwise disjoint paths are found.
     `part_masks` are the parts' vertex masks, the regions of the capacity
     bound beside the whole vertex set.
 
@@ -413,7 +410,9 @@ def _max_packing(
     paths plus a packing drawn from its candidates, so a cut subtree holds
     no packing larger than `best`. `best` changes only on a strict
     improvement, so the search holds the same `best` at every step as the
-    same search without cuts, and returns the same indices.
+    same search without cuts, and keeps the same indices. It picks them in
+    branch order and sorts them on the way out; greedy's picks and the
+    matching's already ascend.
     """
     m = len(paths)
     masks = [0] * m
@@ -488,7 +487,7 @@ def _max_packing(
         search(cand & ~tm, chosen)
 
     search(everything, [])
-    return best[:target]
+    return sorted(best[:target])
 
 
 def _max_matching(paths: list[VertexPath], seed: list[int], target: int | None) -> list[int]:
@@ -603,18 +602,16 @@ def _max_matching(paths: list[VertexPath], seed: list[int], target: int | None) 
     return chosen if target is None else chosen[:target]
 
 
-def _settle(
-    coloring: Coloring, u: int, v: int, k: int | None, cap: int | None
-) -> list[VertexPath]:
+def _settle(coloring: Coloring, u: int, v: int, k: int | None, cap: int) -> list[VertexPath]:
     """The paths of a maximum packing of internally disjoint rainbow
-    u,v-paths, capped at k paths when k is given. A k is settled by the
-    first-fit walk when it picks k paths; only a walk that ends short of k,
-    or a query without k, enumerates the paths and searches them (module
-    docstring), and each such fallback is logged at debug level.
+    u,v-paths of at most cap edges, capped at k paths when k is given, in
+    list order. A k is settled by the first-fit walk when it picks k paths;
+    only a walk that ends short of k, or a query without k, enumerates the
+    paths and searches them (module docstring), and each such fallback is
+    logged at debug level.
 
     With a k, the pair and cap must be checked already: the walk trusts
-    them. The enumeration is the public one, which checks the pair and the
-    cap (None: the palette size) itself."""
+    them. The enumeration is the public one, which checks both itself."""
     if k is not None:
         picked = _first_fit(coloring, u, v, k, cap)
         if len(picked) == k:
@@ -631,17 +628,17 @@ def max_disjoint_rainbow(
     coloring: Coloring, query: PairQuery
 ) -> tuple[int, WitnessFamily]:
     """Size of a maximum packing of internally disjoint rainbow u,v-paths,
-    plus a family attaining it, both capped at k for a query with a k
-    (`_settle`). A decision query's k, pair and cap are checked here,
-    before the first-fit walk; a maximize query's pair and cap are checked
-    by the enumeration it runs. Either way each value is checked once
-    unless a decision query falls back to the enumeration."""
+    plus a family attaining it in list order, both capped at k for a query
+    with a k (`_settle`). A decision query's k and pair are checked here,
+    before the first-fit walk; a maximize query's pair is checked by the
+    enumeration it runs. Either way each value is checked once unless a
+    decision query falls back to the enumeration. The cap is the palette
+    size, which `Coloring` has checked."""
     u, v, k = query.u, query.v, query.k
-    cap = query.max_len
     if k is not None:
         check_int(k, "k", below="decision mode needs k >= 1")
-        cap = _path_cap(coloring, u, v, cap)
-    picked = _settle(coloring, u, v, k, cap)
+        _check_ids(coloring, u, v)
+    picked = _settle(coloring, u, v, k, coloring.num_colors)
     return len(picked), WitnessFamily(u, v, tuple(picked), provenance=f"verifier {query.mode}")
 
 

@@ -20,7 +20,7 @@ import rainbowk
 from rainbowk import oracle
 from rainbowk.core import Coloring, PartitionSpec, VerificationReport, all_pairs
 from rainbowk.oracle import enumerate_colorings_canonical, family_holds, path_by_edge
-from rainbowk.verifier import PairQuery, max_disjoint_rainbow
+from rainbowk.verifier import PairQuery, _path_cap, _settle, max_disjoint_rainbow
 
 # The directory holding the rainbowk under test: this checkout's `src`, an
 # other tree's on PYTHONPATH, or the installed package's.
@@ -86,7 +86,7 @@ def unpruned_max_packing(paths, target):
     the verifier's branch and bound with its only cut the trivial one, that
     the chosen paths plus every candidate cannot beat the best packing. The
     reference the capacity-bounded search is compared against, indices
-    included."""
+    included: picked in branch order here, sorted there."""
     m = len(paths)
     masks = [0] * m
     for i, p in enumerate(paths):
@@ -183,12 +183,13 @@ def canonical_form(coloring: Coloring) -> Coloring:
 def reference_first_failing_pair(coloring, k, max_len=None, settled=None, recolored=None):
     """`oracle.first_failing_pair` without its edge-to-pair index: every
     pair in lex order, each settled by its kept family (kept in a dict by
-    pair, `settled.by_pair`) while `family_holds`, else by a checked
-    `max_disjoint_rainbow` query. It adds the same counts to `settled`:
-    pairs queried, pairs inherited, and the kept families with a path
-    through `recolored`, which `family_holds` checks. It shares
-    `family_holds` and `path_by_edge` with the oracle: what it checks is
-    the index, which pairs a node visits."""
+    pair, `settled.by_pair`) while `family_holds`, else by a query. It
+    adds the same counts to `settled`: pairs queried, pairs inherited, and
+    the kept families with a path through `recolored`, which
+    `family_holds` checks. It shares `family_holds` and `path_by_edge`
+    with the oracle, and queries through `verifier._settle` at the cap
+    `verifier._path_cap` gives, as the oracle does: what it checks is the
+    index, which pairs a node visits."""
     families = {} if settled is None else vars(settled).setdefault("by_pair", {})
     failing, queried, inherited, rechecked = None, 0, 0, 0
     for pair in all_pairs(coloring.spec):
@@ -199,11 +200,11 @@ def reference_first_failing_pair(coloring, k, max_len=None, settled=None, recolo
                 inherited += 1
                 continue
         queried += 1
-        count, family = max_disjoint_rainbow(coloring, PairQuery(*pair, k=k, max_len=max_len))
-        if count < k:
+        picked = _settle(coloring, *pair, k, _path_cap(coloring, max_len))
+        if len(picked) < k:
             failing = pair
             break
-        families[pair] = path_by_edge(family.paths)
+        families[pair] = path_by_edge(picked)
     if settled is not None:
         settled.queried += queried
         settled.inherited += inherited

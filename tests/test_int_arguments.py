@@ -35,7 +35,7 @@ from rainbowk import (
     witness_paths,
 )
 from rainbowk.bounds import sample_certificates
-from rainbowk.verifier import fan_out, first_fit_rainbow_paths
+from rainbowk.verifier import fan_out
 
 SPEC = PartitionSpec((2, 2, 2))
 COLORING = random_coloring(SPEC, 3, 1)
@@ -83,11 +83,6 @@ CALLS = {
     ("verify_rainbow_k_connected", "jobs"):
         lambda x: verify_rainbow_k_connected(COLORING, 1, jobs=x),
     # Entry points outside the package namespace and constructors.
-    ("first_fit_rainbow_paths", "u"): lambda x: first_fit_rainbow_paths(COLORING, x, 3, 2),
-    ("first_fit_rainbow_paths", "v"): lambda x: first_fit_rainbow_paths(COLORING, 0, x, 2),
-    ("first_fit_rainbow_paths", "k"): lambda x: first_fit_rainbow_paths(COLORING, 0, 3, x),
-    ("first_fit_rainbow_paths", "max_len"):
-        lambda x: first_fit_rainbow_paths(COLORING, 0, 3, 2, max_len=x),
     ("fan_out", "jobs"): lambda x: fan_out(abs, [1], x),
     ("sample_certificates", "k"): lambda x: sample_certificates("bipartite5", x, (2, 17), 1, 0),
     ("sample_certificates", "samples"):
@@ -100,8 +95,6 @@ CALLS = {
     ("PairQuery", "u"): lambda x: max_disjoint_rainbow(COLORING, PairQuery(x, 1)),
     ("PairQuery", "v"): lambda x: max_disjoint_rainbow(COLORING, PairQuery(0, x)),
     ("PairQuery", "k"): lambda x: max_disjoint_rainbow(COLORING, PairQuery(0, 1, k=x)),
-    ("PairQuery", "max_len"):
-        lambda x: max_disjoint_rainbow(COLORING, PairQuery(0, 1, max_len=x)),
     ("Coloring", "num_colors"): lambda x: Coloring(SPEC, x, COLORING.assignment),
 }
 
@@ -126,8 +119,8 @@ JUDGED = {
 EXEMPT = {
     # Built by `verify_rainbow_k_connected` from a k its own row refuses.
     ("VerificationReport", "k"),
-    # Worked out by `_twin_certificate` (a search result and S // 2 of the
-    # spec's sizes), never passed in.
+    # Worked out by `_certify` (a search result) and `_twin_plan` (S // 2
+    # of the spec's sizes), never passed in.
     ("LowerBoundCertificate", "count"),
     ("LowerBoundCertificate", "bound"),
 }

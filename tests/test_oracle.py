@@ -18,6 +18,7 @@ from rainbowk.constructions import color_ctk, color_mnn
 from rainbowk.core import (
     Coloring,
     PartitionSpec,
+    WitnessFamily,
     all_pairs,
     family_is_valid,
     is_rainbow_path,
@@ -31,6 +32,7 @@ from rainbowk.oracle import (
 )
 from rainbowk.verifier import (
     PairQuery,
+    _settle,
     max_disjoint_rainbow,
     structural_connectivity,
     verify_rainbow_k_connected,
@@ -176,8 +178,8 @@ def test_the_relaxation_bounds_every_completion(instance):
     relaxation = _relaxation(coloring, prefix)
     for pair in all_pairs(coloring.spec):
         full, _ = max_disjoint_rainbow(coloring, PairQuery(*pair))
-        relaxed, _ = max_disjoint_rainbow(relaxation, PairQuery(*pair, max_len=num_colors))
-        assert relaxed >= full, pair
+        relaxed = _settle(relaxation, *pair, None, num_colors)
+        assert len(relaxed) >= full, pair
 
 
 @settings(max_examples=150)
@@ -200,10 +202,10 @@ def test_an_inherited_family_is_kept_only_while_it_settles_its_pair(instance, da
     earlier = _relaxation(coloring, found_at)
     for pair in all_pairs(coloring.spec):
         for k in (1, 2, 3):
-            count, family = max_disjoint_rainbow(
-                earlier, PairQuery(*pair, k=k, max_len=num_colors))
-            if count < k:
+            picked = _settle(earlier, *pair, k, num_colors)
+            if len(picked) < k:
                 continue
+            family = WitnessFamily(*pair, tuple(picked), "test")
             by_edge = path_by_edge(family.paths)
             assert len(by_edge) == sum(len(p) - 1 for p in family.paths)
             if family_holds(node, by_edge, edges[i - 1]):

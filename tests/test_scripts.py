@@ -62,3 +62,28 @@ def test_gc_cadence_counts_collections_over_the_benchmark_loop():
     assert per_full == ("imports per full collection: no full collection" if not counts[2]
                         else f"imports per full collection: {imports / counts[2]:.2f}")
     assert re.fullmatch(r"ru_maxrss: \d+\.\d\d MB", rss)
+
+
+def test_code_lines_counts_only_lines_that_hold_code(tmp_path):
+    (tmp_path / "pkg").mkdir()
+    (tmp_path / "pkg" / "a.py").write_text(
+        '"""A module docstring\nover two lines."""\n'
+        "\n"
+        "import os  # a trailing comment\n"
+        "\n"
+        "# a comment line\n"
+        "\n"
+        "\n"
+        "def f(x):\n"
+        '    """A function docstring."""\n'
+        "    return max(\n"
+        "        x,\n"
+        "        1,\n"
+        "    )\n")
+    (tmp_path / "b.py").write_text("x = 1\n")
+    proc = run_script("code_lines.py", str(tmp_path / "pkg"), str(tmp_path / "b.py"))
+    assert proc.returncode == 0, proc.stderr
+    # Files in path order. a.py: the import, the def and the four lines of
+    # the split call.
+    assert proc.stdout.splitlines() == [
+        f"1 {tmp_path / 'b.py'}", f"6 {tmp_path / 'pkg' / 'a.py'}", "7 total"]

@@ -2,7 +2,6 @@ import concurrent.futures
 import json
 import logging
 import os
-from functools import partial
 from itertools import combinations
 from pathlib import Path
 
@@ -34,11 +33,13 @@ from rainbowk.verifier import (
     PairQuery,
     _capacity_bound,
     _capacity_tables,
+    _first_fit,
     _max_matching,
     _max_packing,
+    _path_cap,
+    _settle,
     enumerate_rainbow_paths,
     fan_out,
-    first_fit_rainbow_paths,
     max_disjoint_rainbow,
     structural_connectivity,
     verify_rainbow_k_connected,
@@ -176,20 +177,12 @@ def test_verify_refuses_an_unknown_mode():
         verify_rainbow_k_connected(ONE_COLOR_K22, 1, mode="guess")
 
 
-def test_pair_query_rejects_a_cap_below_one_edge():
-    with pytest.raises(ValueError, match="max_len"):
-        max_disjoint_rainbow(ONE_COLOR_K22, PairQuery(0, 1, max_len=0))
-    assert PairQuery(0, 1, max_len=1).max_len == 1
-
-
 def test_max_len_caps_the_paths_a_query_packs():
     # K_{2,2} rainbow: the cross pair (0, 2) has its edge and 0-3-1-2.
     coloring = Coloring.from_function(PartitionSpec((2, 2)), 4,
                                       lambda u, v: 2 * u + v - 1)
     assert max_disjoint_rainbow(coloring, PairQuery(0, 2))[0] == 2
-    count, family = max_disjoint_rainbow(
-        coloring, PairQuery(0, 2, max_len=2))
-    assert count == 1 and family.paths == ((0, 2),)
+    assert _settle(coloring, 0, 2, None, 2) == [(0, 2)]
 
 
 def test_exhaustive_oracle_agreement():
@@ -354,8 +347,8 @@ def test_packing_matches_subset_oracle_on_random_instances():
         count, family = max_disjoint_rainbow(coloring, PairQuery(u, v))
         assert count == naive_max_disjoint(paths)
         assert family_is_valid(coloring, family, count)
-        # Decision mode builds the conflict matrix only when greedy falls
-        # short of k; either way it must agree with the subset oracle.
+        # Decision mode enumerates and packs only when the first-fit walk
+        # falls short of k; either way it must agree with the subset oracle.
         for k in range(1, count + 2):
             got, family = max_disjoint_rainbow(coloring, PairQuery(u, v, k=k))
             assert got == min(k, count)
@@ -395,14 +388,14 @@ def _indices(paths, family):
 def _assert_packs_like_the_unpruned_search(paths, got, target):
     """Indices of a packing of paths (capped at target) against the
     unpruned search. A path set with a path of three or more interior
-    vertices is searched, and its indices are the unpruned search's. Shorter
-    paths are matched (module docstring), and a matching may pick another
-    maximum family: there the count is the unpruned search's, the indices
-    ascend and the interiors are pairwise disjoint, and greedy's picks come
-    back whenever they are maximum."""
+    vertices is searched, and its indices are the unpruned search's, in
+    list order. Shorter paths are matched (module docstring), and a
+    matching may pick another maximum family: there the count is the
+    unpruned search's, the indices ascend and the interiors are pairwise
+    disjoint, and greedy's picks come back whenever they are maximum."""
     expected = unpruned_max_packing(paths, target)
     if any(len(p) > 4 for p in paths):
-        assert got == expected
+        assert got == sorted(expected)
         return
     assert len(got) == len(expected)
     assert got == sorted(set(got))
@@ -429,6 +422,29 @@ def test_bounded_search_matches_unpruned_search(instance):
         got, family = max_disjoint_rainbow(coloring, PairQuery(u, v, k=k))
         assert got == min(k, count)
         _assert_packs_like_the_unpruned_search(paths, _indices(paths, family), k)
+
+
+@given(packing_pairs())
+@settings(max_examples=150)
+def test_every_packing_lists_its_paths_in_list_order(instance):
+    # Greedy, the matching and the search all return ascending indices, at
+    # most target of them, at every target up to one past the maximum.
+    coloring, _, _, paths = instance
+    part_masks = coloring.spec.part_masks
+    count = len(_max_packing(paths, None, part_masks))
+    for target in (None, *range(1, count + 2)):
+        got = _max_packing(paths, target, part_masks)
+        assert all(a < b for a, b in zip(got, got[1:])), (target, got)
+        assert target is None or len(got) <= target
+
+
+def test_a_searched_family_comes_back_in_list_order():
+    # A pair whose paths reach the search, which picks them in branch order.
+    coloring = random_coloring(PartitionSpec((3, 3, 1, 4)), 4, 0)
+    paths = enumerate_rainbow_paths(coloring, 5, 7)
+    assert _max_packing(paths, None, coloring.spec.part_masks) == [4, 7, 10, 16, 17, 25]
+    _, family = max_disjoint_rainbow(coloring, PairQuery(5, 7))
+    assert _indices(paths, family) == [4, 7, 10, 16, 17, 25]
 
 
 def _regions_built(monkeypatch):
@@ -583,20 +599,18 @@ def _assert_first_fit_is_greedy(coloring, pairs):
         for max_len in (None, 2, 3):
             paths = enumerate_rainbow_paths(coloring, u, v, max_len)
             greedy = _greedy(paths)
+            cap = _path_cap(coloring, max_len)
             for k in (1, 2, 3):
-                assert first_fit_rainbow_paths(coloring, u, v, k, max_len) == [
-                    paths[i] for i in greedy[:k]]
-                count, family = max_disjoint_rainbow(
-                    coloring, PairQuery(u, v, k=k, max_len=max_len))
-                assert count == len(family.paths)
-                _assert_packs_like_the_unpruned_search(paths, _indices(paths, family), k)
+                assert _first_fit(coloring, u, v, k, cap) == [paths[i] for i in greedy[:k]]
+                picked = _settle(coloring, u, v, k, cap)
+                _assert_packs_like_the_unpruned_search(paths, list(map(paths.index, picked)), k)
 
 
 @given(st.lists(st.integers(1, 4), min_size=2, max_size=4), st.integers(1, 5),
        st.integers(0, 2**32))
 @settings(max_examples=250)
 def test_first_fit_walk_matches_the_full_enumeration(sizes, num_colors, seed):
-    # Palettes of 1 and 2 and max_len 2 reach the walk's cap < 2 and
+    # Palettes of 1 and 2 and max_len 2 reach the walk's cap = 1 and
     # cap = 2 branches.
     coloring = random_coloring(PartitionSpec(tuple(sizes)), num_colors, seed)
     _assert_first_fit_is_greedy(coloring, all_pairs(coloring.spec))
@@ -629,7 +643,7 @@ def test_first_fit_refuses_k_below_one(k):
     integer = type(k) is int
     with pytest.raises(ValueError, match="decision mode needs k >= 1" if integer
                        else f"k must be an integer >= 1, got {k}"):
-        first_fit_rainbow_paths(coloring, 0, 1, k)
+        max_disjoint_rainbow(coloring, PairQuery(0, 1, k=k))
     # verify's own line for an integer k is the one the CLI prints.
     with pytest.raises(ValueError, match="^k must be >= 1$" if integer
                        else f"k must be an integer >= 1, got {k}"):
@@ -638,7 +652,8 @@ def test_first_fit_refuses_k_below_one(k):
 
 WALKS = [
     pytest.param(enumerate_rainbow_paths, id="enumerate"),
-    pytest.param(partial(first_fit_rainbow_paths, k=2), id="first-fit"),
+    pytest.param(lambda coloring, u, v: max_disjoint_rainbow(coloring, PairQuery(u, v, k=2)),
+                 id="decision"),
 ]
 
 
@@ -651,13 +666,12 @@ def test_walks_refuse_ids_that_are_not_ints(walk, u, v):
         walk(coloring, u, v)
 
 
-@pytest.mark.parametrize("walk", WALKS)
 @pytest.mark.parametrize("max_len", [0, -2, 2.0, True])
-def test_walks_refuse_caps_that_are_not_positive_ints(walk, max_len):
-    # Unchecked, max_len = 0 lists no path, where a query's cap is refused.
+def test_enumeration_refuses_caps_that_are_not_positive_ints(max_len):
+    # Unchecked, max_len = 0 lists no path, where the cap rule refuses it.
     coloring = random_coloring(PartitionSpec((2, 2, 2)), 3, seed=2)
     with pytest.raises(ValueError, match="max_len must be an integer >= 1"):
-        walk(coloring, 0, 3, max_len=max_len)
+        enumerate_rainbow_paths(coloring, 0, 3, max_len=max_len)
 
 
 @pytest.mark.parametrize("mode", ["decision", "maximize"])

@@ -35,6 +35,7 @@ from rainbowk import (
     witness_paths,
 )
 from rainbowk.bounds import sample_certificates
+from rainbowk.oracle import first_failing_pair
 from rainbowk.verifier import fan_out
 
 SPEC = PartitionSpec((2, 2, 2))
@@ -84,6 +85,8 @@ CALLS = {
         lambda x: verify_rainbow_k_connected(COLORING, 1, jobs=x),
     # Entry points outside the package namespace and constructors.
     ("fan_out", "jobs"): lambda x: fan_out(abs, [1], x),
+    ("first_failing_pair", "k"): lambda x: first_failing_pair(COLORING, x),
+    ("first_failing_pair", "max_len"): lambda x: first_failing_pair(COLORING, 1, max_len=x),
     ("sample_certificates", "k"): lambda x: sample_certificates("bipartite5", x, (2, 17), 1, 0),
     ("sample_certificates", "samples"):
         lambda x: sample_certificates("bipartite5", 2, (2, 17), x, 0),

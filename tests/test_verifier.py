@@ -654,6 +654,8 @@ WALKS = [
     pytest.param(enumerate_rainbow_paths, id="enumerate"),
     pytest.param(lambda coloring, u, v: max_disjoint_rainbow(coloring, PairQuery(u, v, k=2)),
                  id="decision"),
+    pytest.param(lambda coloring, u, v: max_disjoint_rainbow(coloring, PairQuery(u, v)),
+                 id="maximize"),
 ]
 
 
@@ -666,12 +668,28 @@ def test_walks_refuse_ids_that_are_not_ints(walk, u, v):
         walk(coloring, u, v)
 
 
+# The checked entries that take a cap, each through the one cap rule.
+CAPPED_WALKS = [
+    pytest.param(lambda coloring, max_len: enumerate_rainbow_paths(coloring, 0, 3, max_len),
+                 id="enumerate"),
+    pytest.param(lambda coloring, max_len: first_failing_pair(coloring, 2, max_len=max_len),
+                 id="first-failing-pair"),
+]
+
+
+@pytest.mark.parametrize("walk", CAPPED_WALKS)
 @pytest.mark.parametrize("max_len", [0, -2, 2.0, True])
-def test_enumeration_refuses_caps_that_are_not_positive_ints(max_len):
+def test_walks_refuse_caps_that_are_not_positive_ints(walk, max_len):
     # Unchecked, max_len = 0 lists no path, where the cap rule refuses it.
     coloring = random_coloring(PartitionSpec((2, 2, 2)), 3, seed=2)
     with pytest.raises(ValueError, match="max_len must be an integer >= 1"):
-        enumerate_rainbow_paths(coloring, 0, 3, max_len=max_len)
+        walk(coloring, max_len)
+
+
+@pytest.mark.parametrize("max_len, cap", [(None, 3), (1, 1), (2, 2), (3, 3), (5, 3)])
+def test_the_path_cap_is_the_palette_or_a_smaller_max_len(max_len, cap):
+    coloring = random_coloring(PartitionSpec((2, 2, 2)), 3, seed=2)
+    assert _path_cap(coloring, max_len) == cap
 
 
 @pytest.mark.parametrize("mode", ["decision", "maximize"])

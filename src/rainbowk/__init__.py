@@ -6,7 +6,6 @@ lower-bound certificates, and a brute-force rc_k oracle for tiny instances.
 """
 
 from .bounds import (
-    LowerBoundCertificate,
     certify_bipartite_lower,
     certify_multipartite_lower,
     f_formula,

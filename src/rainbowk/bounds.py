@@ -16,6 +16,12 @@ the interior bound; `_certify` checks one coloring against the plan (its
 palette, its twins, their count below k and within the bound). The
 certifiers plan on every call; `sample_certificates` plans once per run,
 since its colorings share one spec, and certifies each sample.
+
+A certificate is the JSON object that `lower-bound -o` writes, in this key
+order: {"scenario", "params", "twins": [a, b], "max_disjoint_rainbow_paths",
+"arithmetic_bound"}. `params` is the plan's own dict, shared by every
+certificate of the plan, not a copy: a run's document holds it once, and
+`core.json_text` writes it once.
 """
 
 from __future__ import annotations
@@ -23,7 +29,6 @@ from __future__ import annotations
 import logging
 import random
 from collections import Counter
-from dataclasses import dataclass
 from functools import lru_cache, partial
 from types import SimpleNamespace
 
@@ -65,30 +70,6 @@ def find_color_twins(coloring: Coloring, big_part: int) -> tuple[int, int] | Non
         if b != a and (twins is None or b < twins[0]):
             twins = (b, a)
     return twins
-
-
-@dataclass(frozen=True)
-class LowerBoundCertificate:
-    """Proof that one coloring is not rainbow k-connected: a twin pair whose
-    maximum disjoint rainbow path count falls below k by counting interiors."""
-
-    scenario: str  # a key of SCENARIOS
-    params: dict
-    twins: tuple[int, int]
-    count: int
-    bound: int  # the interior-counting cap on disjoint twin paths
-
-    def to_json_dict(self) -> dict:
-        """The certificate's JSON object. `params` is the certificate's own
-        dict, shared by every certificate of one plan, not a copy: a run's
-        document holds it once, and `core.json_text` writes it once."""
-        return {
-            "scenario": self.scenario,
-            "params": self.params,
-            "twins": list(self.twins),
-            "max_disjoint_rainbow_paths": self.count,
-            "arithmetic_bound": self.bound,
-        }
 
 
 def _bipartite5(k: int, spec: PartitionSpec) -> tuple[int, dict]:
@@ -157,11 +138,11 @@ def _twin_plan(scenario: str, k: int, spec: PartitionSpec) -> SimpleNamespace:
                            params=params, bound=(spec.n - spec.sizes[big]) // 2)
 
 
-def _certify(plan: SimpleNamespace, coloring: Coloring) -> LowerBoundCertificate:
-    """Certificate from the first twin pair in the plan's big part of
-    coloring, a coloring of plan.spec. Raises ValueError when it uses more
-    colors than the palette, InvariantError when the twins are missing or
-    their count is not below k and within the plan's bound."""
+def _certify(plan: SimpleNamespace, coloring: Coloring) -> dict:
+    """Certificate (module docstring) from the first twin pair in the plan's
+    big part of coloring, a coloring of plan.spec. Raises ValueError when it
+    uses more colors than the palette, InvariantError when the twins are
+    missing or their count is not below k and within the plan's bound."""
     if coloring.num_colors > plan.palette:
         raise ValueError(f"coloring must use at most {plan.palette} colors")
     twins = find_color_twins(coloring, plan.big)
@@ -176,23 +157,26 @@ def _certify(plan: SimpleNamespace, coloring: Coloring) -> LowerBoundCertificate
         raise InvariantError(
             f"twins {twins} admit {count} paths, above the interior bound {plan.bound}"
         )
-    return LowerBoundCertificate(plan.scenario, plan.params, twins, count, plan.bound)
+    return {"scenario": plan.scenario, "params": plan.params, "twins": list(twins),
+            "max_disjoint_rainbow_paths": count, "arithmetic_bound": plan.bound}
 
 
-def certify_bipartite_lower(k: int, coloring: Coloring) -> LowerBoundCertificate:
+def certify_bipartite_lower(k: int, coloring: Coloring) -> dict:
     """Certify that a 4-colored K_{s,m} (k <= s <= 2k-1, m >= 4^s + 1) is not
     rainbow k-connected: the big part carries color twins, every rainbow twin
     path has length 4 and uses two small-part interiors, and the small part
-    is too small to host k of them. s and m are read off coloring.spec."""
+    is too small to host k of them. s and m are read off coloring.spec. The
+    certificate is its JSON object (module docstring)."""
     return _certify(_twin_plan("bipartite5", k, coloring.spec), coloring)
 
 
-def certify_multipartite_lower(k: int, coloring: Coloring) -> LowerBoundCertificate:
+def certify_multipartite_lower(k: int, coloring: Coloring) -> dict:
     """Certify that a 3-colored complete t-partite graph (t >= 3) with one
     huge part and t-1 small parts of size in [ceil(k/(t-1)),
     ceil(2k/(t-1)) - 1] is not rainbow k-connected. Twin paths have length 3
     with both interiors among the small parts. t and the part sizes are read
-    off coloring.spec."""
+    off coloring.spec. The certificate is its JSON object (module
+    docstring)."""
     return _certify(_twin_plan("multipartite4", k, coloring.spec), coloring)
 
 
@@ -254,7 +238,7 @@ def random_coloring(
     return Coloring(spec, num_colors, colors=colors)
 
 
-def _certify_seed(plan: SimpleNamespace, seed: int) -> LowerBoundCertificate:
+def _certify_seed(plan: SimpleNamespace, seed: int) -> dict:
     """The certificate of the plan's seeded random coloring."""
     return _certify(plan, random_coloring(plan.spec, plan.palette, seed))
 
@@ -266,7 +250,7 @@ def sample_certificates(
     samples: int,
     seed: int,
     jobs: int = 1,
-) -> list[LowerBoundCertificate]:
+) -> list[dict]:
     """Certify `samples` seeded random colorings (seeds seed..seed+samples-1).
 
     The scenario's hypotheses are checked once, before any coloring is
@@ -286,7 +270,7 @@ def sample_certificates(
     # Usage errors surface before any coloring is drawn.
     plan = _twin_plan(scenario, k, spec)
     certs = fan_out(partial(_certify_seed, plan), range(seed, seed + samples), jobs)
-    counts = dict(sorted(Counter(cert.count for cert in certs).items()))
+    counts = Counter(cert["max_disjoint_rainbow_paths"] for cert in certs)
     logger.debug("lower-bound: %s on %s at k = %d: %d samples, twin counts %s",
-                 scenario, spec.sizes, k, samples, counts)
+                 scenario, spec.sizes, k, samples, dict(sorted(counts.items())))
     return certs

@@ -336,7 +336,7 @@ def _run_lower_bound(opt: dict) -> int:
         "k": opt["k"],
         "samples": opt["samples"],
         "seed": opt["seed"],
-        "certificates": [c.to_json_dict() for c in certs],
+        "certificates": certs,
     }
     _write_text(opt["out"], json_text(doc))
     if opt["out"]:

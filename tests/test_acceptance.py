@@ -106,14 +106,14 @@ def test_criterion_4_bipartite_lower_bound_1000_samples():
     with criterion(4, "1000 random 4-colorings of K_{2,17} all certified below k=2"):
         certs = sample_certificates("bipartite5", 2, (2, 17), 1000, seed=0)
         assert len(certs) == 1000
-        assert all(c.count <= 1 for c in certs)
+        assert all(c["max_disjoint_rainbow_paths"] <= 1 for c in certs)
 
 
 def test_criterion_5_multipartite_lower_bound_1000_samples():
     with criterion(5, "1000 random 3-colorings of K_{10,1,1} all certified below k=2"):
         certs = sample_certificates("multipartite4", 2, (10, 1, 1), 1000, seed=0)
         assert len(certs) == 1000
-        assert all(c.count <= 1 for c in certs)
+        assert all(c["max_disjoint_rainbow_paths"] <= 1 for c in certs)
 
 
 def test_criterion_6_rc2_equals_2_families():

@@ -1,7 +1,9 @@
 import json
 import logging
 import re
+from functools import reduce
 from itertools import combinations
+from operator import or_
 
 import pytest
 from hypothesis import example, given, settings
@@ -10,6 +12,7 @@ from hypothesis import strategies as st
 from helpers import brute_force_rainbow_paths, randrange_coloring, unpruned_max_packing
 from rainbowk.bounds import (
     SCENARIOS,
+    _twin_plan,
     certify_bipartite_lower,
     certify_multipartite_lower,
     f_formula,
@@ -21,6 +24,8 @@ from rainbowk.constructions import color_bipartite4
 from rainbowk.core import Coloring, InvariantError, PartitionSpec, json_text
 from rainbowk.verifier import (
     PairQuery,
+    _capacity_bound,
+    _capacity_tables,
     enumerate_rainbow_paths,
     max_disjoint_rainbow,
     verify_rainbow_k_connected,
@@ -91,11 +96,11 @@ def test_certify_bipartite_examples():
     spec = PartitionSpec((2, 17))
     for seed in range(25):
         cert = certify_bipartite_lower(2, random_coloring(spec, 4, seed))
-        assert cert.count <= 1
-        assert cert.scenario == "bipartite5"
+        assert cert["max_disjoint_rainbow_paths"] <= 1
+        assert cert["scenario"] == "bipartite5"
     spec = PartitionSpec((3, 65))
     cert = certify_bipartite_lower(2, random_coloring(spec, 4, 0))
-    assert cert.count <= 1
+    assert cert["max_disjoint_rainbow_paths"] <= 1
 
 
 def test_certify_bipartite_rejects_bad_hypotheses():
@@ -123,11 +128,11 @@ def test_certify_multipartite_examples():
     spec = PartitionSpec((10, 1, 1))
     for seed in range(25):
         cert = certify_multipartite_lower(2, random_coloring(spec, 3, seed))
-        assert cert.count <= 1
-        assert cert.scenario == "multipartite4"
+        assert cert["max_disjoint_rainbow_paths"] <= 1
+        assert cert["scenario"] == "multipartite4"
     spec = PartitionSpec((82, 2, 2))
     cert = certify_multipartite_lower(3, random_coloring(spec, 3, 1))
-    assert cert.count <= 2
+    assert cert["max_disjoint_rainbow_paths"] <= 2
 
 
 def test_certify_multipartite_rejects_bad_hypotheses():
@@ -154,8 +159,8 @@ def test_certificates_confirmed_by_verifier():
     certs = sample_certificates("bipartite5", 2, (2, 17), 5, seed=100)
     for i, cert in enumerate(certs):
         coloring = random_coloring(PartitionSpec((2, 17)), 4, 100 + i)
-        count, _ = max_disjoint_rainbow(coloring, PairQuery(*cert.twins))
-        assert count == cert.count < 2
+        count, _ = max_disjoint_rainbow(coloring, PairQuery(*cert["twins"]))
+        assert count == cert["max_disjoint_rainbow_paths"] < 2
         assert not verify_rainbow_k_connected(coloring, 2).ok
 
 
@@ -271,7 +276,7 @@ def test_twin_search_is_per_part():
 
 def test_certificates_share_their_params_and_write_as_json_dumps():
     certs = sample_certificates("multipartite4", 2, (10, 1, 1), 3, seed=0)
-    doc = {"certificates": [cert.to_json_dict() for cert in certs]}
+    doc = {"certificates": certs}
     first, *rest = (entry["params"] for entry in doc["certificates"])
     assert all(params is first for params in rest)
     assert json_text(doc) == json.dumps(doc, indent=2) + "\n"
@@ -332,8 +337,40 @@ def test_twin_certificates_match_the_unpruned_brute_force_count(scenario, k, siz
     certs = sample_certificates(scenario, k, sizes, 20, seed=7)
     for seed, cert in enumerate(certs, start=7):
         coloring = random_coloring(spec, palette, seed)
-        paths = brute_force_rainbow_paths(coloring, *cert.twins, palette)
-        assert cert.count == len(unpruned_max_packing(paths, None))
+        paths = brute_force_rainbow_paths(coloring, *cert["twins"], palette)
+        assert cert["max_disjoint_rainbow_paths"] == len(unpruned_max_packing(paths, None))
+
+
+@pytest.mark.parametrize("scenario, k, sizes, samples", [
+    ("bipartite5", 2, (2, 17), 60),
+    ("multipartite4", 2, (10, 1, 1), 60),
+    ("bipartite5", 3, (3, 65), 20),
+    ("multipartite4", 3, (2, 2, 82), 40),
+])
+def test_the_arithmetic_bound_is_a_capacity_term_of_the_twin_paths(scenario, k, sizes,
+                                                                    samples):
+    # `_twin_plan`'s docstring: the bound is the verifier's capacity term of
+    # one region on the twin pair's paths (the small part on K_{s,m}, the
+    # whole vertex set on t >= 3 parts), equal to it when every small-part
+    # vertex lies on a twin path.
+    spec = PartitionSpec(sizes)
+    plan = _twin_plan(scenario, k, spec)
+    small = sum(spec.part_masks) - spec.part_masks[plan.big]
+    region = small if spec.t == 2 else sum(spec.part_masks)
+    covered = 0
+    for seed, cert in enumerate(sample_certificates(scenario, k, sizes, samples, seed=0)):
+        coloring = random_coloring(spec, plan.palette, seed)
+        masks = [sum(1 << w for w in p[1:-1])
+                 for p in enumerate_rainbow_paths(coloring, *cert["twins"])]
+        table = next(t for t in _capacity_tables(masks, spec.part_masks) if t[0] == region)
+        avail = reduce(or_, masks, 0)
+        term = _capacity_bound((table,), avail, (1 << len(masks)) - 1)
+        bound = cert["arithmetic_bound"]
+        assert cert["max_disjoint_rainbow_paths"] <= term <= bound, seed
+        if avail & small == small:
+            covered += 1
+            assert term == bound, seed
+    assert covered > 0  # the equality case was reached
 
 
 def test_sample_certificates_logs_its_run(caplog):

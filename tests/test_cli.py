@@ -13,6 +13,13 @@ import pytest
 from hypothesis import given, settings
 
 from helpers import child_env, randrange_coloring
+from rainbowk.bounds import (
+    SCENARIOS,
+    certify_bipartite_lower,
+    certify_multipartite_lower,
+    random_coloring,
+    sample_certificates,
+)
 from rainbowk.cli import build_parser, coloring_document, export_dot, main, run
 from rainbowk.constructions import (
     color_2_4_16,
@@ -545,6 +552,31 @@ def test_lower_bound_certificates_keep_their_bytes_for_any_big_part_and_k(
     # The big part first, in the middle and last, and k above 2, pin the
     # big part, params and bound each certificate derives from the sizes.
     assert lower_bound_digest(tmp_path, capsys, scenario, k, sizes) == digest
+
+
+@pytest.mark.parametrize("scenario, k, sizes", [
+    ("bipartite5", 2, (2, 17)),
+    ("multipartite4", 2, (10, 1, 1)),
+    ("multipartite4", 3, (2, 2, 82)),
+])
+def test_a_certificate_is_the_object_lower_bound_writes(tmp_path, capsys, scenario, k, sizes):
+    # The certifiers and the sampler return the file's objects, key order
+    # included, nested `params` too.
+    out = tmp_path / "certs.json"
+    assert invoke(["lower-bound", "--scenario", scenario, "--k", str(k),
+                   "--sizes", ",".join(map(str, sizes)), "--samples", "12", "--seed", "5",
+                   "-o", str(out)]) == 0
+    capsys.readouterr()
+    written = json.loads(out.read_text())["certificates"]
+    certify = {"bipartite5": certify_bipartite_lower,
+               "multipartite4": certify_multipartite_lower}[scenario]
+    sampled = sample_certificates(scenario, k, sizes, 12, seed=5)
+    assert len(written) == len(sampled) == 12
+    for i, cert in enumerate(written):
+        coloring = random_coloring(PartitionSpec(sizes), SCENARIOS[scenario][0], 5 + i)
+        for got in (certify(k, coloring), sampled[i]):
+            assert got == cert, i
+            assert json.dumps(got) == json.dumps(cert), i
 
 
 def test_rck_exact_subcommand(tmp_path, capsys):

@@ -122,10 +122,6 @@ JUDGED = {
 EXEMPT = {
     # Built by `verify_rainbow_k_connected` from a k its own row refuses.
     ("VerificationReport", "k"),
-    # Worked out by `_certify` (a search result) and `_twin_plan` (S // 2
-    # of the spec's sizes), never passed in.
-    ("LowerBoundCertificate", "count"),
-    ("LowerBoundCertificate", "bound"),
 }
 
 

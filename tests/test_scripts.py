@@ -1,6 +1,7 @@
 """Smoke tests for the scripts in scripts/, each run as its own process."""
 
 import re
+import shutil
 import subprocess
 import sys
 from pathlib import Path
@@ -87,3 +88,28 @@ def test_code_lines_counts_only_lines_that_hold_code(tmp_path):
     # the split call.
     assert proc.stdout.splitlines() == [
         f"1 {tmp_path / 'b.py'}", f"6 {tmp_path / 'pkg' / 'a.py'}", "7 total"]
+
+
+def test_same_bytes_finds_a_checkout_equal_to_itself():
+    proc = run_script("same_bytes.py", str(ROOT), str(ROOT), "1")
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout == "29 commands compared, 0 differ\n"
+
+
+def test_same_bytes_names_each_command_whose_stdout_changed(tmp_path):
+    copy = tmp_path / "copy"
+    for part in ("src", "perfbench"):
+        shutil.copytree(ROOT / part, copy / part,
+                        ignore=shutil.ignore_patterns("__pycache__"))
+    cli = copy / "src" / "rainbowk" / "cli.py"
+    text = cli.read_text()
+    assert "certificates written to" in text
+    cli.write_text(text.replace("certificates written to", "certificates saved to"))
+    proc = run_script("same_bytes.py", str(ROOT), str(copy), "1")
+    assert proc.returncode == 1, proc.stderr
+    *lines, total = proc.stdout.splitlines()
+    assert total == "29 commands compared, 8 differ"
+    # The lower-bound workload's 8 commands, each differing in stdout only.
+    assert len(lines) == 8
+    assert all(re.fullmatch(r"lower-bound seed 1: lower-bound .*: stdout differ", line)
+               for line in lines)

@@ -4,9 +4,10 @@ edge colorings up to color relabeling.
 Color-relabeling symmetry is removed with restricted-growth strings over a
 fixed lexicographic edge order: each edge's color is at most one more than
 the maximum color used on earlier edges, so exactly one representative per
-relabeling orbit is generated. Graph-automorphism symmetry is deliberately
-not removed; the max_edges guard (16 edges by default, BudgetExceeded beyond)
-keeps runtime bounded and the simpler enumeration is easier to trust.
+relabeling orbit is generated. `enumerate_colorings_canonical` stops there;
+`rc_k_exact`'s walk also removes vertex symmetry (lex-leader cuts, below).
+The max_edges guard (16 edges by default, BudgetExceeded beyond) keeps
+runtime bounded.
 
 For each palette size L, `rc_k_exact` walks the tree of restricted-growth
 prefixes with L colors and cuts a prefix's whole subtree when its
@@ -34,6 +35,38 @@ Cut subtrees hold no passing leaf, so the first passing leaf in
 restricted-growth order, the witness, is the one that enumerator, unpruned,
 yields first.
 
+The walk also skips, unbuilt, each prefix that no orbit leader extends
+(lex-leader cuts: Crawford, Ginsberg, Luks & Roy 1996, "Symmetry-breaking
+predicates for search problems"). A coloring is a string x of colors over
+`spec.edge_list`. A vertex permutation sigma of the graph moves its
+positions: (sigma x)[p] = x[perm[p]]. canon(y) renames y's colors by first
+occurrence, which makes it restricted growth. The generators
+(`_swap_generators`) are the swaps of two adjacent members of a part and
+of two adjacent parts of one size, member by member.
+- A prefix of depth i is cut when some generator sigma has a first
+  position p where x and canon(sigma x) differ such that every position
+  0..p of sigma x is colored (perm[q] < i for q <= p, hence p < i) and
+  canon(sigma x)[p] < x[p]. Then canon(sigma x) <_lex x for every
+  completion x, and canon(sigma x) is in x's orbit under vertex
+  permutations and color renamings, so no completion is the lex-least
+  member of its orbit, its leader.
+- The leader is never cut: canon(y) <=_lex y for every y, so the leader
+  m is restricted growth, and m <=_lex canon(sigma m) for every sigma, as
+  canon(sigma m) is in m's orbit. So no prefix of m meets the test.
+- The witness is unchanged: automorphisms and color renamings keep
+  verdicts, so every member of the witness's orbit passes and uses
+  exactly L colors. Its leader is then a passing leaf no later in
+  restricted-growth order: the witness itself. A palette size with no
+  passing coloring still has none.
+- Kept families stay sound: a lex-cut node is neither checked nor
+  recorded, so every kept family still comes from a relaxation checked at
+  a node of the walk, and the argument below runs unchanged.
+Each generator's comparison is carried down the tree (`_lex_step`): it is
+dropped once canon(sigma x) compares greater, or left pending at the
+position p where it waits for an uncolored edge, with its renaming so far.
+A node so costs a step per pending generator, not a rescan from
+position 0.
+
 Relaxations are rejected fail-first: `first_failing_pair` queries the
 pairs in lex order through the verifier's `_settle` and stops at the first
 that fails. The walk asks only whether some pair fails, never which, so
@@ -41,7 +74,7 @@ the pair order changes only which pairs are queried or settled by a kept
 family, not the nodes, cuts, leaves or witness.
 
 A pair is settled without a query when a family found earlier in the walk
-still proves it. The walk's `settled` state, one per palette size L,
+still proves it. The walk's `settled` state, one per `rc_k_exact` call,
 keeps in `families`, by pair rank (a pair's position in lex order), the
 family that last settled it (by edge, `path_by_edge`), or None. It indexes
 them as int bitmasks over ranks, so ascending bits are lex order: `open`
@@ -78,6 +111,15 @@ when none fails) every pair is queried or settled by its kept family, so
 the pairs `inherited` are that stop position minus the pairs `queried`;
 `rechecked` counts the kept families' paths checked. Every call runs this
 one loop: without a walk state it starts from a fresh one, every pair open.
+
+`rc_k_exact` hands the walk state of each palette size L-1 on to the next,
+L; only its counts start again from 0. A family kept at L-1 is k paths of
+at most L-1 edges with pairwise disjoint interiors. L's root relaxation
+gives every edge its own color, so the family is rainbow there and within
+the cap L: it holds at the root as a family the root's query found would,
+and the argument above runs unchanged from the root down. So the root
+queries only the pairs still open. Its spot check still queries every pair
+of the flipped relaxation, from a fresh state.
 """
 
 from __future__ import annotations
@@ -160,9 +202,15 @@ def family_holds(
     path = family.get(recolored)
     if path is None:
         return True
-    rows = coloring.rows
-    colors = [rows[x][y] for x, y in zip(path, path[1:])]
-    return len(set(colors)) == len(colors)
+    # Stops at the first repeated color, without a list or a set of all.
+    rows, seen, x = coloring.rows, set(), path[0]
+    for y in path[1:]:
+        color = rows[x][y]
+        if color in seen:
+            return False
+        seen.add(color)
+        x = y
+    return True
 
 
 def _walk_state(spec: PartitionSpec) -> SimpleNamespace:
@@ -230,21 +278,77 @@ def first_failing_pair(
     return failing
 
 
-def _first_passing(spec: PartitionSpec, k: int, num_colors: int) -> Coloring | None:
+def _swap_generators(spec: PartitionSpec) -> list[tuple[int, ...]]:
+    """The vertex swaps of the lex-leader rule (module docstring), each as
+    a position map over `spec.edge_list`: position p of the swapped
+    coloring holds the color of position perm[p]. They are the swaps of
+    adjacent members of a part, and of adjacent parts of one size, member
+    by member; each is its own inverse."""
+    swaps = [{v: v + 1, v + 1: v} for v in range(spec.n - 1)
+             if spec.part_of(v) == spec.part_of(v + 1)]
+    for i in range(spec.t - 1):
+        if spec.sizes[i] == spec.sizes[i + 1]:
+            a, b = spec.part_members(i), spec.part_members(i + 1)
+            swaps.append({**dict(zip(a, b)), **dict(zip(b, a))})
+    position = {e: p for p, e in enumerate(spec.edge_list)}
+
+    def moved(swap: dict[int, int]) -> Iterator[int]:
+        for x, y in spec.edge_list:
+            x, y = swap.get(x, x), swap.get(y, y)
+            yield position[(x, y) if x < y else (y, x)]
+
+    return [tuple(moved(swap)) for swap in swaps]
+
+
+def _lex_step(pending: list, prefix: list[int]) -> list | None:
+    """The generators still pending after `prefix`, or None when one of
+    them shows that no completion is its orbit's leader (module
+    docstring). A pending generator is (perm, p, rename, fresh): its
+    swapped coloring, renamed by first occurrence, equals the prefix
+    before position p, `rename` maps colors (by index) to their new names
+    so far, 0 for none, and `fresh` is the next new name. A generator is
+    dropped once it compares greater."""
+    i, kept = len(prefix), []
+    for perm, p, rename, fresh in pending:
+        while p < i and perm[p] < i:
+            color = prefix[perm[p]]
+            image = rename[color]
+            if not image:
+                image, fresh = fresh, fresh + 1
+                rename = rename[:color] + (image,) + rename[color + 1:]
+            if image < prefix[p]:
+                return None
+            if image > prefix[p]:
+                break
+            p += 1
+        else:
+            kept.append((perm, p, rename, fresh))
+    return kept
+
+
+def _first_passing(spec: PartitionSpec, k: int, num_colors: int, settled: SimpleNamespace,
+                   swaps: list[tuple[int, ...]]) -> Coloring | None:
     """The first rainbow k-connected coloring with exactly num_colors colors
-    in restricted-growth order, or None. Walks the prefix tree, cuts each
-    prefix whose relaxation fails and settles what pairs it can with the
-    families found before (module docstring)."""
+    in restricted-growth order, or None. Walks the prefix tree, skips each
+    prefix that no orbit leader extends under the generators `swaps`
+    (`_swap_generators`), cuts each prefix whose relaxation fails and
+    settles what pairs it can with the families kept in `settled`, a
+    smaller palette's walk state or a fresh one (module docstring). Its
+    counts start from 0."""
     edges = spec.edge_list
     prefix: list[int] = []  # the colors of edges[:i], in edge order
-    settled = _walk_state(spec)
-    nodes = cut = leaves = 0
+    settled.queried = settled.inherited = settled.rechecked = 0
+    nodes = cut = lex_cut = leaves = 0
 
-    def rec(i: int, used: int) -> Coloring | None:
-        nonlocal nodes, cut, leaves
+    def rec(i: int, used: int, pending: list) -> Coloring | None:
+        nonlocal nodes, cut, lex_cut, leaves
         left = len(edges) - i
         if used + left < num_colors:
             return None  # ends with fewer colors; rejected at a lower level
+        pending = _lex_step(pending, prefix)
+        if pending is None:
+            lex_cut += 1
+            return None
         relaxation = Coloring(spec, num_colors + left,
                               colors=[*prefix, *range(num_colors + 1, num_colors + left + 1)])
         failing = first_failing_pair(relaxation, k, num_colors, settled,
@@ -266,17 +370,19 @@ def _first_passing(spec: PartitionSpec, k: int, num_colors: int) -> Coloring | N
         prefix.append(0)
         for color in range(1, min(used + 1, num_colors) + 1):
             prefix[i] = color
-            found = rec(i + 1, max(used, color))
+            found = rec(i + 1, max(used, color), pending)
             if found is not None:
                 return found
         prefix.pop()
         return None
 
-    found = rec(0, 0)
+    unset = (0,) * (num_colors + 1)
+    found = rec(0, 0, [(perm, 0, unset, 1) for perm in swaps])
     logger.debug("rck-exact: %d colors: %d nodes checked, %d subtrees cut, "
-                 "%d leaves reached, %d pair queries, %d pairs settled by an "
-                 "inherited family, %d kept-family paths re-checked", num_colors, nodes,
-                 cut, leaves, settled.queried, settled.inherited, settled.rechecked)
+                 "%d lex cuts, %d leaves reached, %d pair queries, %d pairs settled "
+                 "by an inherited family, %d kept-family paths re-checked", num_colors,
+                 nodes, cut, lex_cut, leaves, settled.queried, settled.inherited,
+                 settled.rechecked)
     return found
 
 
@@ -296,8 +402,9 @@ def rc_k_exact(
             f"{structural_connectivity(spec)} < {k}"
         )
     _check_budget(spec, max_edges)
+    settled, swaps = _walk_state(spec), _swap_generators(spec)
     for num_colors in range(1, max_colors + 1):
-        witness = _first_passing(spec, k, num_colors)
+        witness = _first_passing(spec, k, num_colors, settled, swaps)
         if witness is not None:
             if not verify_rainbow_k_connected(witness, k).ok:
                 raise InvariantError(

@@ -3,8 +3,10 @@ definitions without reusing library internals, and unpruned references for
 the library's pruned loops (`unpruned_max_packing`, `full_pair_report`,
 `reference_first_failing_pair`, `unpruned_rc_k_exact`), which reuse only
 the per-pair query or the enumerator they do not prune, and of its batched
-draw (`randrange_coloring`). `oracle_walk` runs the oracle's walk at one
-palette size, with the reference pair loop if asked, and reads its counts.
+draw (`randrange_coloring`). `oracle_walk` runs the oracle's walk, with
+the reference pair loop if asked, and reads its counts;
+`unbroken_rc_k_exact` runs it with no lex-leader generator and a fresh
+walk state at each palette size.
 `canonical_form` is the normal form that enumerator's orbits are checked
 against. `rc_1_closed_form` is a published value the oracle is checked
 against. `child_env` is the environment for tests that run a child process."""
@@ -212,10 +214,10 @@ def reference_first_failing_pair(coloring, k, max_len=None, settled=None, recolo
     return failing
 
 
-def oracle_walk(spec: PartitionSpec, k: int, num_colors: int, loop=None):
-    """(witness or None, debug lines) of the oracle's walk with exactly
-    num_colors colors, `oracle._first_passing`, with `loop` in place of
-    `first_failing_pair` when given."""
+def oracle_walk(spec: PartitionSpec, k: int, max_colors: int, loop=None):
+    """(witness or None, debug lines) of `oracle.rc_k_exact` up to
+    max_colors colors, its walk state carried from each palette size to the
+    next, with `loop` in place of `first_failing_pair` when given."""
     lines = []
     handler = logging.Handler()
     handler.emit = lambda record: lines.append(record.getMessage())
@@ -225,11 +227,23 @@ def oracle_walk(spec: PartitionSpec, k: int, num_colors: int, loop=None):
     logger.setLevel(logging.DEBUG)
     try:
         with patch.object(oracle, "first_failing_pair", loop or oracle.first_failing_pair):
-            witness = oracle._first_passing(spec, k, num_colors)
+            witness = oracle.rc_k_exact(spec, k, max_colors)
     finally:
         logger.removeHandler(handler)
         logger.setLevel(level)
     return witness, lines
+
+
+def unbroken_rc_k_exact(spec: PartitionSpec, k: int, max_colors: int):
+    """The witness of `oracle.rc_k_exact`'s walk with no generator for the
+    lex-leader rule (symmetry left unbroken) and a fresh walk state at each
+    palette size, so no family is carried from one size to the next, or
+    None when no size up to max_colors passes."""
+    for num_colors in range(1, max_colors + 1):
+        witness = oracle._first_passing(spec, k, num_colors, oracle._walk_state(spec), [])
+        if witness is not None:
+            return witness
+    return None
 
 
 def unpruned_rc_k_exact(spec: PartitionSpec, k: int, max_colors: int):

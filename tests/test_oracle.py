@@ -12,6 +12,7 @@ from helpers import (
     oracle_walk,
     rc_1_closed_form,
     reference_first_failing_pair,
+    unbroken_rc_k_exact,
     unpruned_rc_k_exact,
 )
 from rainbowk.constructions import color_ctk, color_mnn
@@ -259,16 +260,36 @@ def test_rc_2_values_on_lopsided_graphs(sizes, max_colors, expected):
 
 
 @pytest.mark.parametrize("sizes", [
-    (2, 2), (2, 3), (2, 4), (2, 5), (2, 6), (2, 7), (3, 3), (3, 4),
-    (1, 1, 2), (1, 1, 4), (1, 1, 5), (1, 1, 6), (6, 1, 1), (1, 2, 2), (1, 2, 3),
-    (2, 2, 2), (2, 2, 3), (1, 1, 1, 1), (8, 1, 1, 1),
+    (2, 2), (2, 3), (2, 4), (2, 5), (2, 6), (2, 7), (2, 9), (2, 10), (3, 3), (3, 4),
+    (3, 9), (1, 1, 2), (1, 1, 4), (1, 1, 5), (1, 1, 6), (6, 1, 1), (1, 2, 2), (1, 2, 3),
+    (2, 2, 2), (2, 2, 3), (1, 1, 1, 1), (8, 1, 1, 1), (1, 1, 1, 9),
 ], ids=lambda sizes: "K_" + "_".join(map(str, sizes)))
 def test_rc_1_matches_the_published_closed_form(sizes):
-    # The rows the oracle settles within a fraction of a second; K_{2,9}
-    # and the rows at the pigeonhole boundary (K_{2,10}, K_{3,9}) are slow.
+    # K_{2,10}, K_{3,9} and K_{1,1,1,9} sit at the pigeonhole boundary
+    # b = L^a + 1, so each value also rests on a "no coloring with one
+    # color less" that the walk exhausts.
     witness = rc_k_exact(PartitionSpec(sizes), 1, 4, max_edges=40)
     assert witness.num_colors == rc_1_closed_form(sizes)
     assert verify_rainbow_k_connected(witness, 1).ok
+
+
+@pytest.mark.parametrize("sizes, k, max_colors, expected", [
+    ((3, 9), 2, 3, 3),
+    ((3, 10), 2, 3, None),
+    ((4, 9), 3, 3, 3),
+    ((4, 10), 3, 3, None),
+], ids=lambda v: "K_" + "_".join(map(str, v)) if isinstance(v, tuple) else str(v))
+def test_three_colors_meet_the_singleton_bound_on_k_a_b(sizes, k, max_colors, expected):
+    # With at most 3 colors a rainbow path between two vertices of K_{a,b}'s
+    # big part has 2 edges, so the b profiles form a ternary code of
+    # distance >= k, and Singleton gives b <= 3^(a-k+1). It is met at
+    # (a, k) = (3, 2) and (4, 3): b = 9 passes, b = 10 has no coloring.
+    result = rc_k_exact(PartitionSpec(sizes), k, max_colors, max_edges=40)
+    if expected is None:
+        assert result is None
+    else:
+        assert result.num_colors == expected
+        assert verify_rainbow_k_connected(result, k).ok
 
 
 def test_rc_1_closed_form_cases():
@@ -285,59 +306,55 @@ def test_oracle_logs_its_search_per_palette_size(caplog):
     with caplog.at_level(logging.DEBUG, logger="rainbowk.oracle"):
         result = rc_k_exact(PartitionSpec((2, 2)), 2, 4)
     assert result.num_colors == 4
-    # With 4 colors no node fails, so its 5 nodes look at all 6 pairs each:
-    # 6 queries (the root's) and 24 pairs settled by an inherited family.
-    # Each of those families covers all 4 edges, so each is re-checked.
+    # With 4 colors no node fails, so its 5 nodes look at all 6 pairs each,
+    # and the families carried from 3 colors settle all 6 at the root: no
+    # query, and 30 pairs settled by an inherited family. Each of those
+    # families covers all 4 edges, so each is re-checked below the root.
     assert caplog.messages == [
         f"rck-exact: {L} colors: {nodes} nodes checked, {cut} subtrees cut, "
-        f"{leaves} leaves reached, {queries} pair queries, {inherited} pairs "
-        f"settled by an inherited family, {rechecked} kept-family paths re-checked"
-        for L, nodes, cut, leaves, queries, inherited, rechecked in [
-            (1, 1, 1, 0, 1, 0, 0), (2, 1, 1, 0, 2, 0, 0), (3, 10, 3, 3, 12, 25, 31),
-            (4, 5, 0, 1, 6, 24, 24)]
+        f"{lex} lex cuts, {leaves} leaves reached, {queries} pair queries, "
+        f"{inherited} pairs settled by an inherited family, {rechecked} "
+        f"kept-family paths re-checked"
+        for L, nodes, cut, lex, leaves, queries, inherited, rechecked in [
+            (1, 1, 1, 0, 0, 1, 0, 0), (2, 1, 1, 0, 0, 2, 0, 0), (3, 6, 2, 4, 0, 7, 23, 24),
+            (4, 5, 0, 0, 1, 0, 30, 24)]
     ]
 
 
 # The oracle-exhaust instances of the benchmark in every distinct part
 # order, (sizes, k, max colors) -> one row per palette size of its debug
-# line: (L, nodes, cuts, leaves, queries, inherited, re-checked). All but the
-# re-check counts were recorded before the walk indexed its pairs.
+# line: (L, nodes, cuts, lex cuts, leaves, queries, inherited, re-checked).
 ORACLE_EXHAUST_COUNTS = {
-    ((2, 2, 2), 3, 3): [
-        (1, 1, 1, 0, 1, 0, 0), (2, 20, 10, 0, 29, 205, 97), (3, 51, 26, 3, 99, 447, 289)],
-    ((3, 3), 3, 3): [
-        (1, 1, 1, 0, 1, 0, 0), (2, 1, 1, 0, 3, 0, 0), (3, 22, 10, 2, 47, 179, 153)],
-    ((3, 3), 2, 3): [
-        (1, 1, 1, 0, 1, 0, 0), (2, 1, 1, 0, 3, 0, 0), (3, 19, 5, 4, 52, 158, 112)],
-    ((1, 2, 3), 2, 3): [
-        (1, 1, 1, 0, 1, 0, 0), (2, 22, 11, 0, 35, 255, 88), (3, 21, 5, 4, 76, 199, 131)],
-    ((1, 3, 2), 2, 3): [
-        (1, 1, 1, 0, 1, 0, 0), (2, 40, 20, 0, 52, 393, 136), (3, 24, 7, 4, 78, 199, 144)],
-    ((2, 1, 3), 2, 3): [
-        (1, 1, 1, 0, 1, 0, 0), (2, 200, 96, 4, 203, 2153, 679),
-        (3, 21, 5, 4, 57, 201, 110)],
-    ((2, 3, 1), 2, 3): [
-        (1, 1, 1, 0, 1, 0, 0), (2, 200, 96, 4, 203, 2109, 735),
-        (3, 21, 5, 4, 67, 199, 124)],
-    ((3, 1, 2), 2, 3): [
-        (1, 1, 1, 0, 1, 0, 0), (2, 264, 132, 0, 261, 2315, 770),
-        (3, 19, 7, 1, 61, 143, 109)],
-    ((3, 2, 1), 2, 3): [
-        (1, 1, 1, 0, 1, 0, 0), (2, 264, 132, 0, 260, 2268, 788),
-        (3, 19, 7, 1, 56, 145, 118)],
-    ((1, 1, 1, 1, 1), 3, 3): [(1, 1, 1, 0, 1, 0, 0), (2, 64, 29, 1, 72, 398, 257)],
-    ((1, 1, 1), 1, 1): [(1, 4, 0, 1, 3, 9, 3)],
-    ((2, 2), 1, 2): [(1, 1, 1, 0, 1, 0, 0), (2, 5, 0, 1, 8, 22, 11)],
-    ((2, 2, 2), 2, 2): [(1, 1, 1, 0, 1, 0, 0), (2, 17, 4, 1, 37, 166, 77)],
+    ((2, 2, 2), 3, 3): [(1, 1, 1, 0, 0, 1, 0, 0), (2, 15, 6, 3, 0, 24, 156, 75),
+                        (3, 37, 15, 5, 3, 37, 369, 189)],
+    ((3, 3), 3, 3): [(1, 1, 1, 0, 0, 1, 0, 0), (2, 1, 1, 0, 0, 3, 0, 0),
+                     (3, 14, 2, 8, 2, 27, 156, 125)],
+    ((3, 3), 2, 3): [(1, 1, 1, 0, 0, 1, 0, 0), (2, 1, 1, 0, 0, 3, 0, 0),
+                     (3, 18, 4, 1, 4, 49, 160, 111)],
+    ((1, 2, 3), 2, 3): [(1, 1, 1, 0, 0, 1, 0, 0), (2, 15, 5, 5, 0, 28, 177, 70),
+                        (3, 20, 4, 1, 4, 30, 231, 101)],
+    ((1, 3, 2), 2, 3): [(1, 1, 1, 0, 0, 1, 0, 0), (2, 24, 9, 6, 0, 36, 245, 92),
+                        (3, 22, 5, 2, 4, 30, 233, 110)],
+    ((2, 1, 3), 2, 3): [(1, 1, 1, 0, 0, 1, 0, 0), (2, 59, 22, 11, 2, 70, 671, 233),
+                        (3, 20, 4, 1, 4, 19, 238, 78)],
+    ((2, 3, 1), 2, 3): [(1, 1, 1, 0, 0, 1, 0, 0), (2, 50, 21, 8, 0, 56, 565, 200),
+                        (3, 20, 4, 1, 4, 25, 230, 87)],
+    ((3, 1, 2), 2, 3): [(1, 1, 1, 0, 0, 1, 0, 0), (2, 70, 26, 18, 0, 80, 707, 244),
+                        (3, 16, 4, 3, 1, 14, 185, 61)],
+    ((3, 2, 1), 2, 3): [(1, 1, 1, 0, 0, 1, 0, 0), (2, 65, 24, 17, 0, 77, 638, 236),
+                        (3, 17, 5, 2, 1, 15, 182, 69)],
+    ((1, 1, 1, 1, 1), 3, 3): [(1, 1, 1, 0, 0, 1, 0, 0), (2, 32, 10, 6, 1, 37, 231, 150)],
+    ((1, 1, 1), 1, 1): [(1, 4, 0, 0, 1, 3, 9, 3)],
+    ((2, 2), 1, 2): [(1, 1, 1, 0, 0, 1, 0, 0), (2, 5, 0, 0, 1, 8, 22, 11)],
+    ((2, 2, 2), 2, 2): [(1, 1, 1, 0, 0, 1, 0, 0), (2, 16, 3, 1, 1, 36, 166, 76)],
 }
 
 
 @pytest.mark.parametrize("instance", ORACLE_EXHAUST_COUNTS, ids=lambda i: (
     f"{''.join(map(str, i[0]))}-k{i[1]}-L{i[2]}"))
 def test_the_walk_keeps_its_counts_on_the_benchmark_instances(instance, caplog):
-    # The index changes which pairs a node looks at, never what it finds:
-    # the nodes, cuts, leaves, queries and inherited pairs are those of the
-    # walk that looked at every pair.
+    # The counts of the walk with lex cuts and families carried from one
+    # palette size to the next; a change in either shows here.
     sizes, k, max_colors = instance
     with caplog.at_level(logging.DEBUG, logger="rainbowk.oracle"):
         witness = rc_k_exact(PartitionSpec(sizes), k, max_colors)
@@ -361,16 +378,27 @@ def small_walks(draw):
 @given(small_walks())
 def test_the_indexed_walk_is_the_walk_over_every_pair(instance):
     # Against the reference loop, which looks at every pair and checks each
-    # kept family: the same witness and the same counts, the re-checks
-    # included, so a stale bit in the index shows as an extra re-check. Up
-    # to 9 edges, where the unpruned enumeration is affordable, the indexed
-    # walk's witness is also the unpruned enumeration's.
-    spec, k, num_colors = instance
-    witness, lines = oracle_walk(spec, k, num_colors)
-    reference, reference_lines = oracle_walk(spec, k, num_colors, reference_first_failing_pair)
+    # kept family: the same witness and the same counts at every palette
+    # size, the re-checks included, so a stale bit in the index, also one
+    # carried from a smaller palette, shows as an extra re-check.
+    spec, k, max_colors = instance
+    witness, lines = oracle_walk(spec, k, max_colors)
+    reference, reference_lines = oracle_walk(spec, k, max_colors, reference_first_failing_pair)
     assert lines == reference_lines
     assert (witness and witness.to_json_text()) == (reference and reference.to_json_text())
+
+
+@settings(max_examples=200, deadline=None)
+@given(small_walks())
+def test_lex_cuts_and_carried_families_keep_the_witness(instance):
+    # The walk that cuts non-leaders and carries its families from one
+    # palette size to the next returns the witness bytes of the walk with
+    # neither, or None as it does. Up to 9 edges, where the unpruned
+    # enumeration is affordable, that witness is also the enumeration's.
+    spec, k, max_colors = instance
+    result = rc_k_exact(spec, k, max_colors)
+    reference = unbroken_rc_k_exact(spec, k, max_colors)
+    assert (result and result.to_json_text()) == (reference and reference.to_json_text())
     if spec.edge_count() <= 9:
-        result = rc_k_exact(spec, k, num_colors)
-        _, unpruned = unpruned_rc_k_exact(spec, k, num_colors)
+        _, unpruned = unpruned_rc_k_exact(spec, k, max_colors)
         assert (result and result.to_json_text()) == (unpruned and unpruned.to_json_text())

@@ -76,16 +76,13 @@ family, not the nodes, cuts, leaves or witness.
 A pair is settled without a query when a family found earlier in the walk
 still proves it. The walk's `settled` state, one per `rc_k_exact` call,
 keeps in `families`, by pair rank (a pair's position in lex order), the
-family that last settled it (by edge, `path_by_edge`), or None. It indexes
-them as int bitmasks over ranks, so ascending bits are lex order: `open`
-holds the pairs with no kept family, and `through[e]` the pairs whose kept
-family has a path through edge e. A kept family is k rainbow paths of at
-most L edges with pairwise disjoint interiors in some relaxation R'
-checked before. At a node of depth i (edges[:i] colored), R' agrees with
-the node on edges[:i-1]: the parent passed, so after its check every kept
-family is rainbow in the parent, and the relaxations checked since then
-lie below the node's earlier siblings, whose prefixes extend the node's
-edges[:i-1].
+family that last settled it (by edge, `path_by_edge`), or None. A kept
+family is k rainbow paths of at most L edges with pairwise disjoint
+interiors in some relaxation R' checked before. At a node of depth i
+(edges[:i] colored), R' agrees with the node on edges[:i-1]: the parent
+passed, so after its check every kept family is rainbow in the parent,
+and the relaxations checked since then lie below the node's earlier
+siblings, whose prefixes extend the node's edges[:i-1].
 Let e = edges[i-1], the edge the node colors. A kept family still settles
 its pair at the node when its path through e, if it has one, is rainbow:
 - Being rainbow depends only on which edges of a path share a color. At
@@ -100,17 +97,16 @@ its pair at the node when its path through e, if it has one, is rainbow:
 settled so passes at the node, as its query would say, so the first
 failing pair in lex order is the same pair, and the tree walk and the
 witness are those of querying every pair. A queried pair that passes keeps
-the family its query found instead: its bit leaves `open` or the old
-family's edges and is set on the new family's. A failing query keeps the
-old family, which held in the node's parent.
+the family its query found instead. A failing query keeps the old family,
+which held in the node's parent.
 
-So a node visits only `open | through[e]`, lowest bit first: a pair
-outside both has a family with no path through e, which `family_holds`
-passes without a look. Up to the first failing pair (or to the last pair,
-when none fails) every pair is queried or settled by its kept family, so
-the pairs `inherited` are that stop position minus the pairs `queried`;
-`rechecked` counts the kept families' paths checked. Every call runs this
-one loop: without a walk state it starts from a fresh one, every pair open.
+A node passes over `families` once, in rank order: a kept family with no
+path through e holds without a look. Up to the first failing pair (or to
+the last pair, when none fails) every pair is queried or settled by its
+kept family, so the pairs `inherited` are that stop position minus the
+pairs `queried`; `rechecked` counts the kept families' paths checked.
+Every call runs this one loop: without a walk state it starts from a
+fresh one, no family kept.
 
 `rc_k_exact` hands the walk state of each palette size L-1 on to the next,
 L; only its counts start again from 0. A family kept at L-1 is k paths of
@@ -118,8 +114,8 @@ at most L-1 edges with pairwise disjoint interiors. L's root relaxation
 gives every edge its own color, so the family is rainbow there and within
 the cap L: it holds at the root as a family the root's query found would,
 and the argument above runs unchanged from the root down. So the root
-queries only the pairs still open. Its spot check still queries every pair
-of the flipped relaxation, from a fresh state.
+queries only the pairs with no kept family. Its spot check still queries
+every pair of the flipped relaxation, from a fresh state.
 """
 
 from __future__ import annotations
@@ -214,12 +210,11 @@ def family_holds(
 
 
 def _walk_state(spec: PartitionSpec) -> SimpleNamespace:
-    """A fresh walk state (module docstring): every pair open, no family
-    kept, no pair counted."""
+    """A fresh walk state (module docstring): no family kept, no pair
+    counted."""
     pairs = list(all_pairs(spec))
-    return SimpleNamespace(pairs=pairs, open=(1 << len(pairs)) - 1, through={},
-                           families=[None] * len(pairs), queried=0, inherited=0,
-                           rechecked=0)
+    return SimpleNamespace(pairs=pairs, families=[None] * len(pairs), queried=0,
+                           inherited=0, rechecked=0)
 
 
 def first_failing_pair(
@@ -244,16 +239,12 @@ def first_failing_pair(
         settled = _walk_state(coloring.spec)
     # Counted in locals and added to `settled` once: a namespace attribute
     # costs a few times a local per access, and this loop is the walk's.
-    pairs, families, through, open_ = (settled.pairs, settled.families,
-                                       settled.through, settled.open)
+    pairs, families = settled.pairs, settled.families
     failing, stop, queried, rechecked = None, len(pairs), 0, 0
-    visit = open_ | through.get(recolored, 0)
-    while visit:
-        low = visit & -visit
-        visit ^= low
-        rank = low.bit_length() - 1
-        kept = families[rank]
+    for rank, kept in enumerate(families):
         if kept is not None:
+            if recolored not in kept:
+                continue
             rechecked += 1
             if family_holds(coloring, kept, recolored):
                 continue
@@ -263,15 +254,7 @@ def first_failing_pair(
         if len(picked) < k:
             failing, stop = pair, rank + 1
             break
-        if kept is None:
-            open_ ^= low
-        else:
-            for edge in kept:
-                through[edge] ^= low
-        families[rank] = family = path_by_edge(picked)
-        for edge in family:
-            through[edge] = through.get(edge, 0) | low
-    settled.open = open_
+        families[rank] = path_by_edge(picked)
     settled.queried += queried
     settled.inherited += stop - queried
     settled.rechecked += rechecked

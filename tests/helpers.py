@@ -183,15 +183,17 @@ def canonical_form(coloring: Coloring) -> Coloring:
 
 
 def reference_first_failing_pair(coloring, k, max_len=None, settled=None, recolored=None):
-    """`oracle.first_failing_pair` without its edge-to-pair index: every
-    pair in lex order, each settled by its kept family (kept in a dict by
-    pair, `settled.by_pair`) while `family_holds`, else by a query. It
-    adds the same counts to `settled`: pairs queried, pairs inherited, and
-    the kept families with a path through `recolored`, which
-    `family_holds` checks. It shares `family_holds` and `path_by_edge`
-    with the oracle, and queries through `verifier._settle` at the cap
-    `verifier._path_cap` gives, as the oracle does: what it checks is the
-    index, which pairs a node visits."""
+    """`oracle.first_failing_pair` with its kept families in a dict by pair
+    (`settled.by_pair`) and no skip: every pair in lex order, each settled
+    by its kept family while `family_holds`, which it calls on every kept
+    family, else by a query. It adds the same counts to `settled`: pairs
+    queried, pairs inherited, and the kept families with a path through
+    `recolored`, which `family_holds` checks. It shares `family_holds` and
+    `path_by_edge` with the oracle, and queries through `verifier._settle`
+    at the cap `verifier._path_cap` gives, as the oracle does: what it
+    checks is the oracle's bookkeeping, its families by rank, its skip of a
+    family with no path through `recolored` and the families it carries
+    from one palette size to the next."""
     families = {} if settled is None else vars(settled).setdefault("by_pair", {})
     failing, queried, inherited, rechecked = None, 0, 0, 0
     for pair in all_pairs(coloring.spec):
@@ -214,10 +216,11 @@ def reference_first_failing_pair(coloring, k, max_len=None, settled=None, recolo
     return failing
 
 
-def oracle_walk(spec: PartitionSpec, k: int, max_colors: int, loop=None):
+def oracle_walk(spec: PartitionSpec, k: int, max_colors: int, loop=None, max_edges=16):
     """(witness or None, debug lines) of `oracle.rc_k_exact` up to
-    max_colors colors, its walk state carried from each palette size to the
-    next, with `loop` in place of `first_failing_pair` when given."""
+    max_colors colors and max_edges edges, its walk state carried from each
+    palette size to the next, with `loop` in place of `first_failing_pair`
+    when given."""
     lines = []
     handler = logging.Handler()
     handler.emit = lambda record: lines.append(record.getMessage())
@@ -227,7 +230,7 @@ def oracle_walk(spec: PartitionSpec, k: int, max_colors: int, loop=None):
     logger.setLevel(logging.DEBUG)
     try:
         with patch.object(oracle, "first_failing_pair", loop or oracle.first_failing_pair):
-            witness = oracle.rc_k_exact(spec, k, max_colors)
+            witness = oracle.rc_k_exact(spec, k, max_colors, max_edges)
     finally:
         logger.removeHandler(handler)
         logger.setLevel(level)

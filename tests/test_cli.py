@@ -30,7 +30,7 @@ from rainbowk.constructions import (
     read_meta,
     witness_paths,
 )
-from rainbowk.core import Coloring, PartitionSpec, family_is_valid, json_text
+from rainbowk.core import Coloring, InvariantError, PartitionSpec, family_is_valid, json_text
 
 TAGS = ("bipartite4", "ctk", "mnn", "k2416", "extension")
 DROP = object()
@@ -426,6 +426,31 @@ def test_failed_self_check_is_reported_not_asserted(capsys, monkeypatch):
                    "--max-colors", "2"]) == 3
     err = capsys.readouterr().err
     assert err.startswith("internal error: ") and err.count("\n") == 1
+
+
+def test_failed_spot_check_is_reported_not_asserted(capsys, monkeypatch):
+    import rainbowk.oracle
+
+    # The walk's own calls pass their walk state and get the true answer;
+    # only the spot check's call, from a fresh state, sees a failing pair.
+    # The two disagree at the first root that passes, before any witness
+    # reaches the final check; that must raise, and surface as exit 3 with
+    # one line.
+    loop = rainbowk.oracle.first_failing_pair
+
+    def flipped_fails(coloring, k, max_len=None, settled=None, recolored=None):
+        if settled is None:
+            return (0, 1)
+        return loop(coloring, k, max_len, settled, recolored)
+
+    monkeypatch.setattr(rainbowk.oracle, "first_failing_pair", flipped_fails)
+    with pytest.raises(InvariantError, match="not color-relabeling invariant"):
+        rainbowk.oracle.rc_k_exact(PartitionSpec((2, 2)), 1, 2)
+    assert invoke(["rck-exact", "--sizes", "2,2", "--k", "1",
+                   "--max-colors", "2"]) == 3
+    err = capsys.readouterr().err
+    assert err.startswith("internal error: ") and err.count("\n") == 1
+    assert "not color-relabeling invariant" in err
 
 
 def test_extension_subcommand_chain(tmp_path, capsys):
